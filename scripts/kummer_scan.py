@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wilsonq.bernoulli import bnpd, clear_caches
+from wilsonq.bernoulli import bnpd, clear_caches, kummer_admissible
 from wilsonq.differences import forward_difference
 from wilsonq.residues import make_modulus
 
@@ -35,10 +35,7 @@ def main() -> int:
         for r in range(1, args.rmax + 1):
             modulus = make_modulus(p, r)
             for n in range(2, args.nmax + 1, 2):
-                if n % h == 0:
-                    if p <= r + n // h:
-                        continue
-                elif n <= r:
+                if not kummer_admissible(p, r, n):
                     continue
                 diff = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
                 count += 1

@@ -8,6 +8,7 @@ from .bernoulli import (
     bnpd,
     divided_set,
     exact_bernoulli,
+    kummer_admissible,
     power_sum_mod,
 )
 from .differences import binom_diff_mod_p, forward_difference, q_power_sum_via_differences
@@ -18,7 +19,6 @@ from .formulas import (
     omega_mod_p_rhs,
     omega_vector,
     qtilde_rhs,
-    qtilde_rhs_restated,
     qtilde_via_coefficients,
     wilson_from_power_sums,
     zero_expression_suite,
@@ -65,6 +65,7 @@ __all__ = [
     "forward_difference",
     "from_rational",
     "is_prime",
+    "kummer_admissible",
     "make_modulus",
     "omega_mod_p_rhs",
     "omega_vector",
@@ -76,7 +77,6 @@ __all__ = [
     "q_power_sum_via_differences",
     "qtilde",
     "qtilde_rhs",
-    "qtilde_rhs_restated",
     "qtilde_via_coefficients",
     "run_and_report",
     "sh_mod",

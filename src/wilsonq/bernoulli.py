@@ -34,7 +34,6 @@ from threading import Lock
 from .residues import Modulus, Residue, is_prime, make_modulus
 
 ORACLE_BOUND = 3000
-DEFAULT_GUARD = 2
 
 # -- exact rational oracle --------------------------------------------------
 
@@ -244,14 +243,13 @@ def bnp(m: int, modulus: Modulus) -> Residue:
     return pb.shift_down(1)
 
 
-def bnpd(m: int, modulus: Modulus, guard: int = DEFAULT_GUARD) -> Residue:
+def bnpd(m: int, modulus: Modulus) -> Residue:
     """The divided p-integral value (.../m for m >= 1, zero for m <= 0).
 
     When p^e | m the division needs e extra digits, which exist because the
     numerator has matching valuation (Adams / Carlitz); if it does not, the
     shift raises, making the implicit integrality claim executable.  The
-    working precision is r + max(guard, 1+e), lowered toward the exact need
-    r + 1 + e when p is too small to allow slack.
+    working precision is the exact need r + 1 + e, which must stay below p.
     """
     p, r = modulus.p, modulus.r
     if m <= 0:
@@ -260,19 +258,27 @@ def bnpd(m: int, modulus: Modulus, guard: int = DEFAULT_GUARD) -> Residue:
     while unit % p == 0:
         unit //= p
         e += 1
-    g = r + max(guard, 1 + e)
+    g = r + 1 + e
     if g >= p:
-        g = r + 1 + e
-        if g >= p:
-            raise ValueError(
-                f"precision p^{r} for index {m} unreachable at p={p} "
-                f"(needs working precision {g})"
-            )
+        raise ValueError(
+            f"precision p^{r} for index {m} unreachable at p={p} "
+            f"(needs working precision {g})"
+        )
     pb = bernoulli_times_p(m, p, g)
     if m % (p - 1) == 0:
         pb = pb + (1 - p)
     divided = pb.shift_down(1 + e)
     return (divided * Residue(pow(unit, -1, divided.modulus.value), divided.modulus)).reduce_to(r)
+
+
+def kummer_admissible(p: int, r: int, n: int) -> bool:
+    """Whether the r-fold difference with step p-1 of the divided values,
+    started at index n, is claimed to vanish mod p^r: on the (p-1)-grid it
+    needs p > r + n/(p-1), off the grid n > r."""
+    h = p - 1
+    if n % h == 0:
+        return p > r + n // h
+    return n > r
 
 
 @dataclass
@@ -317,7 +323,6 @@ def divided_set(
     p: int,
     bn_spec: dict[int, int] | None = None,
     bnd_spec: dict[tuple[int, int], int] | None = None,
-    guard: int = DEFAULT_GUARD,
 ) -> DividedBernoulliSet:
     """Populate a DividedBernoulliSet for prime p >= 7.
 
@@ -333,7 +338,7 @@ def divided_set(
     h = p - 1
     out = DividedBernoulliSet(p)
     for n, r in sorted(bn_spec.items(), reverse=True):
-        out.bn[n] = bnpd(n * h, make_modulus(p, r), guard=guard)
+        out.bn[n] = bnpd(n * h, make_modulus(p, r))
     for (n, d), r in sorted(bnd_spec.items(), reverse=True):
-        out.bnd[(n, d)] = bnpd(n * h - d, make_modulus(p, r), guard=guard)
+        out.bnd[(n, d)] = bnpd(n * h - d, make_modulus(p, r))
     return out

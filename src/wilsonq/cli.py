@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated tags or 'all' (tags: {', '.join(sorted(CHECK_TAGS))})",
     )
     v.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    v.add_argument("--guard", type=int, default=2, help="extra working precision (default 2)")
     v.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default="text")
     v.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -69,7 +68,7 @@ def _cmd_verify(args, parser) -> int:
     try:
         cfg = RunConfig(
             pmin=args.pmin, pmax=args.pmax, checks=checks,
-            jobs=args.jobs, guard=args.guard, fmt=args.fmt, out=args.out,
+            jobs=args.jobs, fmt=args.fmt, out=args.out,
         )
     except ValueError as exc:
         parser.error(str(exc))

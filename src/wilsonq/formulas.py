@@ -195,64 +195,10 @@ _QTILDE_MAIN_L5: dict[int, _Blocks] = {
         (4, lambda t: F(-1, 5) * t.b4(1))),
 }
 
-# Independent second transcription of the same congruences (taken from their
-# restatement in terms of the scaled sums); any disagreement with the tables
-# above flags a transcription bug rather than a math failure.
-_QTILDE_RESTATED_L6: dict[int, _Blocks] = {
-    1: ((0, lambda t: (t.p - 1) * t.b(1)),
-        (2, lambda t: -t.b2(1)),
-        (3, lambda t: F(11, 6) * t.b2(1)),
-        (4, lambda t: -(t.b2(1) + t.b4(1))),
-        (5, lambda t: F(1, 6) * t.b2(1) + F(137, 60) * t.b4(1))),
-    2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: F(-11, 6) * t.b2(1) + F(13, 3) * t.b2(2)),
-        (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
-        (5, lambda t: F(1, 2) * t.b2(1) + F(77, 12) * t.b4(1))),
-    3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - F(10, 3) * t.b2(3)),
-        (3, lambda t: F(11, 6) * t.b2(1) - F(26, 3) * t.b2(2) + F(47, 6) * t.b2(3)),
-        (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
-        (5, lambda t: F(1, 3) * t.b2(1) + F(47, 6) * t.b4(1))),
-    4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
-        (3, lambda t: F(21, 2) * t.b2(1) - 24 * t.b2(2) + F(27, 2) * t.b2(3)),
-        (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
-        (5, lambda t: F(9, 2) * t.b4(1))),
-    5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-        (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
-        (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
-        (4, lambda t: F(23, 5) * t.b4(1) - F(24, 5) * t.b4(2)),
-        (5, lambda t: t.b4(1))),
-    6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
-        (2, lambda t: F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3) - F(10, 3) * t.b2(4)),
-        (4, lambda t: t.b4(1) - t.b4(2))),
-}
-
-_QTILDE_RESTATED_L5: dict[int, _Blocks] = {
-    1: ((0, lambda t: (t.p - 1) * t.b(1)),
-        (2, lambda t: -t.b2(1)),
-        (3, lambda t: F(11, 6) * t.b2(1)),
-        (4, lambda t: -(t.b2(1) + t.b4(1)))),
-    2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: F(-11, 6) * t.b2(1) + F(13, 3) * t.b2(2)),
-        (4, lambda t: -(2 * t.b2(1) + 2 * t.b4(1)))),
-    3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - F(10, 3) * t.b2(3)),
-        (3, lambda t: -6 * t.b2(1) + 7 * t.b2(2)),
-        (4, lambda t: -(t.b2(1) + 2 * t.b4(1)))),
-    4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
-        (2, lambda t: -4 * t.b2(1) + 9 * t.b2(2) - 5 * t.b2(3)),
-        (3, lambda t: -3 * t.b2(1) + 3 * t.b2(2)),
-        (4, lambda t: -t.b4(1))),
-    5: ((0, lambda t: -(t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-        (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
-        (4, lambda t: F(-1, 5) * t.b4(1))),
-}
-
 #: The depth-5 congruence for n=5 with its leading factor left as (p-1)
-#: instead of the compacted -1; both variants hold and both are tested.
+#: instead of the compacted -1.  The two variants differ by p times the fourth
+#: difference of b(1..5), which vanishes mod p^5 only by Kummer's congruence,
+#: so both are tested.
 QTILDE_L5_N5_UNREDUCED: _Blocks = (
     (0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
     (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
@@ -288,13 +234,6 @@ def qtilde_rhs(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue
     numbers (level 6 for p >= 11, level 5 for p >= 7)."""
     _check_level(n, p, level)
     table = _QTILDE_MAIN_L6 if level == 6 else _QTILDE_MAIN_L5
-    return _eval_blocks(table[n], p, bset, level)
-
-
-def qtilde_rhs_restated(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
-    """Second, independently transcribed copy of the same closed forms."""
-    _check_level(n, p, level)
-    table = _QTILDE_RESTATED_L6 if level == 6 else _QTILDE_RESTATED_L5
     return _eval_blocks(table[n], p, bset, level)
 
 
@@ -366,7 +305,6 @@ def qtilde_via_coefficients(
     p: int,
     tables: CoefficientTables = COEFF_TABLES,
     level: int = 6,
-    guard: int = 2,
 ) -> Residue:
     """(p^(n-1)/n) Q_p(n) mod p^level from the difference-operator expansion
     with the printed coefficient vectors, evaluating divided Bernoulli values
@@ -378,7 +316,7 @@ def qtilde_via_coefficients(
 
     lead_mod = make_modulus(p, level)
     lead = (p - 1) * forward_difference(
-        lambda nu: bnpd(nu, lead_mod, guard=guard), h, n - 1, start=h
+        lambda nu: bnpd(nu, lead_mod), h, n - 1, start=h
     )
     rest = Residue(0, lead_mod)
     for t_pow, entries in blocks.items():
@@ -387,7 +325,7 @@ def qtilde_via_coefficients(
         for name, d, j in entries:
             coeff = vectors[name][n - 1]
             if coeff:
-                combo = combo + coeff * bnpd(j * h - d, make_modulus(p, prec), guard=guard)
+                combo = combo + coeff * bnpd(j * h - d, make_modulus(p, prec))
         rest = rest + combo.mul_p_power(t_pow)
     return lead + F(1, n) * rest
 

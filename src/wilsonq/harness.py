@@ -9,13 +9,14 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import formulas, oracles
-from .bernoulli import DividedBernoulliSet, bnpd, divided_set
+from .bernoulli import DividedBernoulliSet, bnpd, divided_set, kummer_admissible
 from .differences import forward_difference
 from .residues import Residue, make_modulus
 from .results import CheckResult
@@ -46,7 +47,6 @@ class RunConfig:
     pmax: int
     checks: frozenset[str] = CHECK_TAGS
     jobs: int = 1
-    guard: int = 2
     fmt: str = "text"
     out: str | None = None
 
@@ -60,8 +60,6 @@ class RunConfig:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.guard < 1:
-            raise ValueError("guard must be >= 1")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError(f"unknown format: {self.fmt}")
 
@@ -83,9 +81,8 @@ def enumerate_primes(pmin: int, pmax: int) -> list[int]:
 class PrimeRun:
     """Lazily built shared state for one prime's checks."""
 
-    def __init__(self, p: int, guard: int):
+    def __init__(self, p: int):
         self.p = p
-        self.guard = guard
         self._bset: DividedBernoulliSet | None = None
         self._omega5 = None
         self._omega6 = None
@@ -93,7 +90,7 @@ class PrimeRun:
     @property
     def bset(self) -> DividedBernoulliSet:
         if self._bset is None:
-            self._bset = divided_set(self.p, guard=self.guard)
+            self._bset = divided_set(self.p)
         return self._bset
 
     @property
@@ -172,29 +169,21 @@ def _check_props(run: PrimeRun) -> list[CheckResult]:
     for level in _levels_for(p):
         for n in range(1, level + 1):
             direct = oracles.qtilde(n, p, level)
-            rhs = formulas.qtilde_via_coefficients(n, p, level=level, guard=run.guard)
+            rhs = formulas.qtilde_via_coefficients(n, p, level=level)
             out.append(_result(p, "props", f"n={n}-mod-p^{level}", direct, rhs))
     return out
 
 
 def _check_lemmas(run: PrimeRun) -> list[CheckResult]:
+    """The (p-1)-lead variant of the n=5 congruence mod p^5."""
     p = run.p
-    out = []
-    for level in _levels_for(p):
-        for n in range(1, level + 1):
-            direct = oracles.qtilde(n, p, level)
-            rhs = formulas.qtilde_rhs_restated(n, p, level, run.bset)
-            out.append(_result(p, "lemmas", f"n={n}-mod-p^{level}", direct, rhs))
-            main = formulas.qtilde_rhs(n, p, level, run.bset)
-            out.append(_result(p, "lemmas", f"n={n}-mod-p^{level}-agrees-main", rhs, main))
-    out.append(
+    return [
         _result(
             p, "lemmas", "n=5-mod-p^5-unreduced-lead",
             oracles.qtilde(5, p, 5),
             formulas.qtilde_l5_n5_unreduced(p, run.bset),
         )
-    )
-    return out
+    ]
 
 
 def _check_psi(run: PrimeRun) -> list[CheckResult]:
@@ -211,7 +200,7 @@ def _check_kummer(run: PrimeRun) -> list[CheckResult]:
     """Sampled higher-order congruence checks: the r-fold difference with
     step p-1 of the divided values vanishes mod p^r under the stated
     conditions."""
-    p, guard = run.p, run.guard
+    p = run.p
     h = p - 1
     out = []
     for r in range(1, KUMMER_MAX_ORDER + 1):
@@ -222,14 +211,9 @@ def _check_kummer(run: PrimeRun) -> list[CheckResult]:
             if n in seen:
                 continue
             seen.add(n)
-            if n % h == 0:
-                if p <= r + n // h:
-                    continue
-            elif n <= r:
+            if not kummer_admissible(p, r, n):
                 continue
-            value = forward_difference(
-                lambda nu: bnpd(nu, modulus, guard=guard), h, r, start=n
-            )
+            value = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
             out.append(
                 CheckResult(
                     p=p, tag="kummer", case=f"r={r}-n={n}",
@@ -247,9 +231,11 @@ def _check_zero_exprs(run: PrimeRun) -> list[CheckResult]:
 def _check_table3(run: PrimeRun) -> list[CheckResult]:
     p = run.p
     out = []
-    vectors = [(5, run.omega5)] + ([(6, run.omega6)] if p >= 11 else [])
-    for depth, omega in vectors:
-        for nu in range(0, depth + 1):
+    # omega_0 is the constant -1, and the depth-5 omega_5 is stated mod p by
+    # the very expression of its mod-p form, so neither row could fail.
+    vectors = [(run.omega5, 5, 4)] + ([(run.omega6, 6, 6)] if p >= 11 else [])
+    for omega, depth, top in vectors:
+        for nu in range(1, top + 1):
             out.append(
                 _result(
                     p, "table3", f"depth{depth}-omega{nu}-mod-p",
@@ -279,7 +265,7 @@ _CHECK_RUNNERS = {
 def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
     """All selected checks for one prime; bound misses become skip markers
     and internal errors become failed results, never exceptions."""
-    run = PrimeRun(p, cfg.guard)
+    run = PrimeRun(p)
     results: list[CheckResult] = []
     for tag, min_p in CHECK_ORDER:
         if tag not in cfg.checks:
@@ -361,12 +347,21 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
         f"{checked} checks, {checked - failed} passed, {failed} failed, "
         f"{skipped} skipped ({elapsed:.1f}s)"
     )
-    if stream is not None:
-        write_report(results, cfg.fmt, stream, summary)
-    elif cfg.out:
+    if stream is None and cfg.out:
         with open(cfg.out, "w") as fh:
             write_report(results, cfg.fmt, fh, summary)
     else:
-        write_report(results, cfg.fmt, sys.stdout, summary)
-    print(summary, file=sys.stderr)
+        stream = sys.stdout if stream is None else stream
+        try:
+            write_report(results, cfg.fmt, stream, summary)
+            stream.flush()
+        except BrokenPipeError:
+            # The reader left early (as `| head` does).  Point stdout at
+            # devnull so the flush at interpreter exit cannot raise again.
+            if stream is sys.stdout:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+    # A text report on stdout already ends with the summary.
+    if cfg.fmt != "text" or stream is not sys.stdout:
+        print(summary, file=sys.stderr)
     return 1 if failed else 0

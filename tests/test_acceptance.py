@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from wilsonq.bernoulli import bernoulli_times_p, bnpd, exact_bernoulli
+from wilsonq.bernoulli import bernoulli_times_p, bnpd, exact_bernoulli, kummer_admissible
 from wilsonq.differences import binom_diff_mod_p, forward_difference
 from wilsonq.harness import RunConfig, check_prime, enumerate_primes, run_and_report
 from wilsonq.oracles import q_power_sum, wilson_quotient
@@ -16,8 +16,8 @@ from wilsonq.polys import psi_ptilde_consistency
 from wilsonq.residues import from_rational, make_modulus
 
 
-def _sweep(pmin, pmax, tags, guard=2):
-    cfg = RunConfig(pmin=pmin, pmax=pmax, checks=frozenset(tags), guard=guard)
+def _sweep(pmin, pmax, tags):
+    cfg = RunConfig(pmin=pmin, pmax=pmax, checks=frozenset(tags))
     results = []
     for p in enumerate_primes(pmin, pmax):
         results.extend(check_prime(p, cfg))
@@ -94,6 +94,15 @@ def test_coefficient_vector_form_vs_oracle(wide_sweep):
           f"primes 11..500, both moduli")
 
 
+def test_unreduced_lead_congruence(wide_sweep):
+    rows = _tag(wide_sweep, "lemmas")
+    assert [r.p for r in rows] == enumerate_primes(7, 500)
+    assert {r.case for r in rows} == {"n=5-mod-p^5-unreduced-lead"}
+    failures = [r for r in rows if not r.passed]
+    assert failures == []
+    print(f"PASS (p-1)-lead form of the n=5 congruence mod p^5: {len(rows)} primes 7..500")
+
+
 def test_wilson_through_power_sum_polynomials(wide_sweep):
     rows = _tag(wide_sweep, "psi")
     failures = [r for r in rows if not r.passed]
@@ -116,10 +125,7 @@ def test_kummer_congruence_suite():
         for r in (1, 2, 3):
             modulus = make_modulus(p, r)
             for n in range(2, 201, 2):
-                if n % h == 0:
-                    if p <= r + n // h:
-                        continue
-                elif n <= r:
+                if not kummer_admissible(p, r, n):
                     continue
                 diff = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
                 checked += 1

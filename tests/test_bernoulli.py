@@ -9,6 +9,7 @@ from wilsonq.bernoulli import (
     bnpd,
     divided_set,
     exact_bernoulli,
+    kummer_admissible,
     power_sum_mod,
 )
 from wilsonq.differences import forward_difference
@@ -181,6 +182,25 @@ def test_divided_set_missing_entry_and_bounds():
         divided_set(5)
 
 
+def test_kummer_admissible_bounds():
+    # (p, r, n, admissible), worked by hand on both sides of each bound
+    cases = [
+        # on the grid: p > r + n/(p-1)
+        (7, 5, 6, True), (7, 6, 6, False),
+        (7, 4, 12, True), (7, 5, 12, False),
+        (7, 1, 30, True), (7, 2, 30, False),
+        (11, 9, 10, True), (11, 10, 10, False),
+        (11, 8, 20, True), (11, 9, 20, False),
+        # off the grid: n > r
+        (7, 1, 2, True), (7, 2, 2, False),
+        (7, 3, 4, True), (7, 4, 4, False),
+        (13, 3, 4, True), (13, 4, 4, False),
+        (13, 3, 26, True), (13, 1, 34, True),
+    ]
+    for p, r, n, want in cases:
+        assert kummer_admissible(p, r, n) is want, (p, r, n)
+
+
 def test_kummer_congruence_cases():
     # r-fold differences of the divided values vanish mod p^r:
     # indices off the (p-1)-grid need n > r; on-grid needs p > r + n/(p-1)
@@ -189,10 +209,7 @@ def test_kummer_congruence_cases():
         for r in (1, 2, 3):
             modulus = make_modulus(p, r)
             for n in range(2, 61, 2):
-                if n % h == 0:
-                    if p <= r + n // h:
-                        continue
-                elif n <= r:
+                if not kummer_admissible(p, r, n):
                     continue
                 diff = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
                 assert diff.is_zero(), (p, r, n)

@@ -51,6 +51,9 @@ def test_verify_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pmin", "7", "--pmax", "20", "--guard", "2"])
+    assert exc.value.code == 2
 
 
 def test_nonprime_arguments_exit_2():

@@ -13,7 +13,6 @@ from wilsonq.formulas import (
     omega_vector,
     qtilde_l5_n5_unreduced,
     qtilde_rhs,
-    qtilde_rhs_restated,
     qtilde_via_coefficients,
     wilson_from_power_sums,
     zero_expression_suite,
@@ -108,17 +107,16 @@ def test_qtilde_rhs_bounds():
 
 
 def test_three_way_agreement():
-    # headline transcription, restated transcription and coefficient-vector
-    # route all produce identical residues
+    # headline transcription, coefficient-vector route and direct sums all
+    # produce identical residues
     for p in (11, 13, 17):
         bs = divided_set(p)
         for level in (5, 6):
             for n in range(1, level + 1):
                 direct = qtilde(n, p, level)
                 main = qtilde_rhs(n, p, level, bs)
-                restated = qtilde_rhs_restated(n, p, level, bs)
                 vectors = qtilde_via_coefficients(n, p, level=level)
-                assert main == restated == vectors == direct, (p, level, n)
+                assert main == vectors == direct, (p, level, n)
 
 
 def test_unreduced_lead_variant():
@@ -205,6 +203,26 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
     )
     bad = omega_vector(13, bs, 5).factorial_form()
     assert bad != factorial_mod(13, 6)
+
+
+def test_corrupted_unreduced_lead_is_detected(monkeypatch):
+    # the lemmas row must be able to fail: perturb one coefficient of the
+    # lead block of the (p-1)-lead form and watch the row break
+    from wilsonq import formulas
+    from wilsonq.harness import RunConfig, check_prime
+
+    cfg = RunConfig(pmin=7, pmax=13, checks=frozenset(["lemmas"]))
+    (t0, lead), *rest = formulas.QTILDE_L5_N5_UNREDUCED
+    assert t0 == 0
+    for p in (7, 11, 13):
+        assert [r.passed for r in check_prime(p, cfg)] == [True], p
+    monkeypatch.setattr(
+        formulas, "QTILDE_L5_N5_UNREDUCED",
+        ((0, lambda t: lead(t) + (t.p - 1) * t.b(3)), *rest),
+    )
+    for p in (7, 11, 13):
+        rows = check_prime(p, cfg)
+        assert [(r.case, r.passed) for r in rows] == [("n=5-mod-p^5-unreduced-lead", False)], p
 
 
 def test_factorial_expansion_equals_oracle_sample():

@@ -120,3 +120,28 @@ def test_repeat_run_byte_identical():
     run_and_report(cfg, stream=buf1)
     run_and_report(cfg, stream=buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_text_summary_printed_once(capsys):
+    cfg = RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1"]), fmt="text")
+    assert run_and_report(cfg) == 0
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).count("12 checks, 12 passed") == 1
+    assert "12 checks, 12 passed" in captured.out
+
+    cfg_json = RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1"]), fmt="json")
+    assert run_and_report(cfg_json) == 0
+    captured = capsys.readouterr()
+    assert "12 checks, 12 passed" not in captured.out
+    assert captured.err.count("12 checks, 12 passed") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_1_quietly(capsys):
+    cfg = RunConfig(pmin=7, pmax=40, checks=frozenset(["thm1"]), fmt="csv")
+    assert run_and_report(cfg, stream=_ClosedPipe()) == 1
+    assert "Traceback" not in capsys.readouterr().err
