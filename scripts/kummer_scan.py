@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wilsonq.bernoulli import bnpd, clear_caches, kummer_admissible
+from wilsonq.bernoulli import BernoulliEngine, bnpd, kummer_admissible
 from wilsonq.differences import forward_difference
 from wilsonq.residues import make_modulus
 
@@ -31,19 +31,19 @@ def main() -> int:
     started = time.perf_counter()
     for p in args.primes:
         h = p - 1
+        engine = BernoulliEngine(p)
         count = 0
         for r in range(1, args.rmax + 1):
             modulus = make_modulus(p, r)
             for n in range(2, args.nmax + 1, 2):
                 if not kummer_admissible(p, r, n):
                     continue
-                diff = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
+                diff = forward_difference(lambda nu: bnpd(nu, modulus, engine), h, r, start=n)
                 count += 1
                 if not diff.is_zero():
                     failures += 1
                     print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
         print(f"p={p}: {count} differences vanish")
-        clear_caches()
     print(f"{'zero failures' if not failures else f'{failures} FAILURES'} "
           f"({time.perf_counter() - started:.1f}s)")
     return 1 if failures else 0

@@ -2,6 +2,7 @@
 computed two independent ways and verified bit-exactly over prime ranges."""
 
 from .bernoulli import (
+    BernoulliEngine,
     DividedBernoulliSet,
     bernoulli_times_p,
     bnp,
@@ -29,6 +30,7 @@ from .oracles import (
     factorial_mod,
     fermat_quotient,
     q_power_sum,
+    q_power_sums,
     qtilde,
     sh_mod,
     wilson_quotient,
@@ -40,6 +42,7 @@ from .results import CheckResult
 __version__ = "0.1.0"
 
 __all__ = [
+    "BernoulliEngine",
     "CheckResult",
     "COEFF_TABLES",
     "CoefficientTables",
@@ -75,6 +78,7 @@ __all__ = [
     "ptilde_eval",
     "q_power_sum",
     "q_power_sum_via_differences",
+    "q_power_sums",
     "qtilde",
     "qtilde_rhs",
     "qtilde_via_coefficients",

@@ -20,12 +20,15 @@ Two independent routes are provided:
   indices.
 
 Derived quantities: the p-integral value (pole removed when p-1 | m), its
-divided form value/m, and a per-prime cache of the divided values at the
+divided form value/m, and a per-prime set of the divided values at the
 index families n(p-1) and n(p-1)-d for d in {2, 4}.
+
+One prime's power-sum tables and p*B_m values live in a
+:class:`BernoulliEngine`, an optional trailing argument of every function
+built on it; a call without one works on a throwaway engine.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -77,22 +80,27 @@ def power_sum_mod(n: int, modulus: Modulus) -> Residue:
     return Residue(sum(pow(v, n, m) for v in range(1, p)) % m, modulus)
 
 
-class _PrimeTables:
-    """Per-prime batched power sums: S_j(p) mod p^g for many j.
+class BernoulliEngine:
+    """One prime's Bernoulli state: batched power sums S_j(p) mod p^g and a
+    memo of p*B_m keyed by index.
 
     Writing j = k(p-1) + c, the term v^j factors as (v^(p-1))^k * v^c, so a
     row table of v^(p-1) powers and a column table of small v^c powers turn
     each S_j into one dot product.  Columns are filled in short ascending
     runs so that the descending index pattern of the Bernoulli recursion
-    hits cached neighbours.
+    hits cached neighbours.  The tables sit at the highest precision asked
+    so far; each memo entry holds its value at the highest precision it was
+    computed at, and a lower request is served by reduction.
     """
 
     _STEP_WINDOW = 16
 
-    def __init__(self, p: int, g: int):
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.g = 0
-        self._reset(g)
+        self._pb: dict[int, tuple[int, int]] = {}
 
     def _reset(self, g: int) -> None:
         if g <= self.g:
@@ -135,9 +143,8 @@ class _PrimeTables:
         return row
 
     def power_sum(self, j: int, g: int) -> int:
-        """S_j(p) mod p^g for g <= table precision."""
-        if g > self.g:
-            raise ValueError("table precision too low")
+        """S_j(p) mod p^g, raising the table precision to g if needed."""
+        self._reset(g)
         m = self.p**g
         if j == 0:
             return (self.p - 1) % m
@@ -148,71 +155,36 @@ class _PrimeTables:
         col = self._column(c)
         return sum(a * b for a, b in zip(row[1:], col[1:])) % m
 
-
-class _PrimeCache:
-    def __init__(self, p: int, g: int):
-        self.tables = _PrimeTables(p, g)
-        self.pb: dict[tuple[int, int], int] = {}
-
-
-_caches: OrderedDict[int, _PrimeCache] = OrderedDict()
-_caches_lock = Lock()
-_MAX_CACHED_PRIMES = 4
-
-
-def _cache_for(p: int, g: int) -> _PrimeCache:
-    with _caches_lock:
-        cache = _caches.get(p)
-        if cache is None:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            cache = _PrimeCache(p, g)
-            _caches[p] = cache
-            while len(_caches) > _MAX_CACHED_PRIMES:
-                _caches.popitem(last=False)
+    def pb_value(self, m: int, g: int) -> int:
+        """p*B_m mod p^g as a plain integer."""
+        p = self.p
+        mod = p**g
+        held = self._pb.get(m)
+        if held is not None and held[0] >= g:
+            return held[1] % mod
+        if m == 0:
+            value = p % mod
+        elif m == 1:
+            value = -p * pow(2, -1, mod) % mod
+        elif m % 2 == 1:
+            value = 0
         else:
-            cache.tables._reset(g)
-            _caches.move_to_end(p)
-        return cache
+            value = self.power_sum(m, g)
+            for k in range(2, min(m + 1, g + 1) + 1):
+                e, unit = k - 1, k
+                while unit % p == 0:
+                    unit //= p
+                    e -= 1
+                if e >= g:
+                    continue
+                sub = self.pb_value(m + 1 - k, g - e)
+                term = comb(m, k - 1) * p**e % mod * pow(unit, -1, mod) % mod * sub % mod
+                value = (value - term) % mod
+        self._pb[m] = (g, value)
+        return value
 
 
-def clear_caches() -> None:
-    """Drop all per-prime memoization (tests and memory control)."""
-    with _caches_lock:
-        _caches.clear()
-
-
-def _pb_value(cache: _PrimeCache, m: int, g: int) -> int:
-    """p*B_m mod p^g as a plain integer."""
-    key = (m, g)
-    cached = cache.pb.get(key)
-    if cached is not None:
-        return cached
-    p = cache.tables.p
-    mod = p**g
-    if m == 0:
-        value = p % mod
-    elif m == 1:
-        value = -p * pow(2, -1, mod) % mod
-    elif m % 2 == 1:
-        value = 0
-    else:
-        value = cache.tables.power_sum(m, g)
-        for k in range(2, min(m + 1, g + 1) + 1):
-            e, unit = k - 1, k
-            while unit % p == 0:
-                unit //= p
-                e -= 1
-            if e >= g:
-                continue
-            sub = _pb_value(cache, m + 1 - k, g - e)
-            term = comb(m, k - 1) * p**e % mod * pow(unit, -1, mod) % mod * sub % mod
-            value = (value - term) % mod
-    cache.pb[key] = value
-    return value
-
-
-def bernoulli_times_p(m: int, p: int, g: int) -> Residue:
+def bernoulli_times_p(m: int, p: int, g: int, engine: BernoulliEngine | None = None) -> Residue:
     """p*B_m mod p^g via the power-sum recursion; requires p > g."""
     if m < 0:
         raise ValueError("index must be non-negative")
@@ -220,14 +192,14 @@ def bernoulli_times_p(m: int, p: int, g: int) -> Residue:
         raise ValueError("precision must be >= 1")
     if p <= g:
         raise ValueError(f"need p > g for unit denominators, got p={p}, g={g}")
-    cache = _cache_for(p, g)
-    return Residue(_pb_value(cache, m, g), make_modulus(p, g))
+    engine = engine or BernoulliEngine(p)
+    return Residue(engine.pb_value(m, g), make_modulus(p, g))
 
 
 # -- p-integral and divided values -------------------------------------------
 
 
-def bnp(m: int, modulus: Modulus) -> Residue:
+def bnp(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Residue:
     """The p-integral value: 0 at m=0, B_m + 1/p - 1 when p-1 | m, else B_m.
 
     Computed from p*B_m at one extra digit; the final shift by p is exact by
@@ -237,13 +209,13 @@ def bnp(m: int, modulus: Modulus) -> Residue:
     p, r = modulus.p, modulus.r
     if m == 0:
         return Residue(0, modulus)
-    pb = bernoulli_times_p(m, p, r + 1)
+    pb = bernoulli_times_p(m, p, r + 1, engine)
     if m > 0 and m % (p - 1) == 0:
         pb = pb + (1 - p)
     return pb.shift_down(1)
 
 
-def bnpd(m: int, modulus: Modulus) -> Residue:
+def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Residue:
     """The divided p-integral value (.../m for m >= 1, zero for m <= 0).
 
     When p^e | m the division needs e extra digits, which exist because the
@@ -264,7 +236,7 @@ def bnpd(m: int, modulus: Modulus) -> Residue:
             f"precision p^{r} for index {m} unreachable at p={p} "
             f"(needs working precision {g})"
         )
-    pb = bernoulli_times_p(m, p, g)
+    pb = bernoulli_times_p(m, p, g, engine)
     if m % (p - 1) == 0:
         pb = pb + (1 - p)
     divided = pb.shift_down(1 + e)
@@ -319,26 +291,17 @@ SET_SPEC_DEPTH5 = (
 )
 
 
-def divided_set(
-    p: int,
-    bn_spec: dict[int, int] | None = None,
-    bnd_spec: dict[tuple[int, int], int] | None = None,
-) -> DividedBernoulliSet:
-    """Populate a DividedBernoulliSet for prime p >= 7.
-
-    Defaults cover the six-coefficient expansion for p >= 11 and the
-    five-coefficient one below that.
-    """
+def divided_set(p: int, engine: BernoulliEngine | None = None) -> DividedBernoulliSet:
+    """Populate a DividedBernoulliSet for prime p >= 7: the six-coefficient
+    expansion for p >= 11 and the five-coefficient one below that."""
     if p < 7:
         raise ValueError(f"need p >= 7, got {p}")
-    if bn_spec is None and bnd_spec is None:
-        bn_spec, bnd_spec = SET_SPEC_DEPTH6 if p >= 11 else SET_SPEC_DEPTH5
-    bn_spec = bn_spec or {}
-    bnd_spec = bnd_spec or {}
+    engine = engine or BernoulliEngine(p)
+    bn_spec, bnd_spec = SET_SPEC_DEPTH6 if p >= 11 else SET_SPEC_DEPTH5
     h = p - 1
     out = DividedBernoulliSet(p)
     for n, r in sorted(bn_spec.items(), reverse=True):
-        out.bn[n] = bnpd(n * h, make_modulus(p, r))
+        out.bn[n] = bnpd(n * h, make_modulus(p, r), engine)
     for (n, d), r in sorted(bnd_spec.items(), reverse=True):
-        out.bnd[(n, d)] = bnpd(n * h - d, make_modulus(p, r))
+        out.bnd[(n, d)] = bnpd(n * h - d, make_modulus(p, r), engine)
     return out

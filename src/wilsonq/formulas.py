@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .bernoulli import DividedBernoulliSet, bnpd
+from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd
 from .differences import forward_difference
 from .oracles import qtilde
 from .polys import ptilde_eval
@@ -301,22 +301,20 @@ _VEC_BLOCKS_L6 = {
 
 
 def qtilde_via_coefficients(
-    n: int,
-    p: int,
-    tables: CoefficientTables = COEFF_TABLES,
-    level: int = 6,
+    n: int, p: int, level: int = 6, engine: BernoulliEngine | None = None
 ) -> Residue:
     """(p^(n-1)/n) Q_p(n) mod p^level from the difference-operator expansion
     with the printed coefficient vectors, evaluating divided Bernoulli values
     directly (no prebuilt set)."""
     _check_level(n, p, level)
     h = p - 1
-    vectors = tables.level6 if level == 6 else tables.level5
+    vectors = COEFF_TABLES.level6 if level == 6 else COEFF_TABLES.level5
     blocks = _VEC_BLOCKS_L6 if level == 6 else _VEC_BLOCKS_L5
+    engine = engine or BernoulliEngine(p)
 
     lead_mod = make_modulus(p, level)
     lead = (p - 1) * forward_difference(
-        lambda nu: bnpd(nu, lead_mod), h, n - 1, start=h
+        lambda nu: bnpd(nu, lead_mod, engine), h, n - 1, start=h
     )
     rest = Residue(0, lead_mod)
     for t_pow, entries in blocks.items():
@@ -325,7 +323,7 @@ def qtilde_via_coefficients(
         for name, d, j in entries:
             coeff = vectors[name][n - 1]
             if coeff:
-                combo = combo + coeff * bnpd(j * h - d, make_modulus(p, prec))
+                combo = combo + coeff * bnpd(j * h - d, make_modulus(p, prec), engine)
         rest = rest + combo.mul_p_power(t_pow)
     return lead + F(1, n) * rest
 
@@ -333,14 +331,15 @@ def qtilde_via_coefficients(
 # -- Wilson quotient through power sums ---------------------------------------
 
 
-def wilson_from_power_sums(p: int, r: int) -> Residue:
+def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
     """W_p mod p^r as the sum of the scaled expansion polynomials evaluated
-    at the directly computed scaled power sums; needs odd p > r."""
+    at the directly computed scaled power sums; needs odd p > r.  ``sums`` is
+    passed on to :func:`qtilde`."""
     if not 1 <= r <= 6:
         raise ValueError(f"need 1 <= r <= 6, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
-    values = [qtilde(nu, p, r) for nu in range(1, r + 1)]
+    values = [qtilde(nu, p, r, sums) for nu in range(1, r + 1)]
     acc = Residue(0, make_modulus(p, r))
     for nu in range(1, r + 1):
         acc = acc + ptilde_eval(nu, values[:nu])

@@ -1,10 +1,12 @@
 """Prime-range verification harness.
 
-Per prime, a shared bundle of expensive artifacts (the divided-Bernoulli set,
-coefficient ladders, Fermat-quotient tables) is built once and reused by all
-selected checks.  Primes are independent units of work, so the sweep is
-embarrassingly parallel; results are collected in prime order and are
-byte-identical for any worker count.
+Per prime, one :class:`PrimeRun` owns every derived value the selected
+checks share: the Bernoulli engine (power-sum tables and p*B_m values), the
+divided-Bernoulli set, the coefficient ladders and the Fermat-quotient power
+sums.  It is built when the prime's checks start and dropped when they end,
+so no state outlives its prime.  Primes are independent units of work, so
+the sweep is embarrassingly parallel; results are collected in prime order
+and are byte-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import formulas, oracles
-from .bernoulli import DividedBernoulliSet, bnpd, divided_set, kummer_admissible
+from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd, divided_set, kummer_admissible
 from .differences import forward_difference
-from .residues import Residue, make_modulus
+from .residues import PRIME_BOUND, Residue, is_prime, make_modulus
 from .results import CheckResult
 
 #: Check tags in canonical run order, with the smallest prime each applies to.
@@ -65,45 +68,45 @@ class RunConfig:
 
 
 def enumerate_primes(pmin: int, pmax: int) -> list[int]:
-    """Ascending primes in [pmin, pmax] by sieve."""
+    """Ascending primes in [pmin, pmax] by deterministic Miller-Rabin, so
+    memory follows the window rather than pmax."""
     if pmin < 2:
         raise ValueError("pmin must be >= 2")
     if pmin > pmax:
         raise ValueError("pmin must not exceed pmax")
-    sieve = bytearray([1]) * (pmax + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, int(pmax**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = b"\x00" * len(sieve[q * q :: q])
-    return [n for n in range(pmin, pmax + 1) if sieve[n]]
+    if pmax >= PRIME_BOUND:
+        raise ValueError(f"pmax must be below {PRIME_BOUND}, where primality tests stay exact")
+    return [n for n in range(pmin, pmax + 1) if is_prime(n)]
 
 
 class PrimeRun:
-    """Lazily built shared state for one prime's checks."""
+    """Everything one prime's checks share, built on first use: the Bernoulli
+    engine every Bernoulli value of the prime comes from, the divided set and
+    omega ladders built on it, and Q_p(1..6) mod p^6 (``sums``), from which
+    the direct side of ``thm3``, ``props``, ``lemmas`` and ``psi`` reduces."""
 
     def __init__(self, p: int):
         self.p = p
-        self._bset: DividedBernoulliSet | None = None
-        self._omega5 = None
-        self._omega6 = None
 
-    @property
+    @cached_property
+    def engine(self) -> BernoulliEngine:
+        return BernoulliEngine(self.p)
+
+    @cached_property
     def bset(self) -> DividedBernoulliSet:
-        if self._bset is None:
-            self._bset = divided_set(self.p)
-        return self._bset
+        return divided_set(self.p, self.engine)
 
-    @property
+    @cached_property
+    def sums(self) -> tuple[Residue, ...]:
+        return oracles.q_power_sums(self.p, 6)
+
+    @cached_property
     def omega5(self) -> formulas.OmegaVector:
-        if self._omega5 is None:
-            self._omega5 = formulas.omega_vector(self.p, self.bset, depth=5)
-        return self._omega5
+        return formulas.omega_vector(self.p, self.bset, depth=5)
 
-    @property
+    @cached_property
     def omega6(self) -> formulas.OmegaVector:
-        if self._omega6 is None:
-            self._omega6 = formulas.omega_vector(self.p, self.bset, depth=6)
-        return self._omega6
+        return formulas.omega_vector(self.p, self.bset, depth=6)
 
 
 def _result(p: int, tag: str, case: str, lhs: Residue, rhs: Residue) -> CheckResult:
@@ -157,7 +160,7 @@ def _check_thm3(run: PrimeRun) -> list[CheckResult]:
     out = []
     for level in _levels_for(p):
         for n in range(1, level + 1):
-            direct = oracles.qtilde(n, p, level)
+            direct = oracles.qtilde(n, p, level, run.sums)
             rhs = formulas.qtilde_rhs(n, p, level, run.bset)
             out.append(_result(p, "thm3", f"n={n}-mod-p^{level}", direct, rhs))
     return out
@@ -168,8 +171,8 @@ def _check_props(run: PrimeRun) -> list[CheckResult]:
     out = []
     for level in _levels_for(p):
         for n in range(1, level + 1):
-            direct = oracles.qtilde(n, p, level)
-            rhs = formulas.qtilde_via_coefficients(n, p, level=level)
+            direct = oracles.qtilde(n, p, level, run.sums)
+            rhs = formulas.qtilde_via_coefficients(n, p, level, run.engine)
             out.append(_result(p, "props", f"n={n}-mod-p^{level}", direct, rhs))
     return out
 
@@ -180,7 +183,7 @@ def _check_lemmas(run: PrimeRun) -> list[CheckResult]:
     return [
         _result(
             p, "lemmas", "n=5-mod-p^5-unreduced-lead",
-            oracles.qtilde(5, p, 5),
+            oracles.qtilde(5, p, 5, run.sums),
             formulas.qtilde_l5_n5_unreduced(p, run.bset),
         )
     ]
@@ -191,7 +194,7 @@ def _check_psi(run: PrimeRun) -> list[CheckResult]:
     out = []
     for r in range(1, min(6, p - 1) + 1):
         direct = oracles.wilson_quotient(p, r).quotient
-        via = formulas.wilson_from_power_sums(p, r)
+        via = formulas.wilson_from_power_sums(p, r, run.sums)
         out.append(_result(p, "psi", f"wilson-r={r}", direct, via))
     return out
 
@@ -213,7 +216,7 @@ def _check_kummer(run: PrimeRun) -> list[CheckResult]:
             seen.add(n)
             if not kummer_admissible(p, r, n):
                 continue
-            value = forward_difference(lambda nu: bnpd(nu, modulus), h, r, start=n)
+            value = forward_difference(lambda nu: bnpd(nu, modulus, run.engine), h, r, start=n)
             out.append(
                 CheckResult(
                     p=p, tag="kummer", case=f"r={r}-n={n}",
@@ -331,12 +334,14 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
     started = time.perf_counter()
     primes = enumerate_primes(cfg.pmin, cfg.pmax)
     results: list[CheckResult] = []
-    if cfg.jobs == 1 or len(primes) <= 1:
+    # The pool forks all its workers at once: no more than primes or cores.
+    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1)
+    if workers <= 1:
         for p in primes:
             results.extend(check_prime(p, cfg))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunk = max(1, len(primes) // (cfg.jobs * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(primes) // (workers * 8))
             for batch in pool.map(_worker, [(p, cfg) for p in primes], chunksize=chunk):
                 results.extend(batch)
     elapsed = time.perf_counter() - started

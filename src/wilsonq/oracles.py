@@ -9,29 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from threading import Lock
 
 from .residues import Residue, from_rational, make_modulus
-
-# q_p(a) values are shared heavily across n and across checks; keep the last
-# few primes' tables, each at the highest precision requested so far.
-_fq_tables: dict[int, tuple[int, tuple[int, ...]]] = {}
-_fq_lock = Lock()
-_FQ_MAX_PRIMES = 4
-
-
-def _fq_values(p: int, r: int) -> tuple[int, ...]:
-    """(q_p(1), ..., q_p(p-1)) mod p^s for some s >= r."""
-    with _fq_lock:
-        entry = _fq_tables.get(p)
-        if entry is not None and entry[0] >= r:
-            return entry[1]
-        mod_up = p ** (r + 1)
-        values = tuple((pow(a, p - 1, mod_up) - 1) // p for a in range(1, p))
-        if len(_fq_tables) >= _FQ_MAX_PRIMES and p not in _fq_tables:
-            _fq_tables.pop(next(iter(_fq_tables)))
-        _fq_tables[p] = (r, values)
-        return values
 
 
 def fermat_quotient(a: int, p: int, r: int) -> Residue:
@@ -40,9 +19,6 @@ def fermat_quotient(a: int, p: int, r: int) -> Residue:
         raise ValueError(f"{a} is divisible by {p}")
     if a < 1:
         raise ValueError("base must be positive")
-    modulus = make_modulus(p, r)
-    if a < p:
-        return Residue(_fq_values(p, r)[a - 1], modulus)
     power = Residue(pow(a, p - 1, p ** (r + 1)), make_modulus(p, r + 1))
     return (power - 1).shift_down(1)
 
@@ -52,15 +28,35 @@ def q_power_sum(n: int, p: int, r: int) -> Residue:
     if n < 1:
         raise ValueError("power must be >= 1")
     modulus = make_modulus(p, r)
-    m = modulus.value
-    return Residue(sum(pow(q, n, m) for q in _fq_values(p, r)) % m, modulus)
+    m, up = modulus.value, p ** (r + 1)
+    quotients = ((pow(a, p - 1, up) - 1) // p for a in range(1, p))
+    return Residue(sum(pow(q, n, m) for q in quotients) % m, modulus)
 
 
-def qtilde(n: int, p: int, r: int) -> Residue:
-    """The scaled sum (p^(n-1)/n) * Q_p(n) mod p^r, from the direct oracle."""
+def q_power_sums(p: int, r: int) -> tuple[Residue, ...]:
+    """(Q_p(1), ..., Q_p(r)) mod p^r in one pass over the Fermat quotients,
+    each quotient's powers taken as running products."""
+    modulus = make_modulus(p, r)
+    m, up = modulus.value, p ** (r + 1)
+    sums = [0] * r
+    for a in range(1, p):
+        q = (pow(a, p - 1, up) - 1) // p
+        power = 1
+        for i in range(r):
+            power = power * q % m
+            sums[i] += power
+    return tuple(Residue(total % m, modulus) for total in sums)
+
+
+def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
+    """The scaled sum (p^(n-1)/n) * Q_p(n) mod p^r, from the direct oracle.
+
+    ``sums`` is the caller's ``q_power_sums(p, R)`` for some R >= r; without
+    it the sums are taken afresh.
+    """
     if n >= r + 1:
         return Residue(0, make_modulus(p, r))
-    base = q_power_sum(n, p, r - (n - 1))
+    base = (sums or q_power_sums(p, r))[n - 1].reduce_to(r - (n - 1))
     return from_rational(Fraction(1, n), make_modulus(p, r)) * base.mul_p_power(n - 1)
 
 

@@ -13,10 +13,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: The least strong pseudoprime to all of ``_MR_BASES``: below it the test is exact.
+PRIME_BOUND = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24 with these bases)."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from wilsonq.bernoulli import (
+    BernoulliEngine,
     bernoulli_times_p,
     bnp,
     bnpd,
@@ -216,10 +217,56 @@ def test_kummer_congruence_cases():
 
 
 def test_power_sum_tables_match_direct():
-    from wilsonq.bernoulli import _PrimeTables
+    from wilsonq.bernoulli import BernoulliEngine
 
     p, g = 101, 5
-    tables = _PrimeTables(p, g)
+    tables = BernoulliEngine(p)
     m = make_modulus(p, g)
     for j in (0, 1, 2, 50, 99, 100, 200, 357, 600, 6 * 100):
         assert tables.power_sum(j, g) == power_sum_mod(j, m).value, j
+
+
+def _count_power_sums(engine):
+    calls = []
+    direct = engine.power_sum
+
+    def counted(j, g):
+        calls.append((j, g))
+        return direct(j, g)
+
+    engine.power_sum = counted
+    return calls
+
+
+def test_engine_serves_any_precision_order():
+    # one engine, asked in rising and in falling precision, agrees with a
+    # fresh engine for every request; once an index is held at some
+    # precision, lower requests are reductions and sum no new powers
+    for p in (7, 11, 101):
+        h, top = p - 1, min(p - 1, 7)
+        indices = (0, 1, 2, 3, 4, 12, h, 2 * h - 2, 3 * h - 4, 5 * h, 6 * h - 2)
+        for order in (range(1, top + 1), range(top, 0, -1)):
+            engine = BernoulliEngine(p)
+            calls = _count_power_sums(engine)
+            for g in order:
+                for m in indices:
+                    got = bernoulli_times_p(m, p, g, engine)
+                    assert got == bernoulli_times_p(m, p, g), (p, m, g)
+                if g == top:
+                    after_top = len(calls)
+            for g in range(1, top + 1):
+                for m in indices:
+                    bernoulli_times_p(m, p, g, engine)
+            assert after_top > 0 and len(calls) == after_top, (p, order)
+
+
+def test_engine_is_shared_by_divided_values():
+    p = 13
+    engine = BernoulliEngine(p)
+    calls = _count_power_sums(engine)
+    bs = divided_set(p, engine)
+    assert bs.bn == divided_set(p).bn and bs.bnd == divided_set(p).bnd
+    before = len(calls)
+    for n, r in ((1, 6), (3, 2), (6, 1)):
+        assert bnpd(n * (p - 1), make_modulus(p, r), engine) == bs.b(n, r)
+    assert len(calls) == before

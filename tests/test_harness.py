@@ -1,9 +1,12 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from wilsonq import harness
+from wilsonq.cli import main
+from wilsonq.residues import PRIME_BOUND, is_prime
 from wilsonq.harness import (
     CHECK_TAGS,
     RunConfig,
@@ -145,3 +148,55 @@ def test_broken_pipe_exits_1_quietly(capsys):
     cfg = RunConfig(pmin=7, pmax=40, checks=frozenset(["thm1"]), fmt="csv")
     assert run_and_report(cfg, stream=_ClosedPipe()) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_enumerate_primes_memory_follows_window():
+    lo, hi = 10**9 - 1000, 10**9
+    tracemalloc.start()
+    try:
+        primes = enumerate_primes(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(primes) == 45
+    odd = range(lo + 1, hi + 1, 2)
+    assert primes == [n for n in odd if all(n % d for d in range(3, int(n**0.5) + 1, 2))]
+
+
+def test_enumerate_primes_stops_at_primality_bound():
+    # the bound is a composite that all the Miller-Rabin bases pass
+    assert is_prime(PRIME_BOUND) and pow(41, PRIME_BOUND - 1, PRIME_BOUND) != 1
+    assert PRIME_BOUND not in enumerate_primes(PRIME_BOUND - 40, PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="below"):
+        enumerate_primes(PRIME_BOUND - 10, PRIME_BOUND)
+    assert main(["verify", "--pmin", "7", "--pmax", str(PRIME_BOUND)]) == 2
+
+
+def test_jobs_clamped_to_primes_and_cores(monkeypatch):
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "psi"]), fmt="json")
+    serial = io.StringIO()
+    assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0
+    # 14 primes in [7, 60]
+    for cores, jobs, want in ((4, 100000, 4), (4, 3, 3), (64, 100000, 14), (None, 8, None)):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        buf = io.StringIO()
+        assert run_and_report(RunConfig(**base, jobs=jobs), stream=buf) == 0
+        assert buf.getvalue() == serial.getvalue()
+        assert (created.pop() if created else None) == want, (cores, jobs)

@@ -6,6 +6,7 @@ from wilsonq.oracles import (
     factorial_mod,
     fermat_quotient,
     q_power_sum,
+    q_power_sums,
     qtilde,
     sh_mod,
     wilson_quotient,
@@ -102,3 +103,17 @@ def test_wilson_matches_first_expansion_coefficient():
     for p in (7, 11, 13, 17, 19):
         bs = divided_set(p)
         assert wilson_quotient(p, 1).quotient == -bs.b(1, 1), p
+
+
+def test_one_pass_power_sums():
+    for p in (7, 11, 13, 101):
+        for top in range(1, 7):
+            sums = q_power_sums(p, top)
+            assert len(sums) == top
+            for n in range(1, top + 1):
+                assert sums[n - 1] == q_power_sum(n, p, top), (p, top, n)
+            for r in range(1, top + 1):
+                for n in range(1, 7):
+                    assert qtilde(n, p, r, sums) == qtilde(n, p, r), (p, top, r, n)
+    with pytest.raises(ValueError):
+        qtilde(1, 7, 3, q_power_sums(7, 2))
