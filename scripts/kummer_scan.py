@@ -15,9 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wilsonq.bernoulli import BernoulliEngine, bnpd, kummer_admissible
-from wilsonq.differences import forward_difference
-from wilsonq.residues import make_modulus
+from wilsonq.bernoulli import BernoulliEngine
+from wilsonq.harness import kummer_differences
 
 
 def main() -> int:
@@ -30,20 +29,12 @@ def main() -> int:
     failures = 0
     started = time.perf_counter()
     for p in args.primes:
-        h = p - 1
-        engine = BernoulliEngine(p)
-        count = 0
-        for r in range(1, args.rmax + 1):
-            modulus = make_modulus(p, r)
-            for n in range(2, args.nmax + 1, 2):
-                if not kummer_admissible(p, r, n):
-                    continue
-                diff = forward_difference(lambda nu: bnpd(nu, modulus, engine), h, r, start=n)
-                count += 1
-                if not diff.is_zero():
-                    failures += 1
-                    print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
-        print(f"p={p}: {count} differences vanish")
+        found = kummer_differences(p, BernoulliEngine(p), range(2, args.nmax + 1, 2), args.rmax)
+        for r, n, diff in found:
+            if not diff.is_zero():
+                failures += 1
+                print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
+        print(f"p={p}: {len(found)} differences vanish")
     print(f"{'zero failures' if not failures else f'{failures} FAILURES'} "
           f"({time.perf_counter() - started:.1f}s)")
     return 1 if failures else 0

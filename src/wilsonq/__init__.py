@@ -22,9 +22,9 @@ from .formulas import (
     qtilde_rhs,
     qtilde_via_coefficients,
     wilson_from_power_sums,
-    zero_expression_suite,
+    zero_expressions,
 )
-from .harness import RunConfig, check_prime, enumerate_primes, run_and_report
+from .harness import CheckResult, RunConfig, check_prime, enumerate_primes, run_and_report
 from .oracles import (
     WilsonRecord,
     factorial_mod,
@@ -37,7 +37,6 @@ from .oracles import (
 )
 from .polys import PSI, PTILDE, MultiPoly, psi_eval, psi_ptilde_consistency, ptilde_eval
 from .residues import Modulus, Residue, from_rational, is_prime, make_modulus
-from .results import CheckResult
 
 __version__ = "0.1.0"
 
@@ -86,5 +85,5 @@ __all__ = [
     "sh_mod",
     "wilson_from_power_sums",
     "wilson_quotient",
-    "zero_expression_suite",
+    "zero_expressions",
 ]

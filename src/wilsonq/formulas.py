@@ -22,7 +22,6 @@ from .differences import forward_difference
 from .oracles import qtilde
 from .polys import ptilde_eval
 from .residues import Residue, make_modulus
-from .results import CheckResult
 
 F = Fraction
 
@@ -410,19 +409,9 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, Callable[[_Acc], Residue]], ...] = (
 )
 
 
-def zero_expression_suite(p: int, bset: DividedBernoulliSet) -> list[CheckResult]:
-    """Evaluate every recorded vanishing combination at its stated modulus."""
-    out = []
-    for name, r, build in ZERO_EXPRESSIONS:
-        value = build(_Acc(p, bset, r))
-        out.append(
-            CheckResult(
-                p=p, tag="zero-exprs", case=name,
-                lhs=str(value.value), rhs="0", modulus=str(p**r),
-                passed=value.is_zero(),
-            )
-        )
-    return out
+def zero_expressions(p: int, bset: DividedBernoulliSet) -> list[tuple[str, Residue]]:
+    """Every recorded vanishing combination, evaluated at its stated modulus."""
+    return [(name, build(_Acc(p, bset, r))) for name, r, build in ZERO_EXPRESSIONS]
 
 
 # -- first-order (mod p) forms of the expansion coefficients -------------------
@@ -434,13 +423,12 @@ _OMEGA_MOD_P: dict[int, Callable[[_Acc], Residue]] = {
     4: lambda t: F(-1, 24) * t.b(1) ** 4 - F(1, 3) * t.b(1) * t.b2(1),
     5: lambda t: (F(-1, 120) * t.b(1) ** 5 - F(1, 6) * t.b(1) ** 2 * t.b2(1)
                   - F(1, 5) * t.b4(1)),
-    6: lambda t: (F(-1, 720) * t.b(1) ** 6 - F(1, 18) * t.b(1) ** 3 * t.b2(1)
-                  - F(1, 5) * t.b(1) * t.b4(1) - F(1, 18) * t.b2(1) ** 2),
 }
 
 
 def omega_mod_p_rhs(nu: int, p: int, bset: DividedBernoulliSet) -> Residue:
-    """The single-digit (mod p) closed form of omega_nu, 0 <= nu <= 6."""
+    """The single-digit (mod p) closed form of omega_nu, 0 <= nu <= 5.  The
+    depth-6 omega_6 is stated mod p already, so it has no separate form."""
     if nu == 0:
         return Residue(-1, make_modulus(p, 1))
     if nu not in _OMEGA_MOD_P:

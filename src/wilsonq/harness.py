@@ -2,9 +2,15 @@
 
 Per prime, one :class:`PrimeRun` owns every derived value the selected
 checks share: the Bernoulli engine (power-sum tables and p*B_m values), the
-divided-Bernoulli set, the coefficient ladders and the Fermat-quotient power
-sums.  It is built when the prime's checks start and dropped when they end,
-so no state outlives its prime.  Primes are independent units of work, so
+divided-Bernoulli set, the coefficient ladders, the Fermat-quotient power
+sums, the one factorial (p-1)! mod p^7 with its Wilson quotient, and the
+power-sum levels the prime supports.  It is built when the prime's checks
+start and dropped when they end, so no state outlives its prime.
+
+The checks are one table, :data:`CHECKS`, of (tag, smallest prime, runner).
+A runner returns (case, lhs, rhs) triples, with rhs either a residue or 0 for
+a vanishing claim; :func:`check_prime` alone turns them, and the skip and
+error markers, into report rows.  Primes are independent units of work, so
 the sweep is embarrassingly parallel; results are collected in prime order
 and are byte-identical for any worker count.
 """
@@ -14,6 +20,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,26 +29,191 @@ from . import formulas, oracles
 from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd, divided_set, kummer_admissible
 from .differences import forward_difference
 from .residues import PRIME_BOUND, Residue, is_prime, make_modulus
-from .results import CheckResult
-
-#: Check tags in canonical run order, with the smallest prime each applies to.
-CHECK_ORDER: tuple[tuple[str, int], ...] = (
-    ("thm1", 7),
-    ("thm2", 11),
-    ("thm3", 7),
-    ("props", 7),
-    ("lemmas", 7),
-    ("psi", 3),
-    ("kummer", 7),
-    ("zero-exprs", 7),
-    ("table3", 7),
-)
-CHECK_TAGS = frozenset(tag for tag, _ in CHECK_ORDER)
-CHECK_MIN_P = dict(CHECK_ORDER)
 
 #: Even indices sampled by the kummer check (the windows reach a bit higher).
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
 KUMMER_MAX_ORDER = 3
+
+#: What a check runner returns per case: (case, lhs, rhs), rhs 0 for a
+#: vanishing claim.
+Row = tuple[str, Residue, Residue | int]
+
+
+@dataclass
+class CheckResult:
+    """One report row."""
+
+    p: int
+    tag: str
+    case: str
+    lhs: str
+    rhs: str
+    modulus: str
+    passed: bool
+    elapsed: float = 0.0
+    skipped: bool = False
+
+    def row(self) -> dict:
+        """The serialized form (timing deliberately excluded so reports are
+        byte-stable across runs and worker counts)."""
+        return {
+            "p": self.p,
+            "tag": self.tag,
+            "case": self.case,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "modulus": self.modulus,
+            "pass": self.passed,
+        }
+
+
+class PrimeRun:
+    """Everything one prime's checks share, built on first use: the Bernoulli
+    engine every Bernoulli value of the prime comes from, the divided set and
+    omega ladders built on it, Q_p(1..6) mod p^6 (``sums``), from which the
+    direct side of ``thm3``, ``props``, ``lemmas`` and ``psi`` reduces, and
+    (p-1)! mod p^7 with W_p mod p^6 (``wilson``), from which the direct side
+    of ``thm1``, ``thm2`` and ``psi`` reduces.  ``levels`` are the power-sum
+    precisions the prime supports."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.levels = (5, 6) if p >= 11 else (5,)
+
+    @cached_property
+    def engine(self) -> BernoulliEngine:
+        return BernoulliEngine(self.p)
+
+    @cached_property
+    def bset(self) -> DividedBernoulliSet:
+        return divided_set(self.p, self.engine)
+
+    @cached_property
+    def sums(self) -> tuple[Residue, ...]:
+        return oracles.q_power_sums(self.p, 6)
+
+    @cached_property
+    def wilson(self) -> oracles.WilsonRecord:
+        return oracles.wilson_quotient(self.p, 6)
+
+    @cached_property
+    def omega5(self) -> formulas.OmegaVector:
+        return formulas.omega_vector(self.p, self.bset, depth=5)
+
+    @cached_property
+    def omega6(self) -> formulas.OmegaVector:
+        return formulas.omega_vector(self.p, self.bset, depth=6)
+
+
+def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
+                       max_order: int) -> list[tuple[int, int, Residue]]:
+    """(r, n, value) for r = 1..max_order and each admissible start n (first
+    occurrence only, in the given order): the r-fold difference with step
+    p-1 of the divided values from index n, taken mod p^r, which Kummer's
+    congruences claim is 0.  The orders are computed from the top down, so
+    the engine holds each index at its highest precision first and serves
+    the lower orders by reduction; the rows come out in ascending order."""
+    h = p - 1
+    starts = list(dict.fromkeys(starts))
+    found = {}
+    for r in range(max_order, 0, -1):
+        modulus = make_modulus(p, r)
+        found[r] = [
+            (r, n, forward_difference(lambda nu: bnpd(nu, modulus, engine), h, r, start=n))
+            for n in starts if kummer_admissible(p, r, n)
+        ]
+    return [row for r in range(1, max_order + 1) for row in found[r]]
+
+
+def _expansion(run: PrimeRun, depth: int) -> list[Row]:
+    """Factorial expansion at the given depth versus the direct factorial,
+    plus the per-coefficient prefix ladder against the Wilson quotient."""
+    omega = run.omega5 if depth == 5 else run.omega6
+    rows = [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
+             omega.factorial_form())]
+    rows += [(f"wilson-prefix-{r}", run.wilson.quotient.reduce_to(r), omega.wilson_form(r))
+             for r in range(1, depth + 1)]
+    if depth == 6:
+        rows += [(f"reduces-to-depth5-w{nu}", run.omega6.omegas[nu].reduce_to(6 - nu),
+                  run.omega5.omegas[nu]) for nu in range(1, 6)]
+    return rows
+
+
+def _check_thm1(run: PrimeRun) -> list[Row]:
+    return _expansion(run, 5)
+
+
+def _check_thm2(run: PrimeRun) -> list[Row]:
+    return _expansion(run, 6)
+
+
+def _power_sums(run: PrimeRun, closed_form, state) -> list[Row]:
+    """The scaled power sums at every level against ``closed_form(n, p,
+    level, state)``."""
+    return [(f"n={n}-mod-p^{level}", oracles.qtilde(n, run.p, level, run.sums),
+             closed_form(n, run.p, level, state))
+            for level in run.levels for n in range(1, level + 1)]
+
+
+def _check_thm3(run: PrimeRun) -> list[Row]:
+    return _power_sums(run, formulas.qtilde_rhs, run.bset)
+
+
+def _check_props(run: PrimeRun) -> list[Row]:
+    return _power_sums(run, formulas.qtilde_via_coefficients, run.engine)
+
+
+def _check_lemmas(run: PrimeRun) -> list[Row]:
+    """The (p-1)-lead variant of the n=5 congruence mod p^5."""
+    return [("n=5-mod-p^5-unreduced-lead", oracles.qtilde(5, run.p, 5, run.sums),
+             formulas.qtilde_l5_n5_unreduced(run.p, run.bset))]
+
+
+def _check_psi(run: PrimeRun) -> list[Row]:
+    return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r),
+             formulas.wilson_from_power_sums(run.p, r, run.sums))
+            for r in range(1, min(6, run.p - 1) + 1)]
+
+
+def _check_kummer(run: PrimeRun) -> list[Row]:
+    """Sampled higher-order congruences of the divided values."""
+    starts = KUMMER_SAMPLE + tuple(k * (run.p - 1) for k in (1, 2, 3))
+    return [(f"r={r}-n={n}", value, 0)
+            for r, n, value in kummer_differences(run.p, run.engine, starts, KUMMER_MAX_ORDER)]
+
+
+def _check_zero_exprs(run: PrimeRun) -> list[Row]:
+    return [(name, value, 0) for name, value in formulas.zero_expressions(run.p, run.bset)]
+
+
+def _check_table3(run: PrimeRun) -> list[Row]:
+    p = run.p
+    # omega_0 is the constant -1, and the top coefficient of each ladder is
+    # stated mod p by the very expression of its mod-p form, so none of
+    # those rows could fail.
+    ladders = [run.omega5] + ([run.omega6] if p >= 11 else [])
+    rows = [(f"depth{omega.depth}-omega{nu}-mod-p", omega.omegas[nu].reduce_to(1),
+             formulas.omega_mod_p_rhs(nu, p, run.bset))
+            for omega in ladders for nu in range(1, omega.depth)]
+    if p >= 11:
+        rows += [(f"omega5-reduction-{name}", lhs, rhs)
+                 for name, lhs, rhs in formulas.omega5_reduction_rows(p, run.bset)]
+    return rows
+
+
+#: (tag, smallest prime, runner) in canonical run order.
+CHECKS = (
+    ("thm1", 7, _check_thm1),
+    ("thm2", 11, _check_thm2),
+    ("thm3", 7, _check_thm3),
+    ("props", 7, _check_props),
+    ("lemmas", 7, _check_lemmas),
+    ("psi", 3, _check_psi),
+    ("kummer", 7, _check_kummer),
+    ("zero-exprs", 7, _check_zero_exprs),
+    ("table3", 7, _check_table3),
+)
+CHECK_TAGS = frozenset(tag for tag, _, _ in CHECKS)
 
 
 @dataclass(frozen=True)
@@ -79,214 +251,29 @@ def enumerate_primes(pmin: int, pmax: int) -> list[int]:
     return [n for n in range(pmin, pmax + 1) if is_prime(n)]
 
 
-class PrimeRun:
-    """Everything one prime's checks share, built on first use: the Bernoulli
-    engine every Bernoulli value of the prime comes from, the divided set and
-    omega ladders built on it, and Q_p(1..6) mod p^6 (``sums``), from which
-    the direct side of ``thm3``, ``props``, ``lemmas`` and ``psi`` reduces."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    @cached_property
-    def engine(self) -> BernoulliEngine:
-        return BernoulliEngine(self.p)
-
-    @cached_property
-    def bset(self) -> DividedBernoulliSet:
-        return divided_set(self.p, self.engine)
-
-    @cached_property
-    def sums(self) -> tuple[Residue, ...]:
-        return oracles.q_power_sums(self.p, 6)
-
-    @cached_property
-    def omega5(self) -> formulas.OmegaVector:
-        return formulas.omega_vector(self.p, self.bset, depth=5)
-
-    @cached_property
-    def omega6(self) -> formulas.OmegaVector:
-        return formulas.omega_vector(self.p, self.bset, depth=6)
-
-
-def _result(p: int, tag: str, case: str, lhs: Residue, rhs: Residue) -> CheckResult:
-    return CheckResult(
-        p=p, tag=tag, case=case,
-        lhs=str(lhs.value), rhs=str(rhs.value),
-        modulus=str(lhs.modulus.value),
-        passed=lhs == rhs,
-    )
-
-
-def _check_expansion(run: PrimeRun, tag: str, depth: int) -> list[CheckResult]:
-    """Factorial expansion at the given depth versus the direct factorial,
-    plus the per-coefficient prefix ladder against the Wilson quotient."""
-    p = run.p
-    omega = run.omega5 if depth == 5 else run.omega6
-    out = []
-    fact = oracles.factorial_mod(p, depth + 1)
-    out.append(_result(p, tag, f"factorial-mod-p^{depth + 1}", fact, omega.factorial_form()))
-    wq = oracles.wilson_quotient(p, depth).quotient
-    for r in range(1, depth + 1):
-        out.append(
-            _result(p, tag, f"wilson-prefix-{r}", wq.reduce_to(r), omega.wilson_form(r))
-        )
-    if depth == 6:
-        for nu in range(1, 6):
-            out.append(
-                _result(
-                    p, tag, f"reduces-to-depth5-w{nu}",
-                    run.omega6.omegas[nu].reduce_to(6 - nu),
-                    run.omega5.omegas[nu],
-                )
-            )
-    return out
-
-
-def _check_thm1(run: PrimeRun) -> list[CheckResult]:
-    return _check_expansion(run, "thm1", 5)
-
-
-def _check_thm2(run: PrimeRun) -> list[CheckResult]:
-    return _check_expansion(run, "thm2", 6)
-
-
-def _levels_for(p: int) -> list[int]:
-    return [5, 6] if p >= 11 else [5]
-
-
-def _check_thm3(run: PrimeRun) -> list[CheckResult]:
-    p = run.p
-    out = []
-    for level in _levels_for(p):
-        for n in range(1, level + 1):
-            direct = oracles.qtilde(n, p, level, run.sums)
-            rhs = formulas.qtilde_rhs(n, p, level, run.bset)
-            out.append(_result(p, "thm3", f"n={n}-mod-p^{level}", direct, rhs))
-    return out
-
-
-def _check_props(run: PrimeRun) -> list[CheckResult]:
-    p = run.p
-    out = []
-    for level in _levels_for(p):
-        for n in range(1, level + 1):
-            direct = oracles.qtilde(n, p, level, run.sums)
-            rhs = formulas.qtilde_via_coefficients(n, p, level, run.engine)
-            out.append(_result(p, "props", f"n={n}-mod-p^{level}", direct, rhs))
-    return out
-
-
-def _check_lemmas(run: PrimeRun) -> list[CheckResult]:
-    """The (p-1)-lead variant of the n=5 congruence mod p^5."""
-    p = run.p
-    return [
-        _result(
-            p, "lemmas", "n=5-mod-p^5-unreduced-lead",
-            oracles.qtilde(5, p, 5, run.sums),
-            formulas.qtilde_l5_n5_unreduced(p, run.bset),
-        )
-    ]
-
-
-def _check_psi(run: PrimeRun) -> list[CheckResult]:
-    p = run.p
-    out = []
-    for r in range(1, min(6, p - 1) + 1):
-        direct = oracles.wilson_quotient(p, r).quotient
-        via = formulas.wilson_from_power_sums(p, r, run.sums)
-        out.append(_result(p, "psi", f"wilson-r={r}", direct, via))
-    return out
-
-
-def _check_kummer(run: PrimeRun) -> list[CheckResult]:
-    """Sampled higher-order congruence checks: the r-fold difference with
-    step p-1 of the divided values vanishes mod p^r under the stated
-    conditions."""
-    p = run.p
-    h = p - 1
-    out = []
-    for r in range(1, KUMMER_MAX_ORDER + 1):
-        modulus = make_modulus(p, r)
-        samples = list(KUMMER_SAMPLE) + [k * h for k in (1, 2, 3)]
-        seen = set()
-        for n in samples:
-            if n in seen:
-                continue
-            seen.add(n)
-            if not kummer_admissible(p, r, n):
-                continue
-            value = forward_difference(lambda nu: bnpd(nu, modulus, run.engine), h, r, start=n)
-            out.append(
-                CheckResult(
-                    p=p, tag="kummer", case=f"r={r}-n={n}",
-                    lhs=str(value.value), rhs="0", modulus=str(p**r),
-                    passed=value.is_zero(),
-                )
-            )
-    return out
-
-
-def _check_zero_exprs(run: PrimeRun) -> list[CheckResult]:
-    return formulas.zero_expression_suite(run.p, run.bset)
-
-
-def _check_table3(run: PrimeRun) -> list[CheckResult]:
-    p = run.p
-    out = []
-    # omega_0 is the constant -1, and the depth-5 omega_5 is stated mod p by
-    # the very expression of its mod-p form, so neither row could fail.
-    vectors = [(run.omega5, 5, 4)] + ([(run.omega6, 6, 6)] if p >= 11 else [])
-    for omega, depth, top in vectors:
-        for nu in range(1, top + 1):
-            out.append(
-                _result(
-                    p, "table3", f"depth{depth}-omega{nu}-mod-p",
-                    omega.omegas[nu].reduce_to(1),
-                    formulas.omega_mod_p_rhs(nu, p, run.bset),
-                )
-            )
-    if p >= 11:
-        for name, lhs, rhs in formulas.omega5_reduction_rows(p, run.bset):
-            out.append(_result(p, "table3", f"omega5-reduction-{name}", lhs, rhs))
-    return out
-
-
-_CHECK_RUNNERS = {
-    "thm1": _check_thm1,
-    "thm2": _check_thm2,
-    "thm3": _check_thm3,
-    "props": _check_props,
-    "lemmas": _check_lemmas,
-    "psi": _check_psi,
-    "kummer": _check_kummer,
-    "zero-exprs": _check_zero_exprs,
-    "table3": _check_table3,
-}
-
-
 def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
-    """All selected checks for one prime; bound misses become skip markers
-    and internal errors become failed results, never exceptions."""
+    """All selected checks for one prime as report rows.  A row passes when
+    lhs == rhs; a vanishing claim (rhs 0) reports lhs at its own modulus.
+    Bound misses become skip markers and internal errors become failed
+    rows, never exceptions."""
     run = PrimeRun(p)
     results: list[CheckResult] = []
-    for tag, min_p in CHECK_ORDER:
+    for tag, min_p, runner in CHECKS:
         if tag not in cfg.checks:
             continue
         if p < min_p:
-            results.append(
-                CheckResult(p=p, tag=tag, case="skipped", lhs="", rhs="",
-                            modulus="", passed=True, skipped=True)
-            )
+            results.append(CheckResult(p, tag, "skipped", "", "", "", passed=True, skipped=True))
             continue
         started = time.perf_counter()
         try:
-            found = _CHECK_RUNNERS[tag](run)
-        except Exception as exc:  # surface as a failure, keep sweeping
             found = [
-                CheckResult(p=p, tag=tag, case="error", lhs=f"error: {exc}",
-                            rhs="", modulus="", passed=False)
+                CheckResult(p, tag, case, str(lhs.value),
+                            str(rhs.value if isinstance(rhs, Residue) else rhs),
+                            str(lhs.modulus.value), passed=lhs == rhs)
+                for case, lhs, rhs in runner(run)
             ]
+        except Exception as exc:  # surface as a failure, keep sweeping
+            found = [CheckResult(p, tag, "error", f"error: {exc}", "", "", passed=False)]
         elapsed = time.perf_counter() - started
         for item in found:
             item.elapsed = elapsed / max(len(found), 1)

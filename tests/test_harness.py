@@ -1,14 +1,18 @@
 import io
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from wilsonq import harness
+from wilsonq import harness, oracles
+from wilsonq.bernoulli import SET_SPEC_DEPTH6, BernoulliEngine, DividedBernoulliSet
 from wilsonq.cli import main
-from wilsonq.residues import PRIME_BOUND, is_prime
+from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
 from wilsonq.harness import (
     CHECK_TAGS,
+    CHECKS,
+    PrimeRun,
     RunConfig,
     check_prime,
     enumerate_primes,
@@ -63,7 +67,9 @@ def test_internal_errors_become_failures(monkeypatch):
     def boom(run):
         raise RuntimeError("synthetic breakage")
 
-    monkeypatch.setitem(harness._CHECK_RUNNERS, "thm1", boom)
+    monkeypatch.setattr(harness, "CHECKS", tuple(
+        (tag, min_p, boom if tag == "thm1" else runner) for tag, min_p, runner in harness.CHECKS
+    ))
     cfg = RunConfig(pmin=7, pmax=7, checks=frozenset(["thm1"]))
     results = check_prime(7, cfg)
     assert len(results) == 1
@@ -200,3 +206,59 @@ def test_jobs_clamped_to_primes_and_cores(monkeypatch):
         assert run_and_report(RunConfig(**base, jobs=jobs), stream=buf) == 0
         assert buf.getvalue() == serial.getvalue()
         assert (created.pop() if created else None) == want, (cores, jobs)
+
+
+def test_every_divided_set_row_can_fail():
+    # with random divided values in place of the true ones, every row whose
+    # closed form is built on the divided set must fail for some draw
+    rng = random.Random(2510)
+    bset_tags = {"thm1", "thm2", "thm3", "lemmas", "zero-exprs", "table3"}
+    for p in (11, 13):
+        failed: dict[tuple[str, str], bool] = {}
+        bn_spec, bnd_spec = SET_SPEC_DEPTH6
+        for _ in range(4):
+            bset = DividedBernoulliSet(p)
+            for n, r in bn_spec.items():
+                bset.bn[n] = Residue(rng.randrange(p**r), make_modulus(p, r))
+            for key, r in bnd_spec.items():
+                bset.bnd[key] = Residue(rng.randrange(p**r), make_modulus(p, r))
+            run = PrimeRun(p)
+            run.__dict__["bset"] = bset
+            for tag, _, runner in CHECKS:
+                if tag in bset_tags:
+                    for case, lhs, rhs in runner(run):
+                        failed[(tag, case)] = failed.get((tag, case), False) or lhs != rhs
+        assert len(failed) == 58
+        assert [key for key, ever in failed.items() if not ever] == [], p
+
+
+def test_one_factorial_per_prime(monkeypatch):
+    calls = []
+    direct = oracles.factorial_mod
+
+    def counted(p, r):
+        calls.append((p, r))
+        return direct(p, r)
+
+    monkeypatch.setattr(oracles, "factorial_mod", counted)
+    cfg = RunConfig(pmin=7, pmax=13, checks=CHECK_TAGS)
+    for p in (7, 11, 13):
+        calls.clear()
+        assert all(r.passed for r in check_prime(p, cfg))
+        assert calls == [(p, 7)], p
+
+
+def test_kummer_sums_each_index_once(monkeypatch):
+    # the windows are computed from the top order down, so every lower order
+    # is served by reduction and each index costs one power-sum dot product
+    calls = []
+    direct = BernoulliEngine.power_sum
+
+    def counted(engine, j, g):
+        calls.append(j)
+        return direct(engine, j, g)
+
+    monkeypatch.setattr(BernoulliEngine, "power_sum", counted)
+    rows = check_prime(101, RunConfig(pmin=101, pmax=101, checks=frozenset(["kummer"])))
+    assert rows and all(r.passed for r in rows)
+    assert len(calls) == len(set(calls)) == 85
