@@ -32,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 from threading import Lock
 
-from .residues import Modulus, Residue, is_prime, make_modulus
+from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
 ORACLE_BOUND = 3000
 
@@ -85,15 +86,17 @@ class BernoulliEngine:
     memo of p*B_m keyed by index.
 
     Writing j = k(p-1) + c, the term v^j factors as (v^(p-1))^k * v^c, so a
-    row table of v^(p-1) powers and a column table of small v^c powers turn
-    each S_j into one dot product.  Columns are filled in short ascending
-    runs so that the descending index pattern of the Bernoulli recursion
-    hits cached neighbours.  The tables sit at the highest precision asked
-    so far; each memo entry holds its value at the highest precision it was
-    computed at, and a lower request is served by reduction.
+    row table of v^(p-1) powers and a column table of v^c powers over
+    v = 1..p-1 turn each S_j into one dot product.  The v^(p-1) row comes
+    from :func:`power_table`, and so does a column whose neighbour c-2 is
+    not held; any other column is that neighbour times a v^2 table.
+    ``pb_value`` sums its recursion terms before its own power sum, so the
+    columns a target index needs are requested in ascending order, each one
+    step above the last, and only the lowest is a power table.
+    The tables sit at the highest precision asked so far; each memo entry
+    holds its value at the highest precision it was computed at, and a lower
+    request is served by reduction.
     """
-
-    _STEP_WINDOW = 16
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -108,26 +111,21 @@ class BernoulliEngine:
         self.g = g
         self.mod = self.p**g
         self._cols: dict[int, list[int]] = {}
-        self._wrows: dict[int, list[int]] = {0: [1] * self.p}
+        self._squares = [v * v % self.mod for v in range(1, self.p)]
+        self._wrows: dict[int, list[int]] = {0: [1] * (self.p - 1)}
 
     def _column(self, c: int) -> list[int]:
         col = self._cols.get(c)
         if col is not None:
             return col
-        p, m = self.p, self.mod
-        base = None
-        for back in range(1, self._STEP_WINDOW + 1):
-            if c - back in self._cols:
-                base = c - back
-                break
-        if base is None:
-            base = max(0, c - self._STEP_WINDOW)
-            self._cols[base] = [pow(v, base, m) for v in range(p)]
-        for cc in range(base + 1, c + 1):
-            if cc not in self._cols:
-                prev = self._cols[cc - 1]
-                self._cols[cc] = [x * v % m for v, x in enumerate(prev)]
-        return self._cols[c]
+        m = self.mod
+        below = self._cols.get(c - 2)
+        if below is None:
+            col = power_table(self.p, c, m)
+        else:
+            col = [x * y % m for x, y in zip(below, self._squares)]
+        self._cols[c] = col
+        return col
 
     def _wrow(self, k: int) -> list[int]:
         row = self._wrows.get(k)
@@ -135,7 +133,7 @@ class BernoulliEngine:
             return row
         p, m = self.p, self.mod
         if k == 1:
-            row = [pow(v, p - 1, m) for v in range(p)]
+            row = power_table(p, p - 1, m)
         else:
             w1, prev = self._wrow(1), self._wrow(k - 1)
             row = [a * b % m for a, b in zip(prev, w1)]
@@ -151,9 +149,8 @@ class BernoulliEngine:
         k, c = divmod(j, self.p - 1)
         row = self._wrow(k)
         if c == 0:
-            return sum(row[1:]) % m
-        col = self._column(c)
-        return sum(a * b for a, b in zip(row[1:], col[1:])) % m
+            return sum(row) % m
+        return sum(map(mul, row, self._column(c))) % m
 
     def pb_value(self, m: int, g: int) -> int:
         """p*B_m mod p^g as a plain integer."""
@@ -169,7 +166,10 @@ class BernoulliEngine:
         elif m % 2 == 1:
             value = 0
         else:
-            value = self.power_sum(m, g)
+            # The recursion asks for lower precisions; rising to g first
+            # keeps their tables instead of rebuilding them at g.
+            self._reset(g)
+            value = 0
             for k in range(2, min(m + 1, g + 1) + 1):
                 e, unit = k - 1, k
                 while unit % p == 0:
@@ -180,6 +180,7 @@ class BernoulliEngine:
                 sub = self.pb_value(m + 1 - k, g - e)
                 term = comb(m, k - 1) * p**e % mod * pow(unit, -1, mod) % mod * sub % mod
                 value = (value - term) % mod
+            value = (value + self.power_sum(m, g)) % mod
         self._pb[m] = (g, value)
         return value
 

@@ -16,14 +16,13 @@ and are byte-identical for any worker count.
 """
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from . import formulas, oracles
 from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd, divided_set, kummer_admissible
@@ -286,10 +285,24 @@ def _worker(args: tuple[int, RunConfig]) -> list[CheckResult]:
     return check_prime(p, cfg)
 
 
+def _json_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return encode_basestring_ascii(value)
+
+
 def write_report(results: list[CheckResult], fmt: str, stream, summary: str | None = None) -> None:
     if fmt == "json":
-        json.dump([r.row() for r in results], stream, indent=1)
-        stream.write("\n")
+        # Row by row, byte-identical to json.dump(rows, indent=1) plus "\n".
+        opening = "[\n"
+        for r in results:
+            fields = ",\n".join(f"  {encode_basestring_ascii(key)}: {_json_value(value)}"
+                                 for key, value in r.row().items())
+            stream.write(f"{opening} {{\n{fields}\n }}")
+            opening = ",\n"
+        stream.write("\n]\n" if results else "[]\n")
     elif fmt == "csv":
         stream.write("p,tag,case,lhs,rhs,modulus,pass\n")
         for r in results:
@@ -327,6 +340,9 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
         for p in primes:
             results.extend(check_prime(p, cfg))
     else:
+        # Imported here so that serial runs skip its start-up cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(primes) // (workers * 8))
             for batch in pool.map(_worker, [(p, cfg) for p in primes], chunksize=chunk):

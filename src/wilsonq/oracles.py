@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .residues import Residue, from_rational, make_modulus
+from .residues import Residue, from_rational, make_modulus, power_table
 
 
 def fermat_quotient(a: int, p: int, r: int) -> Residue:
@@ -37,15 +37,13 @@ def q_power_sums(p: int, r: int) -> tuple[Residue, ...]:
     """(Q_p(1), ..., Q_p(r)) mod p^r in one pass over the Fermat quotients,
     each quotient's powers taken as running products."""
     modulus = make_modulus(p, r)
-    m, up = modulus.value, p ** (r + 1)
-    sums = [0] * r
-    for a in range(1, p):
-        q = (pow(a, p - 1, up) - 1) // p
-        power = 1
-        for i in range(r):
-            power = power * q % m
-            sums[i] += power
-    return tuple(Residue(total % m, modulus) for total in sums)
+    m = modulus.value
+    quotients = [(x - 1) // p for x in power_table(p, p - 1, p ** (r + 1))]
+    sums, powers = [sum(quotients)], quotients
+    for _ in range(r - 1):
+        powers = [x * q % m for x, q in zip(powers, quotients)]
+        sums.append(sum(powers))
+    return tuple(Residue(total, modulus) for total in sums)
 
 
 def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:

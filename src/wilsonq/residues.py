@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: The least strong pseudoprime to all of ``_MR_BASES``: below it the test is exact.
@@ -39,6 +40,26 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power_table(p: int, e: int, mod: int) -> list[int]:
+    """[v^e mod mod for v = 1..p-1].
+
+    v -> v^e is completely multiplicative, so only prime v take a ``pow``;
+    every other entry is the product of the entries at its smallest prime
+    factor and at the cofactor, both already filled.
+    """
+    spf = [0] * p
+    # Descending q, so the smallest factor writes last.  A composite q marks
+    # only multiples of its own prime factors, which overwrite those marks.
+    for q in range(isqrt(p - 1), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, p, q))
+    table = [0, 1 % mod] + [0] * (p - 2)
+    for v in range(2, p):
+        q = spf[v]
+        table[v] = pow(v, e, mod) if q == 0 else table[q] * table[v // q] % mod
+    del table[0]
+    return table
 
 
 class Modulus:
@@ -97,6 +118,8 @@ class Residue:
         residues must share p and are reduced to the smaller precision.
         """
         if isinstance(other, Residue):
+            if other.modulus is self.modulus:  # make_modulus interns each modulus
+                return self.value, other.value, self.modulus
             if other.p != self.p:
                 raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
             if other.precision == self.precision:

@@ -270,3 +270,33 @@ def test_engine_is_shared_by_divided_values():
     for n, r in ((1, 6), (3, 2), (6, 1)):
         assert bnpd(n * (p - 1), make_modulus(p, r), engine) == bs.b(n, r)
     assert len(calls) == before
+
+
+def test_divided_set_builds_few_tables(monkeypatch):
+    # at p = 691 the divided set reads the columns p-3, p-5 and p-7 only:
+    # one power_table call for the v^(p-1) row, one for the lowest column,
+    # the two above it stepped by v^2, and the tables never rebuilt
+    from wilsonq import bernoulli
+
+    p = 691
+    tables = []
+    direct = bernoulli.power_table
+
+    def counted(p, e, mod):
+        tables.append(e)
+        return direct(p, e, mod)
+
+    monkeypatch.setattr(bernoulli, "power_table", counted)
+    engine = BernoulliEngine(p)
+    rises = []
+    reset = engine._reset
+
+    def counted_reset(g):
+        if g > engine.g:
+            rises.append(g)
+        reset(g)
+
+    engine._reset = counted_reset
+    divided_set(p, engine)
+    assert len(tables) <= 2 and rises == [7]
+    assert len(engine._cols) <= 4 and {p - 3, p - 5, p - 7} <= set(engine._cols)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -39,6 +40,16 @@ def test_verify_subcommand(tmp_path, capsys):
     assert status == 0
     rows = json.loads(out.read_text())
     assert {row["tag"] for row in rows} == {"thm1", "psi"}
+
+
+def test_verify_report_bytes_are_stable(tmp_path):
+    # a pinned digest: neither the arithmetic nor the report writer may
+    # change a byte of this report
+    out = tmp_path / "r.json"
+    assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "365599853d374fffa11811b3156c2bd79ac5f0a19da71685576123605ddaaa98")
 
 
 def test_verify_usage_errors():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import random
@@ -12,11 +13,13 @@ from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
 from wilsonq.harness import (
     CHECK_TAGS,
     CHECKS,
+    CheckResult,
     PrimeRun,
     RunConfig,
     check_prime,
     enumerate_primes,
     run_and_report,
+    write_report,
 )
 
 
@@ -98,6 +101,21 @@ def test_report_formats():
     lines = buf.getvalue().splitlines()
     assert len(lines) == 1  # no failures: just the summary
     assert "12 checks, 12 passed, 0 failed" in lines[0]
+
+
+def test_json_report_matches_json_dumps():
+    results = [
+        CheckResult(7, "thm1", "factorial-mod-p^6", "117648", "117648", "117649", passed=True),
+        CheckResult(11, "psi", "wilson-r=2", "5", "6", "121", passed=False),
+        CheckResult(3, "thm1", "skipped", "", "", "", passed=True, skipped=True),
+        CheckResult(13, "kummer", "error", 'error: "bad" \\ p\u00e9 \u2260 \U0001d53d\n',
+                    "", "", passed=False),
+    ]
+    for rows in (results, results[:1], []):
+        buf = io.StringIO()
+        write_report(rows, "json", buf)
+        assert buf.getvalue() == json.dumps([r.row() for r in rows], indent=1) + "\n"
+    assert buf.getvalue() == "[]\n"
 
 
 def test_report_to_file(tmp_path):
@@ -195,7 +213,7 @@ def test_jobs_clamped_to_primes_and_cores(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "psi"]), fmt="json")
     serial = io.StringIO()
     assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wilsonq.residues import Residue, from_rational, is_prime, make_modulus
+from wilsonq.residues import Modulus, Residue, from_rational, is_prime, make_modulus, power_table
 
 PRIMES = (3, 5, 7, 11, 13, 17, 101, 1999, 32003)
 
@@ -57,6 +57,34 @@ def test_prime_mismatch_rejected():
     b = Residue(1, make_modulus(7, 2))
     with pytest.raises(ValueError, match="prime mismatch"):
         a + b
+
+
+def test_directly_built_moduli_pair_as_interned():
+    # make_modulus interns each modulus; an equal Modulus built directly is
+    # another object and must still pair by value, at any precision mix
+    direct, interned = Modulus(7, 3), make_modulus(7, 3)
+    a, b = Residue(100, direct), Residue(300, interned)
+    for x, y in ((a, b), (b, a), (a, Residue(5, Modulus(7, 3))), (a, a)):
+        out = x * y + x - y
+        assert out.value == (x.value * y.value + x.value - y.value) % 343
+        assert out.modulus == interned
+    low = Residue(12, Modulus(7, 2))
+    for x in (a, b):
+        out = x + low
+        assert out.precision == 2 and out.value == (x.value + 12) % 49
+        assert (low - x).value == (12 - x.value) % 49
+    with pytest.raises(ValueError, match="prime mismatch"):
+        a + Residue(1, Modulus(11, 3))
+    with pytest.raises(ValueError, match="prime mismatch"):
+        Residue(1, make_modulus(5, 3)) * b
+
+
+def test_power_table_matches_pow():
+    for p in (3, 7, 11, 101, 691):
+        for e in (0, 1, 2, p - 3, p - 1):
+            for mod in (p, p**7):
+                want = [pow(v, e, mod) for v in range(1, p)]
+                assert power_table(p, e, mod) == want, (p, e, mod)
 
 
 def test_inverse_examples():
