@@ -35,10 +35,18 @@ from .oracles import (
     sh_mod,
     wilson_quotient,
 )
-from .polys import PSI, PTILDE, MultiPoly, psi_eval, psi_ptilde_consistency, ptilde_eval
+from . import polys
+from .polys import MultiPoly, psi_eval, psi_ptilde_consistency, ptilde_eval
 from .residues import Modulus, Residue, from_rational, is_prime, make_modulus
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PSI and PTILDE are built on first use (see polys), not at import.
+    if name in ("PSI", "PTILDE"):
+        return getattr(polys, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BernoulliEngine",

@@ -2,9 +2,16 @@
 
 Every display is transcribed exactly once into a small builder function; the
 modulus each coefficient is stated at travels with it, and evaluation never
-exceeds that stated precision.  Contributions carrying an explicit power p^t
-are built at precision (target - t) and lifted exactly, so each final value
-is a well-defined class at the target modulus.
+exceeds that stated precision.  A builder receives an accessor ``t`` fixed at
+one precision r: ``t.b(n)``, ``t.b2(n)`` and ``t.b4(n)`` are the set values
+as integer representatives mod p^r (asking for more digits than the set
+holds raises), and ``t.F(a, b)`` is a * b^-1 mod p^r (raising when p divides
+b).  A display is thus plain integer arithmetic on representatives at its
+stated precision; its result must be an ``int``, and it becomes a
+``Residue`` once, when the display is done.  Contributions carrying an
+explicit power p^t are built at precision (target - t), reduced there and
+lifted exactly, so each final value is a well-defined class at the target
+modulus; the lifted integers are summed and wrapped once at the target.
 
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
@@ -27,61 +34,86 @@ F = Fraction
 
 
 class _Acc:
-    """Accessor handing out set values at one fixed precision."""
+    """Accessor handing out set values as integers at one fixed precision."""
 
-    __slots__ = ("p", "_set", "prec")
+    __slots__ = ("p", "_set", "prec", "mod")
 
     def __init__(self, p: int, bset: DividedBernoulliSet, prec: int):
         self.p = p
         self._set = bset
         self.prec = prec
+        self.mod = make_modulus(p, prec).value
 
-    def b(self, n: int) -> Residue:
-        return self._set.b(n, self.prec)
+    def _int(self, value: Residue) -> int:
+        if value.modulus.r < self.prec:
+            raise ValueError(f"cannot raise precision from {value.precision} to {self.prec}")
+        return value.value % self.mod
 
-    def b2(self, n: int) -> Residue:
-        return self._set.bd(n, 2, self.prec)
+    def b(self, n: int) -> int:
+        return self._int(self._set.b(n))
 
-    def b4(self, n: int) -> Residue:
-        return self._set.bd(n, 4, self.prec)
+    def b2(self, n: int) -> int:
+        return self._int(self._set.bd(n, 2))
+
+    def b4(self, n: int) -> int:
+        return self._int(self._set.bd(n, 4))
+
+    def F(self, a: int, b: int) -> int:
+        """The rational a/b as an integer mod p^prec; b must be a unit."""
+        if b % self.p == 0:
+            raise ValueError(f"denominator {b} not coprime to {self.p}")
+        return a * pow(b, -1, self.mod) % self.mod
+
+
+#: A transcribed display: an integer representative at its accessor's precision.
+_Display = Callable[[_Acc], int]
+
+
+def _residue(value: int, p: int, prec: int) -> Residue:
+    """Wrap an assembled integer as its class mod p^prec; anything but an
+    ``int`` (a stray ``Fraction``, say) means a display left the integer
+    path and is refused rather than reported."""
+    if not isinstance(value, int):
+        raise TypeError(f"closed form gave {type(value).__name__}, not int")
+    return Residue(value, make_modulus(p, prec))
 
 
 # -- factorial / Wilson-quotient expansion coefficients ----------------------
 
-_OMEGA_DEPTH5: dict[int, Callable[[_Acc], Residue]] = {
+_OMEGA_DEPTH5: dict[int, _Display] = {
     1: lambda t: -5 * t.b(1) + 10 * t.b(2) - 10 * t.b(3) + 5 * t.b(4) - t.b(5),
-    2: lambda t: (F(-5, 2) * t.b(1) ** 2 + F(15, 2) * t.b(2) ** 2 + F(5, 2) * t.b(3) ** 2
+    2: lambda t: (t.F(-5, 2) * t.b(1) ** 2 + t.F(15, 2) * t.b(2) ** 2 + t.F(5, 2) * t.b(3) ** 2
                   + t.b(1) * t.b(4) - 9 * t.b(2) * t.b(3)),
-    3: lambda t: (F(-1, 2) * t.b(1) * t.b(2) ** 2
-                  - t.b(1) ** 2 * (F(5, 3) * t.b(1) - F(5, 2) * t.b(2) + F(1, 2) * t.b(3))
-                  - t.b2(1) + t.b2(2) - F(1, 3) * t.b2(3)),
-    4: lambda t: (F(-5, 24) * t.b(1) ** 4 + F(1, 6) * t.b(1) ** 3 * t.b(2)
-                  - F(2, 3) * t.b(1) * t.b2(1) + F(1, 3) * t.b(2) * t.b2(2)),
-    5: lambda t: (F(-1, 120) * t.b(1) ** 5 - F(1, 6) * t.b(1) ** 2 * t.b2(1)
-                  - F(1, 5) * t.b4(1)),
+    3: lambda t: (t.F(-1, 2) * t.b(1) * t.b(2) ** 2
+                  - t.b(1) ** 2 * (t.F(5, 3) * t.b(1) - t.F(5, 2) * t.b(2) + t.F(1, 2) * t.b(3))
+                  - t.b2(1) + t.b2(2) - t.F(1, 3) * t.b2(3)),
+    4: lambda t: (t.F(-5, 24) * t.b(1) ** 4 + t.F(1, 6) * t.b(1) ** 3 * t.b(2)
+                  - t.F(2, 3) * t.b(1) * t.b2(1) + t.F(1, 3) * t.b(2) * t.b2(2)),
+    5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
+                  - t.F(1, 5) * t.b4(1)),
 }
 
-_OMEGA_DEPTH6: dict[int, Callable[[_Acc], Residue]] = {
+_OMEGA_DEPTH6: dict[int, _Display] = {
     1: lambda t: (-6 * t.b(1) + 15 * t.b(2) - 20 * t.b(3) + 15 * t.b(4)
                   - 6 * t.b(5) + t.b(6)),
-    2: lambda t: (t.b(1) * (F(-13, 2) * t.b(1) + 15 * t.b(2) - 9 * t.b(3) + 2 * t.b(4))
-                  + t.b(2) * (F(-7, 2) * t.b(2) + 3 * t.b(4) - t.b(5))
-                  - F(1, 2) * t.b(3) ** 2),
-    3: lambda t: (t.b(1) ** 2 * (F(-10, 3) * t.b(1) + F(15, 2) * t.b(2)
-                                 - 3 * t.b(3) + F(1, 2) * t.b(4))
-                  + t.b(2) ** 2 * (-3 * t.b(1) + F(1, 6) * t.b(2))
+    2: lambda t: (t.b(1) * (t.F(-13, 2) * t.b(1) + 15 * t.b(2) - 9 * t.b(3) + 2 * t.b(4))
+                  + t.b(2) * (t.F(-7, 2) * t.b(2) + 3 * t.b(4) - t.b(5))
+                  - t.F(1, 2) * t.b(3) ** 2),
+    3: lambda t: (t.b(1) ** 2 * (t.F(-10, 3) * t.b(1) + t.F(15, 2) * t.b(2)
+                                 - 3 * t.b(3) + t.F(1, 2) * t.b(4))
+                  + t.b(2) ** 2 * (-3 * t.b(1) + t.F(1, 6) * t.b(2))
                   + t.b(1) * t.b(2) * t.b(3)
-                  - F(4, 3) * t.b2(1) + 2 * t.b2(2) - F(4, 3) * t.b2(3) + F(1, 3) * t.b2(4)),
-    4: lambda t: (t.b(1) ** 3 * (F(-5, 8) * t.b(1) + t.b(2) - F(1, 6) * t.b(3))
-                  - F(1, 4) * t.b(1) ** 2 * t.b(2) ** 2
-                  - t.b(1) * t.b2(1) + t.b(2) * t.b2(2) - F(1, 3) * t.b(3) * t.b2(3)),
-    5: lambda t: (F(-1, 20) * t.b(1) ** 5 + F(1, 24) * t.b(1) ** 4 * t.b(2)
-                  - F(1, 3) * t.b(1) * t.b(2) * t.b2(1)
-                  - F(1, 2) * t.b(1) ** 2 * t.b2(2)
-                  + F(2, 3) * t.b(1) * t.b(2) * t.b2(2)
-                  - F(2, 5) * t.b4(1) + F(1, 5) * t.b4(2)),
-    6: lambda t: (F(-1, 720) * t.b(1) ** 6 - F(1, 18) * t.b(1) ** 3 * t.b2(1)
-                  - F(1, 18) * t.b2(1) ** 2 - F(1, 5) * t.b(1) * t.b4(1)),
+                  - t.F(4, 3) * t.b2(1) + 2 * t.b2(2) - t.F(4, 3) * t.b2(3) + t.F(1, 3) * t.b2(4)),
+    4: lambda t: (t.b(1) ** 3 * (t.F(-5, 8) * t.b(1) + t.b(2) - t.F(1, 6) * t.b(3))
+                  - t.F(1, 4) * t.b(1) ** 2 * t.b(2) ** 2
+                  - t.b(1) * t.b2(1) + t.b(2) * t.b2(2) - t.F(1, 3) * t.b(3) * t.b2(3)),
+    5: lambda t: (t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2)
+                  - t.F(1, 3) * t.b(1) * t.b(2) * t.b2(1)
+                  - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
+                  + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)
+                  - t.F(2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2)),
+    6: lambda t: (t.F(-1, 720) * t.b(1) ** 6 - t.F(1, 18) * t.b(1) ** 3 * t.b2(1)
+                  - t.F(1, 18) * t.b2(1) ** 2 - t.F(1, 5) * t.b(1) * t.b4(1)),
 }
 
 
@@ -100,20 +132,17 @@ class OmegaVector:
     def factorial_form(self) -> Residue:
         """sum omega_nu p^nu, an exact class modulo p^(depth+1)."""
         top = self.depth + 1
-        acc = Residue(0, make_modulus(self.p, top))
-        for nu, w in enumerate(self.omegas):
-            acc = acc + w.reduce_to(top - nu).mul_p_power(nu)
-        return acc
+        total = sum(w.reduce_to(top - nu).value * self.p**nu for nu, w in enumerate(self.omegas))
+        return Residue(total, make_modulus(self.p, top))
 
     def wilson_form(self, r: int | None = None) -> Residue:
         """sum_{nu=1..r} omega_nu p^(nu-1) modulo p^r (default r = depth)."""
         r = self.depth if r is None else r
         if not 1 <= r <= self.depth:
             raise ValueError(f"need 1 <= r <= {self.depth}")
-        acc = Residue(0, make_modulus(self.p, self.depth))
-        for nu in range(1, r + 1):
-            acc = acc + self.omegas[nu].reduce_to(self.depth + 1 - nu).mul_p_power(nu - 1)
-        return acc.reduce_to(r)
+        total = sum(self.omegas[nu].reduce_to(self.depth + 1 - nu).value * self.p**(nu - 1)
+                    for nu in range(1, r + 1))
+        return Residue(total, make_modulus(self.p, r))
 
 
 def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
@@ -129,7 +158,7 @@ def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
     top = depth + 1
     omegas = [Residue(-1, make_modulus(p, top))]
     for nu in range(1, depth + 1):
-        omegas.append(table[nu](_Acc(p, bset, top - nu)))
+        omegas.append(_residue(table[nu](_Acc(p, bset, top - nu)), p, top - nu))
     return OmegaVector(p=p, omegas=tuple(omegas))
 
 
@@ -139,50 +168,50 @@ def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
 # p^t at precision (level - t).  The leading block carries no power of p.
 # The level-6 forms hold for p >= 11, the level-5 ones for p >= 7.
 
-_Blocks = Sequence[tuple[int, Callable[[_Acc], Residue]]]
+_Blocks = Sequence[tuple[int, _Display]]
 
 _QTILDE_MAIN_L6: dict[int, _Blocks] = {
     1: ((0, lambda t: (t.p - 1) * t.b(1)),
         (2, lambda t: -t.b2(1)),
-        (3, lambda t: F(11, 6) * t.b2(1)),
+        (3, lambda t: t.F(11, 6) * t.b2(1)),
         (4, lambda t: -(t.b2(1) + t.b4(1))),
-        (5, lambda t: F(1, 6) * t.b2(1) + F(137, 60) * t.b4(1))),
+        (5, lambda t: t.F(1, 6) * t.b2(1) + t.F(137, 60) * t.b4(1))),
     2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
         (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: F(-11, 6) * t.b2(1) + F(13, 3) * t.b2(2)),
+        (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
         (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
-        (5, lambda t: F(1, 2) * t.b2(1) + F(77, 12) * t.b4(1))),
+        (5, lambda t: t.F(1, 2) * t.b2(1) + t.F(77, 12) * t.b4(1))),
     3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - F(10, 3) * t.b2(3)),
-        (3, lambda t: F(11, 6) * t.b2(1) - F(26, 3) * t.b2(2) + F(47, 6) * t.b2(3)),
+        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
+        (3, lambda t: t.F(11, 6) * t.b2(1) - t.F(26, 3) * t.b2(2) + t.F(47, 6) * t.b2(3)),
         (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
-        (5, lambda t: F(1, 3) * t.b2(1) + F(47, 6) * t.b4(1))),
+        (5, lambda t: t.F(1, 3) * t.b2(1) + t.F(47, 6) * t.b4(1))),
     4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
         (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
-        (3, lambda t: F(21, 2) * t.b2(1) - 24 * t.b2(2) + F(27, 2) * t.b2(3)),
+        (3, lambda t: t.F(21, 2) * t.b2(1) - 24 * t.b2(2) + t.F(27, 2) * t.b2(3)),
         (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
-        (5, lambda t: F(9, 2) * t.b4(1))),
+        (5, lambda t: t.F(9, 2) * t.b4(1))),
     5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
         (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
         (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
-        (4, lambda t: F(23, 5) * t.b4(1) - F(24, 5) * t.b4(2)),
+        (4, lambda t: t.F(23, 5) * t.b4(1) - t.F(24, 5) * t.b4(2)),
         (5, lambda t: t.b4(1))),
     6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
-        (2, lambda t: F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3) - F(10, 3) * t.b2(4)),
+        (2, lambda t: t.F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3) - t.F(10, 3) * t.b2(4)),
         (4, lambda t: t.b4(1) - t.b4(2))),
 }
 
 _QTILDE_MAIN_L5: dict[int, _Blocks] = {
     1: ((0, lambda t: (t.p - 1) * t.b(1)),
         (2, lambda t: -t.b2(1)),
-        (3, lambda t: F(11, 6) * t.b2(1)),
+        (3, lambda t: t.F(11, 6) * t.b2(1)),
         (4, lambda t: -(t.b2(1) + t.b4(1)))),
     2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
         (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: F(-11, 6) * t.b2(1) + F(13, 3) * t.b2(2)),
+        (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
         (4, lambda t: -(2 * t.b2(1) + 2 * t.b4(1)))),
     3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - F(10, 3) * t.b2(3)),
+        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
         (3, lambda t: -6 * t.b2(1) + 7 * t.b2(2)),
         (4, lambda t: -(t.b2(1) + 2 * t.b4(1)))),
     4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
@@ -191,7 +220,7 @@ _QTILDE_MAIN_L5: dict[int, _Blocks] = {
         (4, lambda t: -t.b4(1))),
     5: ((0, lambda t: -(t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
         (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
-        (4, lambda t: F(-1, 5) * t.b4(1))),
+        (4, lambda t: t.F(-1, 5) * t.b4(1))),
 }
 
 #: The depth-5 congruence for n=5 with its leading factor left as (p-1)
@@ -201,16 +230,16 @@ _QTILDE_MAIN_L5: dict[int, _Blocks] = {
 QTILDE_L5_N5_UNREDUCED: _Blocks = (
     (0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
     (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
-    (4, lambda t: F(-1, 5) * t.b4(1)),
+    (4, lambda t: t.F(-1, 5) * t.b4(1)),
 )
 
 
 def _eval_blocks(blocks: _Blocks, p: int, bset: DividedBernoulliSet, level: int) -> Residue:
-    acc = Residue(0, make_modulus(p, level))
+    total = 0
     for t_pow, build in blocks:
-        value = build(_Acc(p, bset, level - t_pow))
-        acc = acc + value.mul_p_power(t_pow)
-    return acc
+        prec = level - t_pow
+        total += _residue(build(_Acc(p, bset, prec)), p, prec).value * p**t_pow
+    return Residue(total, make_modulus(p, level))
 
 
 def _check_level(n: int, p: int, level: int) -> None:
@@ -351,20 +380,20 @@ def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = No
 # p; these are the cancellations that compact the raw coefficient collections
 # into the closed forms above.
 
-ZERO_EXPRESSIONS: tuple[tuple[str, int, Callable[[_Acc], Residue]], ...] = (
+ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
     ("second-diff-square", 4,
-     lambda t: F(5, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2),
+     lambda t: t.F(5, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2),
     ("d1-times-d2", 3,
      lambda t: -2 * (t.b(1) - t.b(2)) * (t.b(1) - 2 * t.b(2) + t.b(3))),
     ("w41-compact", 2,
-     lambda t: F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1))),
+     lambda t: t.F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1))),
     ("w41-raw", 2,
-     lambda t: (F(3, 2) * t.b(1) ** 2 - 2 * t.b(1) * t.b(2) - F(1, 2) * t.b(2) ** 2
+     lambda t: (t.F(3, 2) * t.b(1) ** 2 - 2 * t.b(1) * t.b(2) - t.F(1, 2) * t.b(2) ** 2
                 + t.b(2) * t.b(3)
-                + t.b(1) * (F(5, 2) * t.b(1) ** 2 - 5 * t.b(1) * t.b(2)
-                            + t.b(1) * t.b(3) + F(3, 2) * t.b(2) ** 2))),
+                + t.b(1) * (t.F(5, 2) * t.b(1) ** 2 - 5 * t.b(1) * t.b(2)
+                            + t.b(1) * t.b(3) + t.F(3, 2) * t.b(2) ** 2))),
     ("bnd-d1-product", 2,
-     lambda t: F(-1, 3) * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
+     lambda t: t.F(-1, 3) * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
     ("d1-times-d4", 5,
      lambda t: (t.b(1) - t.b(2)) * (t.b(1) - 4 * t.b(2) + 6 * t.b(3)
                                     - 4 * t.b(4) + t.b(5))),
@@ -375,33 +404,33 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, Callable[[_Acc], Residue]], ...] = (
      lambda t: (t.b(1) * (4 * t.b(1) - 16 * t.b(2) + 14 * t.b(3) - 6 * t.b(4) + t.b(5))
                 + t.b(2) * (10 * t.b(2) - 10 * t.b(3) + 2 * t.b(4)) + t.b(3) ** 2)),
     ("cubic-combination", 3,
-     lambda t: (F(1, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2
-                - F(1, 2) * (t.b(1) - t.b(2)) ** 3
+     lambda t: (t.F(1, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2
+                - t.F(1, 2) * (t.b(1) - t.b(2)) ** 3
                 - 3 * (t.b(1) - t.b(2)) * (t.b(1) - 2 * t.b(2) + t.b(3)) * (1 + t.b(1)))),
     ("w41-raw-deep", 3,
-     lambda t: (t.b(1) * (F(5, 2) * t.b(1) - 6 * t.b(2) + 2 * t.b(3))
-                + t.b(1) ** 2 * (F(9, 2) * t.b(1) - F(27, 2) * t.b(2) + 6 * t.b(3) - t.b(4))
+     lambda t: (t.b(1) * (t.F(5, 2) * t.b(1) - 6 * t.b(2) + 2 * t.b(3))
+                + t.b(1) ** 2 * (t.F(9, 2) * t.b(1) - t.F(27, 2) * t.b(2) + 6 * t.b(3) - t.b(4))
                 + t.b(2) * (t.b(2) + 2 * t.b(3) - t.b(4) - 3 * t.b(1) * t.b(3))
-                + t.b(2) ** 2 * (F(15, 2) * t.b(1) - F(1, 2) * t.b(2))
-                - F(1, 2) * t.b(3) ** 2)),
+                + t.b(2) ** 2 * (t.F(15, 2) * t.b(1) - t.F(1, 2) * t.b(2))
+                - t.F(1, 2) * t.b(3) ** 2)),
     ("bnd-second-diff", 3,
      lambda t: ((3 * (t.b(1) - 2 * t.b(2) + t.b(3)) - (t.b(1) - t.b(2)))
                 * (t.b2(1) - 2 * t.b2(2) + t.b2(3)))),
     ("w51-raw", 2,
-     lambda t: (t.b(1) * (t.b(1) - F(9, 2) * t.b(2) ** 2 + t.b(1) * t.b(2) ** 2)
-                + t.b(2) * (-2 * t.b(2) + F(1, 2) * t.b(2) ** 2)
-                + t.b(1) ** 2 * (F(1, 2) * t.b(1) + 3 * t.b(2) - 3 * t.b(3) + F(1, 2) * t.b(4))
-                + t.b(1) ** 3 * (F(3, 2) * t.b(1) - 3 * t.b(2) + F(1, 2) * t.b(3))
+     lambda t: (t.b(1) * (t.b(1) - t.F(9, 2) * t.b(2) ** 2 + t.b(1) * t.b(2) ** 2)
+                + t.b(2) * (-2 * t.b(2) + t.F(1, 2) * t.b(2) ** 2)
+                + t.b(1) ** 2 * (t.F(1, 2) * t.b(1) + 3 * t.b(2) - 3 * t.b(3) + t.F(1, 2) * t.b(4))
+                + t.b(1) ** 3 * (t.F(3, 2) * t.b(1) - 3 * t.b(2) + t.F(1, 2) * t.b(3))
                 + t.b(3) * (-t.b(1) + 2 * t.b(2) + 3 * t.b(1) * t.b(2)))),
     ("w51-compact", 2,
-     lambda t: (F(1, 2) * (t.b(1) - t.b(2)) ** 2
+     lambda t: (t.F(1, 2) * (t.b(1) - t.b(2)) ** 2
                 * (4 + 5 * t.b(1) + 2 * t.b(1) ** 2 + t.b(2)))),
     ("w52-raw", 2,
-     lambda t: (t.b2(1) * (F(17, 6) * t.b(1) - 12 * t.b(2) + F(56, 3) * t.b(3)
-                           - 11 * t.b(4) + F(11, 6) * t.b(5))
-                + t.b2(2) * (-5 * t.b(1) + F(49, 3) * t.b(2) - F(55, 3) * t.b(3)
-                             + F(19, 3) * t.b(4))
-                + t.b2(3) * (2 * t.b(1) - 5 * t.b(2) + F(10, 3) * t.b(3)))),
+     lambda t: (t.b2(1) * (t.F(17, 6) * t.b(1) - 12 * t.b(2) + t.F(56, 3) * t.b(3)
+                           - 11 * t.b(4) + t.F(11, 6) * t.b(5))
+                + t.b2(2) * (-5 * t.b(1) + t.F(49, 3) * t.b(2) - t.F(55, 3) * t.b(3)
+                             + t.F(19, 3) * t.b(4))
+                + t.b2(3) * (2 * t.b(1) - 5 * t.b(2) + t.F(10, 3) * t.b(3)))),
     ("w52-compact", 2,
      lambda t: 2 * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
     ("bnd-d1-square", 2,
@@ -411,18 +440,18 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, Callable[[_Acc], Residue]], ...] = (
 
 def zero_expressions(p: int, bset: DividedBernoulliSet) -> list[tuple[str, Residue]]:
     """Every recorded vanishing combination, evaluated at its stated modulus."""
-    return [(name, build(_Acc(p, bset, r))) for name, r, build in ZERO_EXPRESSIONS]
+    return [(name, _residue(build(_Acc(p, bset, r)), p, r)) for name, r, build in ZERO_EXPRESSIONS]
 
 
 # -- first-order (mod p) forms of the expansion coefficients -------------------
 
-_OMEGA_MOD_P: dict[int, Callable[[_Acc], Residue]] = {
+_OMEGA_MOD_P: dict[int, _Display] = {
     1: lambda t: -t.b(1),
-    2: lambda t: F(-1, 2) * t.b(1) ** 2,
-    3: lambda t: F(-1, 6) * t.b(1) ** 3 - F(1, 3) * t.b2(1),
-    4: lambda t: F(-1, 24) * t.b(1) ** 4 - F(1, 3) * t.b(1) * t.b2(1),
-    5: lambda t: (F(-1, 120) * t.b(1) ** 5 - F(1, 6) * t.b(1) ** 2 * t.b2(1)
-                  - F(1, 5) * t.b4(1)),
+    2: lambda t: t.F(-1, 2) * t.b(1) ** 2,
+    3: lambda t: t.F(-1, 6) * t.b(1) ** 3 - t.F(1, 3) * t.b2(1),
+    4: lambda t: t.F(-1, 24) * t.b(1) ** 4 - t.F(1, 3) * t.b(1) * t.b2(1),
+    5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
+                  - t.F(1, 5) * t.b4(1)),
 }
 
 
@@ -433,7 +462,7 @@ def omega_mod_p_rhs(nu: int, p: int, bset: DividedBernoulliSet) -> Residue:
         return Residue(-1, make_modulus(p, 1))
     if nu not in _OMEGA_MOD_P:
         raise ValueError(f"no mod-p form for index {nu}")
-    return _OMEGA_MOD_P[nu](_Acc(p, bset, 1))
+    return _residue(_OMEGA_MOD_P[nu](_Acc(p, bset, 1)), p, 1)
 
 
 def omega5_reduction_rows(p: int, bset: DividedBernoulliSet) -> list[tuple[str, Residue, Residue]]:
@@ -442,14 +471,14 @@ def omega5_reduction_rows(p: int, bset: DividedBernoulliSet) -> list[tuple[str, 
     t = _Acc(p, bset, 1)
     rows = [
         ("pure-power-terms",
-         F(-1, 20) * t.b(1) ** 5 + F(1, 24) * t.b(1) ** 4 * t.b(2),
-         F(-1, 120) * t.b(1) ** 5),
+         t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2),
+         t.F(-1, 120) * t.b(1) ** 5),
         ("mixed-bnd2-terms",
-         (F(-1, 3) * t.b(1) * t.b(2) * t.b2(1) - F(1, 2) * t.b(1) ** 2 * t.b2(2)
-          + F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
-         F(-1, 6) * t.b(1) ** 2 * t.b2(1)),
+         (t.F(-1, 3) * t.b(1) * t.b(2) * t.b2(1) - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
+          + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
+         t.F(-1, 6) * t.b(1) ** 2 * t.b2(1)),
         ("bnd4-terms",
-         F(-2, 5) * t.b4(1) + F(1, 5) * t.b4(2),
-         F(-1, 5) * t.b4(1)),
+         t.F(-2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2),
+         t.F(-1, 5) * t.b4(1)),
     ]
-    return rows
+    return [(name, _residue(lhs, p, 1), _residue(rhs, p, 1)) for name, lhs, rhs in rows]

@@ -16,6 +16,7 @@ and are byte-identical for any worker count.
 """
 from __future__ import annotations
 
+import csv
 import os
 import sys
 import time
@@ -304,13 +305,13 @@ def write_report(results: list[CheckResult], fmt: str, stream, summary: str | No
             opening = ",\n"
         stream.write("\n]\n" if results else "[]\n")
     elif fmt == "csv":
-        stream.write("p,tag,case,lhs,rhs,modulus,pass\n")
+        # csv quotes a field only when it holds a comma, quote or newline,
+        # as an error message may.
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(("p", "tag", "case", "lhs", "rhs", "modulus", "pass"))
         for r in results:
-            row = r.row()
-            stream.write(
-                f"{row['p']},{row['tag']},{row['case']},{row['lhs']},"
-                f"{row['rhs']},{row['modulus']},{str(row['pass']).lower()}\n"
-            )
+            writer.writerow((r.p, r.tag, r.case, r.lhs, r.rhs, r.modulus,
+                             "true" if r.passed else "false"))
     else:
         for r in results:
             if not r.passed:

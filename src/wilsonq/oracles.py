@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .residues import Residue, from_rational, make_modulus, power_table
 
@@ -35,13 +36,14 @@ def q_power_sum(n: int, p: int, r: int) -> Residue:
 
 def q_power_sums(p: int, r: int) -> tuple[Residue, ...]:
     """(Q_p(1), ..., Q_p(r)) mod p^r in one pass over the Fermat quotients,
-    each quotient's powers taken as running products."""
+    each quotient's powers taken as running products.  The products stay
+    unreduced (a quotient is below p^r, so its r-th power is below p^(r*r));
+    only the r sums are reduced."""
     modulus = make_modulus(p, r)
-    m = modulus.value
     quotients = [(x - 1) // p for x in power_table(p, p - 1, p ** (r + 1))]
     sums, powers = [sum(quotients)], quotients
     for _ in range(r - 1):
-        powers = [x * q % m for x, q in zip(powers, quotients)]
+        powers = list(map(mul, powers, quotients))
         sums.append(sum(powers))
     return tuple(Residue(total, modulus) for total in sums)
 

@@ -12,6 +12,7 @@ identity (with all negative powers of p cancelling) is checked by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Sequence
 
@@ -159,56 +160,69 @@ class MultiPoly:
         return Residue(acc, modulus)
 
 
-_x1, _x2, _x3, _x4, _x5, _x6 = (MultiPoly.var(i) for i in range(1, 7))
-_p = MultiPoly.p_var()
-_F = Fraction
+@cache
+def _families() -> tuple[dict[int, MultiPoly], dict[int, MultiPoly]]:
+    """(PSI, PTILDE), built on first use: no sweep check but ``psi`` needs
+    them, and building them is most of this module's import cost."""
+    _x1, _x2, _x3, _x4, _x5, _x6 = (MultiPoly.var(i) for i in range(1, 7))
+    _p = MultiPoly.p_var()
+    _F = Fraction
 
-#: Wilson-quotient expansion polynomials in the raw power sums.
-PSI: dict[int, MultiPoly] = {
-    1: _x1,
-    2: 2 * _x1 - _x1**2 - _x2,
-    3: 6 * _x1 - 6 * _x1**2 + _x1**3 + 3 * _x1 * _x2 - 3 * _x2 + 2 * _x3,
-    4: (24 * _x1 - 36 * _x1**2 + 12 * _x1**3 - _x1**4 - 6 * _x1**2 * _x2
-        + 24 * _x1 * _x2 - 8 * _x1 * _x3 - 12 * _x2 - 3 * _x2**2 + 8 * _x3 - 6 * _x4),
-    5: (120 * _x1 - 240 * _x1**2 + 120 * _x1**3 - 20 * _x1**4 + _x1**5
-        + 10 * _x1**3 * _x2 - 90 * _x1**2 * _x2 + 20 * _x1**2 * _x3
-        + 180 * _x1 * _x2 + 15 * _x1 * _x2**2 - 80 * _x1 * _x3 + 30 * _x1 * _x4
-        - 60 * _x2 - 30 * _x2**2 + 20 * _x2 * _x3 + 40 * _x3 - 30 * _x4 + 24 * _x5),
-    6: (720 * _x1 - 1800 * _x1**2 + 1200 * _x1**3 - 300 * _x1**4 + 30 * _x1**5
-        - _x1**6 - 15 * _x1**4 * _x2 + 240 * _x1**3 * _x2 - 40 * _x1**3 * _x3
-        - 1080 * _x1**2 * _x2 - 45 * _x1**2 * _x2**2 + 360 * _x1**2 * _x3
-        - 90 * _x1**2 * _x4 + 1440 * _x1 * _x2 + 270 * _x1 * _x2**2
-        - 120 * _x1 * _x2 * _x3 - 720 * _x1 * _x3 + 360 * _x1 * _x4
-        - 144 * _x1 * _x5 - 360 * _x2 - 270 * _x2**2 - 15 * _x2**3
-        + 240 * _x2 * _x3 - 90 * _x2 * _x4 + 240 * _x3 - 40 * _x3**2
-        - 180 * _x4 + 144 * _x5 - 120 * _x6),
-}
+    # Wilson-quotient expansion polynomials in the raw power sums.
+    PSI: dict[int, MultiPoly] = {
+        1: _x1,
+        2: 2 * _x1 - _x1**2 - _x2,
+        3: 6 * _x1 - 6 * _x1**2 + _x1**3 + 3 * _x1 * _x2 - 3 * _x2 + 2 * _x3,
+        4: (24 * _x1 - 36 * _x1**2 + 12 * _x1**3 - _x1**4 - 6 * _x1**2 * _x2
+            + 24 * _x1 * _x2 - 8 * _x1 * _x3 - 12 * _x2 - 3 * _x2**2 + 8 * _x3 - 6 * _x4),
+        5: (120 * _x1 - 240 * _x1**2 + 120 * _x1**3 - 20 * _x1**4 + _x1**5
+            + 10 * _x1**3 * _x2 - 90 * _x1**2 * _x2 + 20 * _x1**2 * _x3
+            + 180 * _x1 * _x2 + 15 * _x1 * _x2**2 - 80 * _x1 * _x3 + 30 * _x1 * _x4
+            - 60 * _x2 - 30 * _x2**2 + 20 * _x2 * _x3 + 40 * _x3 - 30 * _x4 + 24 * _x5),
+        6: (720 * _x1 - 1800 * _x1**2 + 1200 * _x1**3 - 300 * _x1**4 + 30 * _x1**5
+            - _x1**6 - 15 * _x1**4 * _x2 + 240 * _x1**3 * _x2 - 40 * _x1**3 * _x3
+            - 1080 * _x1**2 * _x2 - 45 * _x1**2 * _x2**2 + 360 * _x1**2 * _x3
+            - 90 * _x1**2 * _x4 + 1440 * _x1 * _x2 + 270 * _x1 * _x2**2
+            - 120 * _x1 * _x2 * _x3 - 720 * _x1 * _x3 + 360 * _x1 * _x4
+            - 144 * _x1 * _x5 - 360 * _x2 - 270 * _x2**2 - 15 * _x2**3
+            + 240 * _x2 * _x3 - 90 * _x2 * _x4 + 240 * _x3 - 40 * _x3**2
+            - 180 * _x4 + 144 * _x5 - 120 * _x6),
+    }
 
-#: The same expansions rewritten in the scaled power sums, with p explicit.
-PTILDE: dict[int, MultiPoly] = {
-    1: _x1,
-    2: _p * (_x1 - _F(1, 2) * _x1**2) - _x2,
-    3: (_p**2 * (_x1 - _x1**2 + _F(1, 6) * _x1**3)
-        + _p * (_x1 * _x2 - _x2) + _x3),
-    4: (_p**3 * (_x1 - _F(3, 2) * _x1**2 + _F(1, 2) * _x1**3 - _F(1, 24) * _x1**4)
-        + _p**2 * (2 * _x1 * _x2 - _F(1, 2) * _x1**2 * _x2 - _x2)
-        + _p * (-_F(1, 2) * _x2**2 - _x1 * _x3 + _x3) - _x4),
-    5: (_p**4 * (_x1 - 2 * _x1**2 + _x1**3 - _F(1, 6) * _x1**4 + _F(1, 120) * _x1**5)
-        + _p**3 * (3 * _x1 * _x2 - _F(3, 2) * _x1**2 * _x2 + _F(1, 6) * _x1**3 * _x2 - _x2)
-        + _p**2 * (_F(1, 2) * _x1 * _x2**2 - _x2**2 - 2 * _x1 * _x3
-                   + _F(1, 2) * _x1**2 * _x3 + _x3)
-        + _p * (_x2 * _x3 + _x1 * _x4 - _x4) + _x5),
-    6: (_p**5 * (_x1 - _F(5, 2) * _x1**2 + _F(5, 3) * _x1**3 - _F(5, 12) * _x1**4
-                 + _F(1, 24) * _x1**5 - _F(1, 720) * _x1**6)
-        + _p**4 * (4 * _x1 * _x2 - 3 * _x1**2 * _x2 + _F(2, 3) * _x1**3 * _x2
-                   - _F(1, 24) * _x1**4 * _x2 - _x2)
-        + _p**3 * (_F(3, 2) * _x1 * _x2**2 - _F(1, 4) * _x1**2 * _x2**2
-                   - _F(3, 2) * _x2**2 - 3 * _x1 * _x3 + _F(3, 2) * _x1**2 * _x3
-                   - _F(1, 6) * _x1**3 * _x3 + _x3)
-        + _p**2 * (-_x1 * _x2 * _x3 + 2 * _x2 * _x3 - _F(1, 6) * _x2**3
-                   + 2 * _x1 * _x4 - _F(1, 2) * _x1**2 * _x4 - _x4)
-        + _p * (-_F(1, 2) * _x3**2 - _x2 * _x4 - _x1 * _x5 + _x5) - _x6),
-}
+    # The same expansions rewritten in the scaled power sums, with p explicit.
+    PTILDE: dict[int, MultiPoly] = {
+        1: _x1,
+        2: _p * (_x1 - _F(1, 2) * _x1**2) - _x2,
+        3: (_p**2 * (_x1 - _x1**2 + _F(1, 6) * _x1**3)
+            + _p * (_x1 * _x2 - _x2) + _x3),
+        4: (_p**3 * (_x1 - _F(3, 2) * _x1**2 + _F(1, 2) * _x1**3 - _F(1, 24) * _x1**4)
+            + _p**2 * (2 * _x1 * _x2 - _F(1, 2) * _x1**2 * _x2 - _x2)
+            + _p * (-_F(1, 2) * _x2**2 - _x1 * _x3 + _x3) - _x4),
+        5: (_p**4 * (_x1 - 2 * _x1**2 + _x1**3 - _F(1, 6) * _x1**4 + _F(1, 120) * _x1**5)
+            + _p**3 * (3 * _x1 * _x2 - _F(3, 2) * _x1**2 * _x2 + _F(1, 6) * _x1**3 * _x2 - _x2)
+            + _p**2 * (_F(1, 2) * _x1 * _x2**2 - _x2**2 - 2 * _x1 * _x3
+                       + _F(1, 2) * _x1**2 * _x3 + _x3)
+            + _p * (_x2 * _x3 + _x1 * _x4 - _x4) + _x5),
+        6: (_p**5 * (_x1 - _F(5, 2) * _x1**2 + _F(5, 3) * _x1**3 - _F(5, 12) * _x1**4
+                     + _F(1, 24) * _x1**5 - _F(1, 720) * _x1**6)
+            + _p**4 * (4 * _x1 * _x2 - 3 * _x1**2 * _x2 + _F(2, 3) * _x1**3 * _x2
+                       - _F(1, 24) * _x1**4 * _x2 - _x2)
+            + _p**3 * (_F(3, 2) * _x1 * _x2**2 - _F(1, 4) * _x1**2 * _x2**2
+                       - _F(3, 2) * _x2**2 - 3 * _x1 * _x3 + _F(3, 2) * _x1**2 * _x3
+                       - _F(1, 6) * _x1**3 * _x3 + _x3)
+            + _p**2 * (-_x1 * _x2 * _x3 + 2 * _x2 * _x3 - _F(1, 6) * _x2**3
+                       + 2 * _x1 * _x4 - _F(1, 2) * _x1**2 * _x4 - _x4)
+            + _p * (-_F(1, 2) * _x3**2 - _x2 * _x4 - _x1 * _x5 + _x5) - _x6),
+    }
+    return PSI, PTILDE
+
+
+def __getattr__(name: str):
+    if name == "PSI":
+        return _families()[0]
+    if name == "PTILDE":
+        return _families()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def psi_eval(nu: int, values: Sequence[Residue]) -> Residue:
@@ -217,7 +231,7 @@ def psi_eval(nu: int, values: Sequence[Residue]) -> Residue:
         raise ValueError(f"index out of range: {nu}")
     if len(values) != nu:
         raise ValueError(f"need exactly {nu} values, got {len(values)}")
-    return PSI[nu].evaluate(values)
+    return _families()[0][nu].evaluate(values)
 
 
 def ptilde_eval(nu: int, values: Sequence[Residue]) -> Residue:
@@ -227,19 +241,20 @@ def ptilde_eval(nu: int, values: Sequence[Residue]) -> Residue:
         raise ValueError(f"index out of range: {nu}")
     if len(values) != nu:
         raise ValueError(f"need exactly {nu} values, got {len(values)}")
-    return PTILDE[nu].evaluate(values)
+    return _families()[1][nu].evaluate(values)
 
 
 def psi_ptilde_diffs() -> dict[int, MultiPoly]:
     """Symbolic mismatches between the two families under the rescaling
     x_k -> k * x_k / p^(k-1); empty everywhere means consistent."""
+    psi, ptilde = _families()
     factors = [Fraction(k) for k in range(1, NVARS + 1)]
     drops = list(range(NVARS))
     out: dict[int, MultiPoly] = {}
     for n in range(1, 7):
-        substituted = PSI[n].rescale_vars(factors, drops)
+        substituted = psi[n].rescale_vars(factors, drops)
         scaled = MultiPoly.p_var() ** (n - 1) * Fraction(1, factorial(n)) * substituted
-        diff = scaled - PTILDE[n]
+        diff = scaled - ptilde[n]
         if diff.terms:
             out[n] = diff
     return out

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+from wilsonq import formulas
 from wilsonq.bernoulli import divided_set
 from wilsonq.differences import binom_diff_mod_p
 from wilsonq.formulas import (
@@ -231,3 +234,92 @@ def test_factorial_expansion_equals_oracle_sample():
         assert omega_vector(p, bs, 5).factorial_form() == factorial_mod(p, 6), p
         if p >= 11:
             assert omega_vector(p, bs, 6).factorial_form() == factorial_mod(p, 7), p
+
+
+# -- the integer path ----------------------------------------------------------
+
+
+def test_accessor_above_stored_precision_is_an_error_row(monkeypatch):
+    # omega_1 of the depth-6 ladder asks for b(1) mod p^6; a set holding it
+    # only mod p^5 must not be read past its digits
+    from wilsonq import harness
+    from wilsonq.harness import RunConfig, check_prime
+
+    def short_set(p, engine):
+        bset = divided_set(p, engine)
+        bset.bn[1] = bset.bn[1].reduce_to(5)
+        return bset
+
+    monkeypatch.setattr(harness, "divided_set", short_set)
+    rows = check_prime(11, RunConfig(pmin=11, pmax=11, checks=frozenset(["thm2"])))
+    assert [(r.case, r.passed) for r in rows] == [("error", False)]
+    assert "cannot raise precision from 5 to 6" in rows[0].lhs
+
+
+def test_accessor_fraction_needs_a_unit_denominator():
+    t = formulas._Acc(7, divided_set(7), 3)
+    assert t.F(1, 2) * 2 % 7**3 == 1
+    assert t.F(-5, 24) * 24 % 7**3 == -5 % 7**3
+    with pytest.raises(ValueError, match="not coprime"):
+        t.F(1, 7)
+    with pytest.raises(ValueError, match="not coprime"):
+        t.F(1, 14)
+
+
+def test_display_returning_a_fraction_raises(monkeypatch):
+    # a stray Fraction must never be wrapped as a residue and reported
+    stray = lambda t: F(1, 2) * t.b(1)  # noqa: E731
+    bs = divided_set(11)
+    monkeypatch.setitem(formulas._OMEGA_DEPTH5, 2, stray)
+    with pytest.raises(TypeError, match="Fraction"):
+        omega_vector(11, bs, 5)
+    monkeypatch.setitem(formulas._OMEGA_MOD_P, 2, stray)
+    with pytest.raises(TypeError, match="Fraction"):
+        omega_mod_p_rhs(2, 11, bs)
+    (t0, lead), *rest = formulas.QTILDE_L5_N5_UNREDUCED
+    monkeypatch.setattr(formulas, "QTILDE_L5_N5_UNREDUCED", ((t0, lead), *rest, (4, stray)))
+    with pytest.raises(TypeError, match="Fraction"):
+        qtilde_l5_n5_unreduced(11, bs)
+    monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (("stray", 2, stray),))
+    with pytest.raises(TypeError, match="Fraction"):
+        zero_expressions(11, bs)
+
+
+def test_block_is_reduced_at_its_precision_before_the_lift(monkeypatch):
+    # the block of p^t holds a class mod p^(level-t): p^(level-t) is 0 there
+    # and so contributes nothing, while p^(level-t-1) lifts to p^(level-1)
+    p, level = 13, 6
+    bs = divided_set(p)
+    base = qtilde_rhs(1, p, level, bs)
+    blocks = formulas._QTILDE_MAIN_L6[1]
+    for t_pow in (2, 3, 4, 5):
+        for e, shift in ((level - t_pow, 0), (level - t_pow - 1, p ** (level - 1))):
+            monkeypatch.setitem(formulas._QTILDE_MAIN_L6, 1,
+                                (*blocks, (t_pow, lambda t, e=e: p**e)))
+            assert qtilde_rhs(1, p, level, bs) == base + shift, (t_pow, e)
+
+
+def test_displays_stay_on_the_integer_path():
+    # every display lambda (any lambda in a module-level table) and the
+    # inline forms of omega5_reduction_rows take rationals from t.F, never
+    # from the module-level Fraction
+    tree = ast.parse(Path(formulas.__file__).read_text())
+    scanned, tables = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lambdas = [n for n in ast.walk(node) if isinstance(n, ast.Lambda)]
+            if lambdas:
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                tables.add(target.id)
+                scanned += lambdas
+        elif isinstance(node, ast.FunctionDef) and node.name == "omega5_reduction_rows":
+            scanned.append(node)
+    assert {"_OMEGA_DEPTH5", "_OMEGA_DEPTH6", "_QTILDE_MAIN_L6", "_QTILDE_MAIN_L5",
+            "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS", "_OMEGA_MOD_P"} <= tables
+    offenders = [
+        (call.lineno, call.func.id)
+        for node in scanned for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("F", "Fraction")
+    ]
+    assert offenders == []

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import io
 import json
 import random
@@ -116,6 +117,23 @@ def test_json_report_matches_json_dumps():
         write_report(rows, "json", buf)
         assert buf.getvalue() == json.dumps([r.row() for r in rows], indent=1) + "\n"
     assert buf.getvalue() == "[]\n"
+
+
+def test_csv_quotes_error_messages():
+    message = "error: missing cache entry: (n=1, d=2) (p=11)"
+    results = [
+        CheckResult(7, "thm1", "factorial-mod-p^6", "117648", "117648", "117649", passed=True),
+        CheckResult(11, "thm3", "error", message, "", "", passed=False),
+        CheckResult(13, "kummer", "error", 'error: "quoted"\nsecond line', "", "", passed=False),
+    ]
+    buf = io.StringIO()
+    write_report(results, "csv", buf)
+    assert buf.getvalue().startswith(
+        "p,tag,case,lhs,rhs,modulus,pass\n7,thm1,factorial-mod-p^6,117648,117648,117649,true\n")
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert [len(row) for row in rows] == [7, 7, 7, 7]
+    assert rows[2] == ["11", "thm3", "error", message, "", "", "false"]
+    assert rows[3][3] == 'error: "quoted"\nsecond line'
 
 
 def test_report_to_file(tmp_path):

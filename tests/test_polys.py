@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wilsonq
 from wilsonq.polys import (
     PSI,
     PTILDE,
@@ -89,3 +94,24 @@ def test_scaling_identity_detects_drift():
         assert 3 in psi_ptilde_diffs()
     finally:
         PTILDE[3] = original
+
+
+def test_tables_built_on_first_use():
+    # the headline checks never touch PSI or PTILDE, so importing the
+    # package and running them must not build the tables
+    src = Path(wilsonq.__file__).resolve().parents[1]
+    script = (
+        "import wilsonq\n"
+        "from wilsonq import polys\n"
+        "from wilsonq.harness import RunConfig, check_prime\n"
+        "rows = check_prime(11, RunConfig(11, 11, frozenset(['thm1', 'thm2', 'thm3'])))\n"
+        "assert rows and all(r.passed for r in rows)\n"
+        "before = polys._families.cache_info().currsize\n"
+        "assert len(wilsonq.PSI) == len(wilsonq.PTILDE) == 6\n"
+        "print(before, polys._families.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "1"]
