@@ -34,6 +34,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 from threading import Lock
+from typing import ClassVar, Mapping
 
 from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
@@ -254,13 +255,28 @@ def kummer_admissible(p: int, r: int, n: int) -> bool:
     return n > r
 
 
+#: (n -> precision) and ((n, d) -> precision) requests for the two depths.
+SET_SPEC_DEPTH6 = (
+    {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6},
+    {(1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2},
+)
+SET_SPEC_DEPTH5 = (
+    {1: 5, 2: 5, 3: 5, 4: 5, 5: 5},
+    {(1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1},
+)
+
+
 @dataclass
 class DividedBernoulliSet:
     """Per-prime cache of divided Bernoulli values at the two index families.
 
     ``bn[n]`` holds the value at index n(p-1) (pole removed), ``bnd[(n, d)]``
     the value at index n(p-1)-d, each at its own stated precision.
+    ``MIN_P`` maps each depth to the smallest prime it holds for: the set
+    spec, the coefficient ladder and the power-sum level of that depth.
     """
+
+    MIN_P: ClassVar[Mapping[int, int]] = {5: 7, 6: 11}
 
     p: int
     bn: dict[int, Residue] = field(default_factory=dict)
@@ -281,24 +297,14 @@ class DividedBernoulliSet:
         return value if prec is None else value.reduce_to(prec)
 
 
-#: (n -> precision) and ((n, d) -> precision) requests for the two depths.
-SET_SPEC_DEPTH6 = (
-    {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6},
-    {(1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2},
-)
-SET_SPEC_DEPTH5 = (
-    {1: 5, 2: 5, 3: 5, 4: 5, 5: 5},
-    {(1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1},
-)
-
-
 def divided_set(p: int, engine: BernoulliEngine | None = None) -> DividedBernoulliSet:
-    """Populate a DividedBernoulliSet for prime p >= 7: the six-coefficient
-    expansion for p >= 11 and the five-coefficient one below that."""
-    if p < 7:
-        raise ValueError(f"need p >= 7, got {p}")
+    """Populate a DividedBernoulliSet for prime p >= MIN_P[5]: the depth-6
+    spec from MIN_P[6] on and the depth-5 one below that."""
+    min_p = DividedBernoulliSet.MIN_P
+    if p < min_p[5]:
+        raise ValueError(f"need p >= {min_p[5]}, got {p}")
     engine = engine or BernoulliEngine(p)
-    bn_spec, bnd_spec = SET_SPEC_DEPTH6 if p >= 11 else SET_SPEC_DEPTH5
+    bn_spec, bnd_spec = SET_SPEC_DEPTH6 if p >= min_p[6] else SET_SPEC_DEPTH5
     h = p - 1
     out = DividedBernoulliSet(p)
     for n, r in sorted(bn_spec.items(), reverse=True):

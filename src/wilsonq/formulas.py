@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Mapping, Sequence
 
-from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd
-from .differences import forward_difference
+from .bernoulli import DividedBernoulliSet
 from .oracles import qtilde
 from .polys import ptilde_eval
 from .residues import Residue, make_modulus
@@ -146,13 +146,12 @@ class OmegaVector:
 
 
 def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
-    """The coefficient ladder at depth 5 (p >= 7) or depth 6 (p >= 11)."""
-    if depth == 5:
-        table, min_p = _OMEGA_DEPTH5, 7
-    elif depth == 6:
-        table, min_p = _OMEGA_DEPTH6, 11
-    else:
+    """The coefficient ladder at depth 5 or 6, for p from
+    ``DividedBernoulliSet.MIN_P[depth]`` (7 and 11)."""
+    table = {5: _OMEGA_DEPTH5, 6: _OMEGA_DEPTH6}.get(depth)
+    if table is None:
         raise ValueError(f"unsupported depth {depth}")
+    min_p = DividedBernoulliSet.MIN_P[depth]
     if p < min_p:
         raise ValueError(f"depth {depth} needs p >= {min_p}, got {p}")
     top = depth + 1
@@ -243,18 +242,13 @@ def _eval_blocks(blocks: _Blocks, p: int, bset: DividedBernoulliSet, level: int)
 
 
 def _check_level(n: int, p: int, level: int) -> None:
-    if level == 6:
-        if not 1 <= n <= 6:
-            raise ValueError(f"level 6 supports n in 1..6, got {n}")
-        if p < 11:
-            raise ValueError(f"level 6 needs p >= 11, got {p}")
-    elif level == 5:
-        if not 1 <= n <= 5:
-            raise ValueError(f"level 5 supports n in 1..5, got {n}")
-        if p < 7:
-            raise ValueError(f"level 5 needs p >= 7, got {p}")
-    else:
+    min_p = DividedBernoulliSet.MIN_P.get(level)
+    if min_p is None:
         raise ValueError(f"unsupported level {level}")
+    if not 1 <= n <= level:
+        raise ValueError(f"level {level} supports n in 1..{level}, got {n}")
+    if p < min_p:
+        raise ValueError(f"level {level} needs p >= {min_p}, got {p}")
 
 
 def qtilde_rhs(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
@@ -328,32 +322,25 @@ _VEC_BLOCKS_L6 = {
 }
 
 
-def qtilde_via_coefficients(
-    n: int, p: int, level: int = 6, engine: BernoulliEngine | None = None
-) -> Residue:
+def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
     """(p^(n-1)/n) Q_p(n) mod p^level from the difference-operator expansion
-    with the printed coefficient vectors, evaluating divided Bernoulli values
-    directly (no prebuilt set)."""
+    with the printed coefficient vectors, read from the same divided set as
+    :func:`qtilde_rhs`.  The lead block is (p-1) times the (n-1)-th forward
+    difference of b(1..n); the block of p^t is 1/n times the sum of each
+    vector's n-th entry against b2(j) or b4(j), as ``_VEC_BLOCKS_*`` place
+    it (zero entries read nothing)."""
     _check_level(n, p, level)
-    h = p - 1
     vectors = COEFF_TABLES.level6 if level == 6 else COEFF_TABLES.level5
-    blocks = _VEC_BLOCKS_L6 if level == 6 else _VEC_BLOCKS_L5
-    engine = engine or BernoulliEngine(p)
-
-    lead_mod = make_modulus(p, level)
-    lead = (p - 1) * forward_difference(
-        lambda nu: bnpd(nu, lead_mod, engine), h, n - 1, start=h
-    )
-    rest = Residue(0, lead_mod)
-    for t_pow, entries in blocks.items():
-        prec = level - t_pow
-        combo = Residue(0, make_modulus(p, prec))
-        for name, d, j in entries:
-            coeff = vectors[name][n - 1]
-            if coeff:
-                combo = combo + coeff * bnpd(j * h - d, make_modulus(p, prec), engine)
-        rest = rest + combo.mul_p_power(t_pow)
-    return lead + F(1, n) * rest
+    entries = _VEC_BLOCKS_L6 if level == 6 else _VEC_BLOCKS_L5
+    blocks: list[tuple[int, _Display]] = [
+        (0, lambda t: (t.p - 1) * sum((-1) ** (n - 1 - v) * comb(n - 1, v) * t.b(v + 1)
+                                      for v in range(n)))]
+    for t_pow, row in entries.items():
+        terms = [(c, d, j) for name, d, j in row if (c := vectors[name][n - 1])]
+        blocks.append((t_pow, lambda t, terms=terms: t.F(1, n) * sum(
+            t.F(c.numerator, c.denominator) * (t.b2(j) if d == 2 else t.b4(j))
+            for c, d, j in terms)))
+    return _eval_blocks(blocks, p, bset, level)
 
 
 # -- Wilson quotient through power sums ---------------------------------------

@@ -74,11 +74,11 @@ class PrimeRun:
     direct side of ``thm3``, ``props``, ``lemmas`` and ``psi`` reduces, and
     (p-1)! mod p^7 with W_p mod p^6 (``wilson``), from which the direct side
     of ``thm1``, ``thm2`` and ``psi`` reduces.  ``levels`` are the power-sum
-    precisions the prime supports."""
+    precisions (and ladder depths) the prime supports."""
 
     def __init__(self, p: int):
         self.p = p
-        self.levels = (5, 6) if p >= 11 else (5,)
+        self.levels = tuple(d for d, min_p in DividedBernoulliSet.MIN_P.items() if p >= min_p)
 
     @cached_property
     def engine(self) -> BernoulliEngine:
@@ -104,6 +104,9 @@ class PrimeRun:
     def omega6(self) -> formulas.OmegaVector:
         return formulas.omega_vector(self.p, self.bset, depth=6)
 
+    def omega(self, depth: int) -> formulas.OmegaVector:
+        return self.omega5 if depth == 5 else self.omega6
+
 
 def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
                        max_order: int) -> list[tuple[int, int, Residue]]:
@@ -128,7 +131,7 @@ def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
     """Factorial expansion at the given depth versus the direct factorial,
     plus the per-coefficient prefix ladder against the Wilson quotient."""
-    omega = run.omega5 if depth == 5 else run.omega6
+    omega = run.omega(depth)
     rows = [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
              omega.factorial_form())]
     rows += [(f"wilson-prefix-{r}", run.wilson.quotient.reduce_to(r), omega.wilson_form(r))
@@ -147,20 +150,20 @@ def _check_thm2(run: PrimeRun) -> list[Row]:
     return _expansion(run, 6)
 
 
-def _power_sums(run: PrimeRun, closed_form, state) -> list[Row]:
+def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
     """The scaled power sums at every level against ``closed_form(n, p,
-    level, state)``."""
+    level, bset)``."""
     return [(f"n={n}-mod-p^{level}", oracles.qtilde(n, run.p, level, run.sums),
-             closed_form(n, run.p, level, state))
+             closed_form(n, run.p, level, run.bset))
             for level in run.levels for n in range(1, level + 1)]
 
 
 def _check_thm3(run: PrimeRun) -> list[Row]:
-    return _power_sums(run, formulas.qtilde_rhs, run.bset)
+    return _power_sums(run, formulas.qtilde_rhs)
 
 
 def _check_props(run: PrimeRun) -> list[Row]:
-    return _power_sums(run, formulas.qtilde_via_coefficients, run.engine)
+    return _power_sums(run, formulas.qtilde_via_coefficients)
 
 
 def _check_lemmas(run: PrimeRun) -> list[Row]:
@@ -191,11 +194,10 @@ def _check_table3(run: PrimeRun) -> list[Row]:
     # omega_0 is the constant -1, and the top coefficient of each ladder is
     # stated mod p by the very expression of its mod-p form, so none of
     # those rows could fail.
-    ladders = [run.omega5] + ([run.omega6] if p >= 11 else [])
-    rows = [(f"depth{omega.depth}-omega{nu}-mod-p", omega.omegas[nu].reduce_to(1),
+    rows = [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
              formulas.omega_mod_p_rhs(nu, p, run.bset))
-            for omega in ladders for nu in range(1, omega.depth)]
-    if p >= 11:
+            for depth in run.levels for nu in range(1, depth)]
+    if 6 in run.levels:
         rows += [(f"omega5-reduction-{name}", lhs, rhs)
                  for name, lhs, rhs in formulas.omega5_reduction_rows(p, run.bset)]
     return rows
@@ -203,8 +205,8 @@ def _check_table3(run: PrimeRun) -> list[Row]:
 
 #: (tag, smallest prime, runner) in canonical run order.
 CHECKS = (
-    ("thm1", 7, _check_thm1),
-    ("thm2", 11, _check_thm2),
+    ("thm1", DividedBernoulliSet.MIN_P[5], _check_thm1),
+    ("thm2", DividedBernoulliSet.MIN_P[6], _check_thm2),
     ("thm3", 7, _check_thm3),
     ("props", 7, _check_props),
     ("lemmas", 7, _check_lemmas),
@@ -230,6 +232,8 @@ class RunConfig:
             raise ValueError(f"empty range: pmin={self.pmin} > pmax={self.pmax}")
         if self.pmin < 2:
             raise ValueError("pmin must be >= 2")
+        if not self.checks:
+            raise ValueError("no checks selected")
         unknown = self.checks - CHECK_TAGS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")

@@ -8,10 +8,9 @@ of each verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .residues import Residue, from_rational, make_modulus, power_table
+from .residues import Residue, make_modulus, power_table
 
 
 def fermat_quotient(a: int, p: int, r: int) -> Residue:
@@ -56,8 +55,9 @@ def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> R
     """
     if n >= r + 1:
         return Residue(0, make_modulus(p, r))
-    base = (sums or q_power_sums(p, r))[n - 1].reduce_to(r - (n - 1))
-    return from_rational(Fraction(1, n), make_modulus(p, r)) * base.mul_p_power(n - 1)
+    modulus = make_modulus(p, r)
+    base = (sums or q_power_sums(p, r))[n - 1].reduce_to(r - n + 1)
+    return Residue(base.value * p ** (n - 1) * pow(n, -1, modulus.value), modulus)
 
 
 def sh_mod(n: int, p: int, r: int) -> Residue:

@@ -67,6 +67,13 @@ def test_verify_usage_errors():
     assert exc.value.code == 2
 
 
+def test_verify_empty_check_list_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pmin", "7", "--pmax", "13", "--checks", ","])
+    assert exc.value.code == 2
+    assert "no checks selected" in capsys.readouterr().err
+
+
 def test_nonprime_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["wilson", "--p", "9", "--prec", "2"])

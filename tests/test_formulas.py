@@ -109,6 +109,20 @@ def test_qtilde_rhs_bounds():
         qtilde_rhs(1, 7, 4, bs)
 
 
+def test_depth_bounds_keep_their_messages():
+    bs = divided_set(7)
+    with pytest.raises(ValueError, match=r"^depth 6 needs p >= 11, got 7$"):
+        omega_vector(7, bs, 6)
+    with pytest.raises(ValueError, match=r"^level 6 needs p >= 11, got 7$"):
+        qtilde_rhs(1, 7, 6, bs)
+    with pytest.raises(ValueError, match=r"^level 6 needs p >= 11, got 7$"):
+        qtilde_via_coefficients(1, 7, 6, bs)
+    with pytest.raises(ValueError, match=r"^level 5 supports n in 1..5, got 6$"):
+        qtilde_via_coefficients(6, 7, 5, bs)
+    with pytest.raises(ValueError, match=r"^need p >= 7, got 5$"):
+        divided_set(5)
+
+
 def test_three_way_agreement():
     # headline transcription, coefficient-vector route and direct sums all
     # produce identical residues
@@ -118,7 +132,7 @@ def test_three_way_agreement():
             for n in range(1, level + 1):
                 direct = qtilde(n, p, level)
                 main = qtilde_rhs(n, p, level, bs)
-                vectors = qtilde_via_coefficients(n, p, level=level)
+                vectors = qtilde_via_coefficients(n, p, level, bs)
                 assert main == vectors == direct, (p, level, n)
 
 
@@ -300,9 +314,10 @@ def test_block_is_reduced_at_its_precision_before_the_lift(monkeypatch):
 
 
 def test_displays_stay_on_the_integer_path():
-    # every display lambda (any lambda in a module-level table) and the
-    # inline forms of omega5_reduction_rows take rationals from t.F, never
-    # from the module-level Fraction
+    # every display lambda (any lambda in a module-level table), the inline
+    # forms of omega5_reduction_rows and the blocks qtilde_via_coefficients
+    # builds from the printed vectors take rationals from t.F, never from
+    # the module-level Fraction
     tree = ast.parse(Path(formulas.__file__).read_text())
     scanned, tables = [], set()
     for node in tree.body:
@@ -312,8 +327,10 @@ def test_displays_stay_on_the_integer_path():
                 target = node.targets[0] if isinstance(node, ast.Assign) else node.target
                 tables.add(target.id)
                 scanned += lambdas
-        elif isinstance(node, ast.FunctionDef) and node.name == "omega5_reduction_rows":
+        elif isinstance(node, ast.FunctionDef) and node.name in (
+                "omega5_reduction_rows", "qtilde_via_coefficients"):
             scanned.append(node)
+    assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 2
     assert {"_OMEGA_DEPTH5", "_OMEGA_DEPTH6", "_QTILDE_MAIN_L6", "_QTILDE_MAIN_L5",
             "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS", "_OMEGA_MOD_P"} <= tables
     offenders = [

@@ -45,6 +45,22 @@ def test_runconfig_validation():
         RunConfig(pmin=7, pmax=20, fmt="xml")
 
 
+def test_empty_check_set_is_rejected():
+    # no check selected would report "0 checks" and pass vacuously
+    with pytest.raises(ValueError, match="no checks selected"):
+        RunConfig(pmin=7, pmax=13, checks=frozenset())
+
+
+def test_levels_follow_the_depth_table():
+    assert DividedBernoulliSet.MIN_P == {5: 7, 6: 11}
+    assert [PrimeRun(p).levels for p in (5, 7, 11, 13)] == [(), (5,), (5, 6), (5, 6)]
+    min_p = {tag: q for tag, q, _ in CHECKS}
+    assert (min_p["thm1"], min_p["thm2"]) == (7, 11)
+    cfg = RunConfig(pmin=7, pmax=11, checks=frozenset(["table3"]))
+    kinds = {p: {r.case.split("-")[0] for r in check_prime(p, cfg)} for p in (7, 11)}
+    assert kinds == {7: {"depth5"}, 11: {"depth5", "depth6", "omega5"}}
+
+
 def test_check_prime_thm1_shape():
     cfg = RunConfig(pmin=7, pmax=7, checks=frozenset(["thm1"]))
     results = check_prime(7, cfg)
@@ -248,7 +264,7 @@ def test_every_divided_set_row_can_fail():
     # with random divided values in place of the true ones, every row whose
     # closed form is built on the divided set must fail for some draw
     rng = random.Random(2510)
-    bset_tags = {"thm1", "thm2", "thm3", "lemmas", "zero-exprs", "table3"}
+    bset_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
     for p in (11, 13):
         failed: dict[tuple[str, str], bool] = {}
         bn_spec, bnd_spec = SET_SPEC_DEPTH6
@@ -264,7 +280,7 @@ def test_every_divided_set_row_can_fail():
                 if tag in bset_tags:
                     for case, lhs, rhs in runner(run):
                         failed[(tag, case)] = failed.get((tag, case), False) or lhs != rhs
-        assert len(failed) == 58
+        assert len(failed) == 69
         assert [key for key, ever in failed.items() if not ever] == [], p
 
 

@@ -117,3 +117,10 @@ def test_one_pass_power_sums():
                     assert qtilde(n, p, r, sums) == qtilde(n, p, r), (p, top, r, n)
     with pytest.raises(ValueError):
         qtilde(1, 7, 3, q_power_sums(7, 2))
+
+
+def test_qtilde_needs_a_unit_power():
+    # 1/n has no class mod p^r when p divides n
+    for n, p, r in ((3, 3, 3), (5, 5, 5)):
+        with pytest.raises(ValueError):
+            qtilde(n, p, r)
