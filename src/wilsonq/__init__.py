@@ -10,12 +10,10 @@ from .bernoulli import (
     divided_set,
     exact_bernoulli,
     kummer_admissible,
-    power_sum_mod,
 )
 from .differences import binom_diff_mod_p, forward_difference, q_power_sum_via_differences
 from .formulas import (
     COEFF_TABLES,
-    CoefficientTables,
     OmegaVector,
     omega_mod_p_rhs,
     omega_vector,
@@ -29,6 +27,7 @@ from .oracles import (
     WilsonRecord,
     factorial_mod,
     fermat_quotient,
+    power_sum_mod,
     q_power_sum,
     q_power_sums,
     qtilde,
@@ -52,7 +51,6 @@ __all__ = [
     "BernoulliEngine",
     "CheckResult",
     "COEFF_TABLES",
-    "CoefficientTables",
     "DividedBernoulliSet",
     "Modulus",
     "MultiPoly",

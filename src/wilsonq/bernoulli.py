@@ -21,7 +21,10 @@ Two independent routes are provided:
 
 Derived quantities: the p-integral value (pole removed when p-1 | m), its
 divided form value/m, and a per-prime set of the divided values at the
-index families n(p-1) and n(p-1)-d for d in {2, 4}.
+index families n(p-1)-d for even d.  The depth policy lives here alone:
+``MIN_P`` maps each depth R (the expansion of (p-1)! mod p^(R+1)) to the
+smallest prime it holds for, :func:`depths` lists the depths a prime
+supports and :func:`set_spec` the set values a depth reads.
 
 One prime's power-sum tables and p*B_m values live in a
 :class:`BernoulliEngine`, an optional trailing argument of every function
@@ -34,7 +37,6 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 from threading import Lock
-from typing import ClassVar, Mapping
 
 from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
@@ -72,14 +74,6 @@ def exact_bernoulli(n: int) -> Fraction:
 
 
 # -- power sums --------------------------------------------------------------
-
-
-def power_sum_mod(n: int, modulus: Modulus) -> Residue:
-    """S_n(p) = 1^n + 2^n + ... + (p-1)^n mod p^r by direct summation."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    p, m = modulus.p, modulus.value
-    return Residue(sum(pow(v, n, m) for v in range(1, p)) % m, modulus)
 
 
 class BernoulliEngine:
@@ -255,15 +249,23 @@ def kummer_admissible(p: int, r: int, n: int) -> bool:
     return n > r
 
 
-#: (n -> precision) and ((n, d) -> precision) requests for the two depths.
-SET_SPEC_DEPTH6 = (
-    {1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6},
-    {(1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2},
-)
-SET_SPEC_DEPTH5 = (
-    {1: 5, 2: 5, 3: 5, 4: 5, 5: 5},
-    {(1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1},
-)
+#: Depth R -> the smallest prime whose expansion of (p-1)! mod p^(R+1) the
+#: paper states: the set spec, the coefficient ladder and the power-sum level
+#: of that depth.
+MIN_P = {5: 7, 6: 11}
+
+
+def depths(p: int) -> tuple[int, ...]:
+    """The depths prime p supports, ascending (empty below MIN_P[5])."""
+    return tuple(depth for depth, min_p in MIN_P.items() if p >= min_p)
+
+
+def set_spec(depth: int) -> dict[tuple[int, int], int]:
+    """(n, d) -> r: the divided value at index n(p-1) - d, stated mod p^r,
+    for every even d < depth, n = 1..depth-d and r = depth-d.  Each family is
+    listed from its top index down, d = 0 first, so a build in this order
+    raises the engine's precision once and finds the lower indices held."""
+    return {(n, d): depth - d for d in range(0, depth, 2) for n in range(depth - d, 0, -1)}
 
 
 @dataclass
@@ -272,11 +274,7 @@ class DividedBernoulliSet:
 
     ``bn[n]`` holds the value at index n(p-1) (pole removed), ``bnd[(n, d)]``
     the value at index n(p-1)-d, each at its own stated precision.
-    ``MIN_P`` maps each depth to the smallest prime it holds for: the set
-    spec, the coefficient ladder and the power-sum level of that depth.
     """
-
-    MIN_P: ClassVar[Mapping[int, int]] = {5: 7, 6: 11}
 
     p: int
     bn: dict[int, Residue] = field(default_factory=dict)
@@ -298,17 +296,18 @@ class DividedBernoulliSet:
 
 
 def divided_set(p: int, engine: BernoulliEngine | None = None) -> DividedBernoulliSet:
-    """Populate a DividedBernoulliSet for prime p >= MIN_P[5]: the depth-6
-    spec from MIN_P[6] on and the depth-5 one below that."""
-    min_p = DividedBernoulliSet.MIN_P
-    if p < min_p[5]:
-        raise ValueError(f"need p >= {min_p[5]}, got {p}")
+    """Populate a DividedBernoulliSet for prime p >= MIN_P[5] with the spec of
+    the deepest depth p supports."""
+    supported = depths(p)
+    if not supported:
+        raise ValueError(f"need p >= {min(MIN_P.values())}, got {p}")
     engine = engine or BernoulliEngine(p)
-    bn_spec, bnd_spec = SET_SPEC_DEPTH6 if p >= min_p[6] else SET_SPEC_DEPTH5
     h = p - 1
     out = DividedBernoulliSet(p)
-    for n, r in sorted(bn_spec.items(), reverse=True):
-        out.bn[n] = bnpd(n * h, make_modulus(p, r), engine)
-    for (n, d), r in sorted(bnd_spec.items(), reverse=True):
-        out.bnd[(n, d)] = bnpd(n * h - d, make_modulus(p, r), engine)
+    for (n, d), r in set_spec(supported[-1]).items():
+        value = bnpd(n * h - d, make_modulus(p, r), engine)
+        if d:
+            out.bnd[(n, d)] = value
+        else:
+            out.bn[n] = value
     return out

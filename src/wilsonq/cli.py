@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernoulli import bnpd
+from .bernoulli import bnpd, divided_set
 from .formulas import omega_vector
 from .harness import CHECK_TAGS, RunConfig, run_and_report
 from .oracles import wilson_quotient
@@ -86,15 +86,13 @@ def _cmd_wilson(args, parser) -> int:
     record = wilson_quotient(args.p, args.prec)
     print(f"(p-1)! mod p^{args.prec + 1} = {record.factorial.value}")
     print(f"W_p mod p^{args.prec}    = {record.quotient.value}")
-    print(f"base-{args.p} digits     = {list(record.digits)}")
+    print(f"base-{args.p} digits     = {record.factorial.digits()}")
     return 0
 
 
 def _cmd_omega(args, parser) -> int:
     if not is_prime(args.p):
         parser.error(f"{args.p} is not prime")
-    from .bernoulli import divided_set
-
     depth = 5 if args.thm == 1 else 6
     try:
         omega = omega_vector(args.p, divided_set(args.p), depth=depth)

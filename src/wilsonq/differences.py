@@ -6,6 +6,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
+from .oracles import sh_mod
 from .residues import Residue, make_modulus
 
 #: A pure map from integer index to Residue; indices <= 0 are the caller's
@@ -53,8 +54,6 @@ def q_power_sum_via_differences(n: int, p: int, r: int) -> Residue:
     The difference is taken at precision r + n - 1 so the shift lands
     exactly on precision r.
     """
-    from .oracles import sh_mod
-
     if n < 1:
         raise ValueError("power must be >= 1")
     prec = r + n - 1

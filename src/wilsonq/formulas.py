@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .bernoulli import DividedBernoulliSet
+from .bernoulli import MIN_P, DividedBernoulliSet
 from .oracles import qtilde
 from .polys import ptilde_eval
 from .residues import Residue, make_modulus
@@ -80,40 +80,43 @@ def _residue(value: int, p: int, prec: int) -> Residue:
 
 # -- factorial / Wilson-quotient expansion coefficients ----------------------
 
-_OMEGA_DEPTH5: dict[int, _Display] = {
-    1: lambda t: -5 * t.b(1) + 10 * t.b(2) - 10 * t.b(3) + 5 * t.b(4) - t.b(5),
-    2: lambda t: (t.F(-5, 2) * t.b(1) ** 2 + t.F(15, 2) * t.b(2) ** 2 + t.F(5, 2) * t.b(3) ** 2
-                  + t.b(1) * t.b(4) - 9 * t.b(2) * t.b(3)),
-    3: lambda t: (t.F(-1, 2) * t.b(1) * t.b(2) ** 2
-                  - t.b(1) ** 2 * (t.F(5, 3) * t.b(1) - t.F(5, 2) * t.b(2) + t.F(1, 2) * t.b(3))
-                  - t.b2(1) + t.b2(2) - t.F(1, 3) * t.b2(3)),
-    4: lambda t: (t.F(-5, 24) * t.b(1) ** 4 + t.F(1, 6) * t.b(1) ** 3 * t.b(2)
-                  - t.F(2, 3) * t.b(1) * t.b2(1) + t.F(1, 3) * t.b(2) * t.b2(2)),
-    5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
-                  - t.F(1, 5) * t.b4(1)),
-}
-
-_OMEGA_DEPTH6: dict[int, _Display] = {
-    1: lambda t: (-6 * t.b(1) + 15 * t.b(2) - 20 * t.b(3) + 15 * t.b(4)
-                  - 6 * t.b(5) + t.b(6)),
-    2: lambda t: (t.b(1) * (t.F(-13, 2) * t.b(1) + 15 * t.b(2) - 9 * t.b(3) + 2 * t.b(4))
-                  + t.b(2) * (t.F(-7, 2) * t.b(2) + 3 * t.b(4) - t.b(5))
-                  - t.F(1, 2) * t.b(3) ** 2),
-    3: lambda t: (t.b(1) ** 2 * (t.F(-10, 3) * t.b(1) + t.F(15, 2) * t.b(2)
-                                 - 3 * t.b(3) + t.F(1, 2) * t.b(4))
-                  + t.b(2) ** 2 * (-3 * t.b(1) + t.F(1, 6) * t.b(2))
-                  + t.b(1) * t.b(2) * t.b(3)
-                  - t.F(4, 3) * t.b2(1) + 2 * t.b2(2) - t.F(4, 3) * t.b2(3) + t.F(1, 3) * t.b2(4)),
-    4: lambda t: (t.b(1) ** 3 * (t.F(-5, 8) * t.b(1) + t.b(2) - t.F(1, 6) * t.b(3))
-                  - t.F(1, 4) * t.b(1) ** 2 * t.b(2) ** 2
-                  - t.b(1) * t.b2(1) + t.b(2) * t.b2(2) - t.F(1, 3) * t.b(3) * t.b2(3)),
-    5: lambda t: (t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2)
-                  - t.F(1, 3) * t.b(1) * t.b(2) * t.b2(1)
-                  - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
-                  + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)
-                  - t.F(2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2)),
-    6: lambda t: (t.F(-1, 720) * t.b(1) ** 6 - t.F(1, 18) * t.b(1) ** 3 * t.b2(1)
-                  - t.F(1, 18) * t.b2(1) ** 2 - t.F(1, 5) * t.b(1) * t.b4(1)),
+#: Depth -> nu -> the display of omega_nu, stated mod p^(depth+1-nu).
+_OMEGA: dict[int, dict[int, _Display]] = {
+    5: {
+        1: lambda t: -5 * t.b(1) + 10 * t.b(2) - 10 * t.b(3) + 5 * t.b(4) - t.b(5),
+        2: lambda t: (t.F(-5, 2) * t.b(1) ** 2 + t.F(15, 2) * t.b(2) ** 2 + t.F(5, 2) * t.b(3) ** 2
+                      + t.b(1) * t.b(4) - 9 * t.b(2) * t.b(3)),
+        3: lambda t: (t.F(-1, 2) * t.b(1) * t.b(2) ** 2
+                      - t.b(1) ** 2 * (t.F(5, 3) * t.b(1) - t.F(5, 2) * t.b(2) + t.F(1, 2) * t.b(3))
+                      - t.b2(1) + t.b2(2) - t.F(1, 3) * t.b2(3)),
+        4: lambda t: (t.F(-5, 24) * t.b(1) ** 4 + t.F(1, 6) * t.b(1) ** 3 * t.b(2)
+                      - t.F(2, 3) * t.b(1) * t.b2(1) + t.F(1, 3) * t.b(2) * t.b2(2)),
+        5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
+                      - t.F(1, 5) * t.b4(1)),
+    },
+    6: {
+        1: lambda t: (-6 * t.b(1) + 15 * t.b(2) - 20 * t.b(3) + 15 * t.b(4)
+                      - 6 * t.b(5) + t.b(6)),
+        2: lambda t: (t.b(1) * (t.F(-13, 2) * t.b(1) + 15 * t.b(2) - 9 * t.b(3) + 2 * t.b(4))
+                      + t.b(2) * (t.F(-7, 2) * t.b(2) + 3 * t.b(4) - t.b(5))
+                      - t.F(1, 2) * t.b(3) ** 2),
+        3: lambda t: (t.b(1) ** 2 * (t.F(-10, 3) * t.b(1) + t.F(15, 2) * t.b(2)
+                                     - 3 * t.b(3) + t.F(1, 2) * t.b(4))
+                      + t.b(2) ** 2 * (-3 * t.b(1) + t.F(1, 6) * t.b(2))
+                      + t.b(1) * t.b(2) * t.b(3)
+                      - t.F(4, 3) * t.b2(1) + 2 * t.b2(2) - t.F(4, 3) * t.b2(3)
+                      + t.F(1, 3) * t.b2(4)),
+        4: lambda t: (t.b(1) ** 3 * (t.F(-5, 8) * t.b(1) + t.b(2) - t.F(1, 6) * t.b(3))
+                      - t.F(1, 4) * t.b(1) ** 2 * t.b(2) ** 2
+                      - t.b(1) * t.b2(1) + t.b(2) * t.b2(2) - t.F(1, 3) * t.b(3) * t.b2(3)),
+        5: lambda t: (t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2)
+                      - t.F(1, 3) * t.b(1) * t.b(2) * t.b2(1)
+                      - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
+                      + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)
+                      - t.F(2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2)),
+        6: lambda t: (t.F(-1, 720) * t.b(1) ** 6 - t.F(1, 18) * t.b(1) ** 3 * t.b2(1)
+                      - t.F(1, 18) * t.b2(1) ** 2 - t.F(1, 5) * t.b(1) * t.b4(1)),
+    },
 }
 
 
@@ -146,18 +149,16 @@ class OmegaVector:
 
 
 def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
-    """The coefficient ladder at depth 5 or 6, for p from
-    ``DividedBernoulliSet.MIN_P[depth]`` (7 and 11)."""
-    table = {5: _OMEGA_DEPTH5, 6: _OMEGA_DEPTH6}.get(depth)
-    if table is None:
+    """The coefficient ladder at a depth of ``_OMEGA``, for p from
+    ``MIN_P[depth]``."""
+    if depth not in _OMEGA:
         raise ValueError(f"unsupported depth {depth}")
-    min_p = DividedBernoulliSet.MIN_P[depth]
-    if p < min_p:
-        raise ValueError(f"depth {depth} needs p >= {min_p}, got {p}")
+    if p < MIN_P[depth]:
+        raise ValueError(f"depth {depth} needs p >= {MIN_P[depth]}, got {p}")
     top = depth + 1
     omegas = [Residue(-1, make_modulus(p, top))]
     for nu in range(1, depth + 1):
-        omegas.append(_residue(table[nu](_Acc(p, bset, top - nu)), p, top - nu))
+        omegas.append(_residue(_OMEGA[depth][nu](_Acc(p, bset, top - nu)), p, top - nu))
     return OmegaVector(p=p, omegas=tuple(omegas))
 
 
@@ -165,61 +166,63 @@ def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
 #
 # Each form is a list of (t, builder): the builder produces the coefficient of
 # p^t at precision (level - t).  The leading block carries no power of p.
-# The level-6 forms hold for p >= 11, the level-5 ones for p >= 7.
+# The forms of each level (depth) hold for p >= MIN_P[level].
 
 _Blocks = Sequence[tuple[int, _Display]]
 
-_QTILDE_MAIN_L6: dict[int, _Blocks] = {
-    1: ((0, lambda t: (t.p - 1) * t.b(1)),
-        (2, lambda t: -t.b2(1)),
-        (3, lambda t: t.F(11, 6) * t.b2(1)),
-        (4, lambda t: -(t.b2(1) + t.b4(1))),
-        (5, lambda t: t.F(1, 6) * t.b2(1) + t.F(137, 60) * t.b4(1))),
-    2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
-        (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
-        (5, lambda t: t.F(1, 2) * t.b2(1) + t.F(77, 12) * t.b4(1))),
-    3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
-        (3, lambda t: t.F(11, 6) * t.b2(1) - t.F(26, 3) * t.b2(2) + t.F(47, 6) * t.b2(3)),
-        (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
-        (5, lambda t: t.F(1, 3) * t.b2(1) + t.F(47, 6) * t.b4(1))),
-    4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
-        (3, lambda t: t.F(21, 2) * t.b2(1) - 24 * t.b2(2) + t.F(27, 2) * t.b2(3)),
-        (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
-        (5, lambda t: t.F(9, 2) * t.b4(1))),
-    5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-        (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
-        (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
-        (4, lambda t: t.F(23, 5) * t.b4(1) - t.F(24, 5) * t.b4(2)),
-        (5, lambda t: t.b4(1))),
-    6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
-        (2, lambda t: t.F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3) - t.F(10, 3) * t.b2(4)),
-        (4, lambda t: t.b4(1) - t.b4(2))),
-}
-
-_QTILDE_MAIN_L5: dict[int, _Blocks] = {
-    1: ((0, lambda t: (t.p - 1) * t.b(1)),
-        (2, lambda t: -t.b2(1)),
-        (3, lambda t: t.F(11, 6) * t.b2(1)),
-        (4, lambda t: -(t.b2(1) + t.b4(1)))),
-    2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
-        (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-        (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
-        (4, lambda t: -(2 * t.b2(1) + 2 * t.b4(1)))),
-    3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-        (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
-        (3, lambda t: -6 * t.b2(1) + 7 * t.b2(2)),
-        (4, lambda t: -(t.b2(1) + 2 * t.b4(1)))),
-    4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
-        (2, lambda t: -4 * t.b2(1) + 9 * t.b2(2) - 5 * t.b2(3)),
-        (3, lambda t: -3 * t.b2(1) + 3 * t.b2(2)),
-        (4, lambda t: -t.b4(1))),
-    5: ((0, lambda t: -(t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-        (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
-        (4, lambda t: t.F(-1, 5) * t.b4(1))),
+_QTILDE_MAIN: dict[int, dict[int, _Blocks]] = {
+    5: {
+        1: ((0, lambda t: (t.p - 1) * t.b(1)),
+            (2, lambda t: -t.b2(1)),
+            (3, lambda t: t.F(11, 6) * t.b2(1)),
+            (4, lambda t: -(t.b2(1) + t.b4(1)))),
+        2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
+            (2, lambda t: t.b2(1) - 2 * t.b2(2)),
+            (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
+            (4, lambda t: -(2 * t.b2(1) + 2 * t.b4(1)))),
+        3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
+            (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
+            (3, lambda t: -6 * t.b2(1) + 7 * t.b2(2)),
+            (4, lambda t: -(t.b2(1) + 2 * t.b4(1)))),
+        4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
+            (2, lambda t: -4 * t.b2(1) + 9 * t.b2(2) - 5 * t.b2(3)),
+            (3, lambda t: -3 * t.b2(1) + 3 * t.b2(2)),
+            (4, lambda t: -t.b4(1))),
+        5: ((0, lambda t: -(t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
+            (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
+            (4, lambda t: t.F(-1, 5) * t.b4(1))),
+    },
+    6: {
+        1: ((0, lambda t: (t.p - 1) * t.b(1)),
+            (2, lambda t: -t.b2(1)),
+            (3, lambda t: t.F(11, 6) * t.b2(1)),
+            (4, lambda t: -(t.b2(1) + t.b4(1))),
+            (5, lambda t: t.F(1, 6) * t.b2(1) + t.F(137, 60) * t.b4(1))),
+        2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
+            (2, lambda t: t.b2(1) - 2 * t.b2(2)),
+            (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
+            (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
+            (5, lambda t: t.F(1, 2) * t.b2(1) + t.F(77, 12) * t.b4(1))),
+        3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
+            (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
+            (3, lambda t: t.F(11, 6) * t.b2(1) - t.F(26, 3) * t.b2(2) + t.F(47, 6) * t.b2(3)),
+            (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
+            (5, lambda t: t.F(1, 3) * t.b2(1) + t.F(47, 6) * t.b4(1))),
+        4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
+            (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
+            (3, lambda t: t.F(21, 2) * t.b2(1) - 24 * t.b2(2) + t.F(27, 2) * t.b2(3)),
+            (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
+            (5, lambda t: t.F(9, 2) * t.b4(1))),
+        5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
+            (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
+            (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
+            (4, lambda t: t.F(23, 5) * t.b4(1) - t.F(24, 5) * t.b4(2)),
+            (5, lambda t: t.b4(1))),
+        6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
+            (2, lambda t: (t.F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3)
+                           - t.F(10, 3) * t.b2(4))),
+            (4, lambda t: t.b4(1) - t.b4(2))),
+    },
 }
 
 #: The depth-5 congruence for n=5 with its leading factor left as (p-1)
@@ -242,21 +245,19 @@ def _eval_blocks(blocks: _Blocks, p: int, bset: DividedBernoulliSet, level: int)
 
 
 def _check_level(n: int, p: int, level: int) -> None:
-    min_p = DividedBernoulliSet.MIN_P.get(level)
-    if min_p is None:
+    if level not in MIN_P:
         raise ValueError(f"unsupported level {level}")
     if not 1 <= n <= level:
         raise ValueError(f"level {level} supports n in 1..{level}, got {n}")
-    if p < min_p:
-        raise ValueError(f"level {level} needs p >= {min_p}, got {p}")
+    if p < MIN_P[level]:
+        raise ValueError(f"level {level} needs p >= {MIN_P[level]}, got {p}")
 
 
 def qtilde_rhs(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
     """Closed form of (p^(n-1)/n) Q_p(n) mod p^level over divided Bernoulli
-    numbers (level 6 for p >= 11, level 5 for p >= 7)."""
+    numbers, for p >= MIN_P[level]."""
     _check_level(n, p, level)
-    table = _QTILDE_MAIN_L6 if level == 6 else _QTILDE_MAIN_L5
-    return _eval_blocks(table[n], p, bset, level)
+    return _eval_blocks(_QTILDE_MAIN[level][n], p, bset, level)
 
 
 def qtilde_l5_n5_unreduced(p: int, bset: DividedBernoulliSet) -> Residue:
@@ -267,21 +268,14 @@ def qtilde_l5_n5_unreduced(p: int, bset: DividedBernoulliSet) -> Residue:
 # -- coefficient-vector form --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientTables:
-    """The per-n coefficient vectors of the two difference-operator
-    expansions, exactly as printed."""
-
-    level5: Mapping[str, tuple[Fraction, ...]]
-    level6: Mapping[str, tuple[Fraction, ...]]
-
-
 def _fr(*xs) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in xs)
 
 
-COEFF_TABLES = CoefficientTables(
-    level5={
+#: Level -> the per-n coefficient vectors of the difference-operator
+#: expansion at that level, exactly as printed.
+COEFF_TABLES: dict[int, dict[str, tuple[Fraction, ...]]] = {
+    5: {
         "alpha": _fr(-1, 2, -3, -16, -10),
         "alpha_p": _fr(0, -4, 12, 36, 20),
         "alpha_pp": _fr(0, 0, -10, -20, -10),
@@ -290,7 +284,7 @@ COEFF_TABLES = CoefficientTables(
         "gamma": _fr(-1, -4, -3, 0, 0),
         "delta": _fr(-1, -4, -6, -4, -1),
     },
-    level6={
+    6: {
         "alpha": _fr(-1, 2, -3, 4, 30, 20),
         "alpha_p": _fr(0, -4, 12, -24, -100, -60),
         "alpha_pp": _fr(0, 0, -10, 40, 110, 60),
@@ -305,20 +299,22 @@ COEFF_TABLES = CoefficientTables(
         "epsilon_p": _fr(0, -6, -24, -36, -24, -6),
         "eta": _fr(F(137, 60), F(77, 6), F(47, 2), 18, 5, 0),
     },
-)
-
-# per power of p: (vector name, index offset d, family multiplier j) so the
-# block is sum over entries of vec[n] * value_at(j(p-1) - d).
-_VEC_BLOCKS_L5 = {
-    2: (("alpha", 2, 1), ("alpha_p", 2, 2), ("alpha_pp", 2, 3)),
-    3: (("beta", 2, 1), ("beta_p", 2, 2)),
-    4: (("gamma", 2, 1), ("delta", 4, 1)),
 }
-_VEC_BLOCKS_L6 = {
-    2: (("alpha", 2, 1), ("alpha_p", 2, 2), ("alpha_pp", 2, 3), ("alpha_ppp", 2, 4)),
-    3: (("beta", 2, 1), ("beta_p", 2, 2), ("beta_pp", 2, 3)),
-    4: (("gamma", 2, 1), ("gamma_p", 2, 2), ("epsilon", 4, 1), ("epsilon_p", 4, 2)),
-    5: (("delta", 2, 1), ("eta", 4, 1)),
+
+# Level -> per power of p: (vector name, index offset d, family multiplier j)
+# so the block is sum over entries of vec[n] * value_at(j(p-1) - d).
+_VEC_BLOCKS = {
+    5: {
+        2: (("alpha", 2, 1), ("alpha_p", 2, 2), ("alpha_pp", 2, 3)),
+        3: (("beta", 2, 1), ("beta_p", 2, 2)),
+        4: (("gamma", 2, 1), ("delta", 4, 1)),
+    },
+    6: {
+        2: (("alpha", 2, 1), ("alpha_p", 2, 2), ("alpha_pp", 2, 3), ("alpha_ppp", 2, 4)),
+        3: (("beta", 2, 1), ("beta_p", 2, 2), ("beta_pp", 2, 3)),
+        4: (("gamma", 2, 1), ("gamma_p", 2, 2), ("epsilon", 4, 1), ("epsilon_p", 4, 2)),
+        5: (("delta", 2, 1), ("eta", 4, 1)),
+    },
 }
 
 
@@ -327,15 +323,14 @@ def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedBernoulliSe
     with the printed coefficient vectors, read from the same divided set as
     :func:`qtilde_rhs`.  The lead block is (p-1) times the (n-1)-th forward
     difference of b(1..n); the block of p^t is 1/n times the sum of each
-    vector's n-th entry against b2(j) or b4(j), as ``_VEC_BLOCKS_*`` place
-    it (zero entries read nothing)."""
+    vector's n-th entry against b2(j) or b4(j), as ``_VEC_BLOCKS[level]``
+    places it (zero entries read nothing)."""
     _check_level(n, p, level)
-    vectors = COEFF_TABLES.level6 if level == 6 else COEFF_TABLES.level5
-    entries = _VEC_BLOCKS_L6 if level == 6 else _VEC_BLOCKS_L5
+    vectors = COEFF_TABLES[level]
     blocks: list[tuple[int, _Display]] = [
         (0, lambda t: (t.p - 1) * sum((-1) ** (n - 1 - v) * comb(n - 1, v) * t.b(v + 1)
                                       for v in range(n)))]
-    for t_pow, row in entries.items():
+    for t_pow, row in _VEC_BLOCKS[level].items():
         terms = [(c, d, j) for name, d, j in row if (c := vectors[name][n - 1])]
         blocks.append((t_pow, lambda t, terms=terms: t.F(1, n) * sum(
             t.F(c.numerator, c.denominator) * (t.b2(j) if d == 2 else t.b4(j))

@@ -26,7 +26,8 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import formulas, oracles
-from .bernoulli import BernoulliEngine, DividedBernoulliSet, bnpd, divided_set, kummer_admissible
+from .bernoulli import (MIN_P, BernoulliEngine, DividedBernoulliSet, bnpd, depths, divided_set,
+                        kummer_admissible)
 from .differences import forward_difference
 from .residues import PRIME_BOUND, Residue, is_prime, make_modulus
 
@@ -78,7 +79,8 @@ class PrimeRun:
 
     def __init__(self, p: int):
         self.p = p
-        self.levels = tuple(d for d, min_p in DividedBernoulliSet.MIN_P.items() if p >= min_p)
+        self.levels = depths(p)
+        self._omegas: dict[int, formulas.OmegaVector] = {}
 
     @cached_property
     def engine(self) -> BernoulliEngine:
@@ -96,16 +98,11 @@ class PrimeRun:
     def wilson(self) -> oracles.WilsonRecord:
         return oracles.wilson_quotient(self.p, 6)
 
-    @cached_property
-    def omega5(self) -> formulas.OmegaVector:
-        return formulas.omega_vector(self.p, self.bset, depth=5)
-
-    @cached_property
-    def omega6(self) -> formulas.OmegaVector:
-        return formulas.omega_vector(self.p, self.bset, depth=6)
-
     def omega(self, depth: int) -> formulas.OmegaVector:
-        return self.omega5 if depth == 5 else self.omega6
+        """The coefficient ladder at ``depth``, built on first use."""
+        if depth not in self._omegas:
+            self._omegas[depth] = formulas.omega_vector(self.p, self.bset, depth)
+        return self._omegas[depth]
 
 
 def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
@@ -130,24 +127,19 @@ def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
 
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
     """Factorial expansion at the given depth versus the direct factorial,
-    plus the per-coefficient prefix ladder against the Wilson quotient."""
+    plus the per-coefficient prefix ladder against the Wilson quotient and,
+    where the prime supports the depth below, each shared coefficient against
+    that ladder's."""
     omega = run.omega(depth)
     rows = [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
              omega.factorial_form())]
     rows += [(f"wilson-prefix-{r}", run.wilson.quotient.reduce_to(r), omega.wilson_form(r))
              for r in range(1, depth + 1)]
-    if depth == 6:
-        rows += [(f"reduces-to-depth5-w{nu}", run.omega6.omegas[nu].reduce_to(6 - nu),
-                  run.omega5.omegas[nu]) for nu in range(1, 6)]
+    if depth - 1 in run.levels:
+        lower = run.omega(depth - 1)
+        rows += [(f"reduces-to-depth{depth - 1}-w{nu}", omega.omegas[nu].reduce_to(depth - nu),
+                  lower.omegas[nu]) for nu in range(1, depth)]
     return rows
-
-
-def _check_thm1(run: PrimeRun) -> list[Row]:
-    return _expansion(run, 5)
-
-
-def _check_thm2(run: PrimeRun) -> list[Row]:
-    return _expansion(run, 6)
 
 
 def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
@@ -156,14 +148,6 @@ def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
     return [(f"n={n}-mod-p^{level}", oracles.qtilde(n, run.p, level, run.sums),
              closed_form(n, run.p, level, run.bset))
             for level in run.levels for n in range(1, level + 1)]
-
-
-def _check_thm3(run: PrimeRun) -> list[Row]:
-    return _power_sums(run, formulas.qtilde_rhs)
-
-
-def _check_props(run: PrimeRun) -> list[Row]:
-    return _power_sums(run, formulas.qtilde_via_coefficients)
 
 
 def _check_lemmas(run: PrimeRun) -> list[Row]:
@@ -203,17 +187,19 @@ def _check_table3(run: PrimeRun) -> list[Row]:
     return rows
 
 
-#: (tag, smallest prime, runner) in canonical run order.
+#: (tag, smallest prime, runner) in canonical run order.  A runner that reads
+#: the divided set starts where the set does, at MIN_P[5], or at the depth it
+#: expands.
 CHECKS = (
-    ("thm1", DividedBernoulliSet.MIN_P[5], _check_thm1),
-    ("thm2", DividedBernoulliSet.MIN_P[6], _check_thm2),
-    ("thm3", 7, _check_thm3),
-    ("props", 7, _check_props),
-    ("lemmas", 7, _check_lemmas),
+    ("thm1", MIN_P[5], lambda run: _expansion(run, 5)),
+    ("thm2", MIN_P[6], lambda run: _expansion(run, 6)),
+    ("thm3", MIN_P[5], lambda run: _power_sums(run, formulas.qtilde_rhs)),
+    ("props", MIN_P[5], lambda run: _power_sums(run, formulas.qtilde_via_coefficients)),
+    ("lemmas", MIN_P[5], _check_lemmas),
     ("psi", 3, _check_psi),
     ("kummer", 7, _check_kummer),
-    ("zero-exprs", 7, _check_zero_exprs),
-    ("table3", 7, _check_table3),
+    ("zero-exprs", MIN_P[5], _check_zero_exprs),
+    ("table3", MIN_P[5], _check_table3),
 )
 CHECK_TAGS = frozenset(tag for tag, _, _ in CHECKS)
 

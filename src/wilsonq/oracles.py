@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .residues import Residue, make_modulus, power_table
+from .residues import Modulus, Residue, make_modulus, power_table
 
 
 def fermat_quotient(a: int, p: int, r: int) -> Residue:
@@ -60,14 +60,20 @@ def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> R
     return Residue(base.value * p ** (n - 1) * pow(n, -1, modulus.value), modulus)
 
 
+def power_sum_mod(n: int, modulus: Modulus) -> Residue:
+    """S_n(p) = 1^n + 2^n + ... + (p-1)^n mod p^r by direct summation."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    p, m = modulus.p, modulus.value
+    return Residue(sum(pow(v, n, m) for v in range(1, p)) % m, modulus)
+
+
 def sh_mod(n: int, p: int, r: int) -> Residue:
     """Modified power sum (S_n(p) - S_0(p))/p mod p^r, with value 0 at n=0.
 
     Only defined (p-adically) when S_n(p) = S_0(p) mod p, which holds exactly
     when p-1 divides n -- the indices the difference operators sample.
     """
-    from .bernoulli import power_sum_mod  # local import: no cycle at module load
-
     modulus = make_modulus(p, r)
     if n == 0:
         return Residue(0, modulus)
@@ -88,13 +94,10 @@ def factorial_mod(p: int, r: int) -> Residue:
 
 @dataclass(frozen=True)
 class WilsonRecord:
-    """(p-1)! mod p^(r+1), the Wilson quotient mod p^r, and the base-p digits
-    of the factorial value."""
+    """(p-1)! mod p^(r+1) and the Wilson quotient mod p^r."""
 
-    p: int
     factorial: Residue
     quotient: Residue
-    digits: tuple[int, ...]
 
 
 def wilson_quotient(p: int, r: int) -> WilsonRecord:
@@ -103,4 +106,4 @@ def wilson_quotient(p: int, r: int) -> WilsonRecord:
         raise ValueError("precision must be >= 1")
     fact = factorial_mod(p, r + 1)
     quotient = (fact + 1).shift_down(1)
-    return WilsonRecord(p=p, factorial=fact, quotient=quotient, digits=tuple(fact.digits()))
+    return WilsonRecord(factorial=fact, quotient=quotient)

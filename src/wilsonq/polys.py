@@ -16,7 +16,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .residues import Residue, from_rational
+from .residues import Residue
 
 NVARS = 6
 
@@ -138,7 +138,8 @@ class MultiPoly:
         """Evaluate at x_i = values[i-1] with p set to the shared prime.
 
         All coefficient denominators must be units and every p exponent must
-        be non-negative by evaluation time.
+        be non-negative by evaluation time.  Each term is a plain integer
+        product, reduced once in the sum.
         """
         if not values:
             raise ValueError("need at least one value to fix the modulus")
@@ -148,14 +149,14 @@ class MultiPoly:
         for (pe, exps), coeff in self.terms.items():
             if pe < 0:
                 raise ValueError("negative power of p at evaluation time")
-            term = from_rational(coeff, modulus).value
-            if pe:
-                term = term * pow(p, pe, m) % m
+            if coeff.denominator % p == 0:
+                raise ValueError(f"denominator {coeff.denominator} not coprime to {p}")
+            term = coeff.numerator * pow(coeff.denominator, -1, m) * p**pe
             for i, e in enumerate(exps):
                 if e:
                     if i >= len(values):
                         raise ValueError(f"variable x{i + 1} has no value")
-                    term = term * pow(values[i].value, e, m) % m
+                    term *= values[i].value ** e
             acc += term
         return Residue(acc, modulus)
 

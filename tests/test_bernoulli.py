@@ -8,12 +8,14 @@ from wilsonq.bernoulli import (
     bernoulli_times_p,
     bnp,
     bnpd,
+    depths,
     divided_set,
     exact_bernoulli,
     kummer_admissible,
-    power_sum_mod,
+    set_spec,
 )
 from wilsonq.differences import forward_difference
+from wilsonq.oracles import power_sum_mod
 from wilsonq.residues import from_rational, make_modulus
 
 F = Fraction
@@ -163,6 +165,19 @@ def test_divided_set_defaults_and_values():
     assert set(bs11.bn) == {1, 2, 3, 4, 5, 6}
     assert set(bs11.bnd) == {(1, 2), (2, 2), (3, 2), (4, 2), (1, 4), (2, 4)}
     assert bs11.b(1).precision == 6 and bs11.bd(1, 2).precision == 4
+
+    # the depth rule gives the set specs the paper's two ladders read
+    specs = {
+        7: ({1: 5, 2: 5, 3: 5, 4: 5, 5: 5},
+            {(1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1}),
+        11: ({1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6},
+             {(1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2}),
+    }
+    for p, bs in ((7, bs7), (11, bs11)):
+        bn_spec, bnd_spec = specs[p]
+        assert {n: value.precision for n, value in bs.bn.items()} == bn_spec, p
+        assert {key: value.precision for key, value in bs.bnd.items()} == bnd_spec, p
+        assert set_spec(depths(p)[-1]) == {**{(n, 0): r for n, r in bn_spec.items()}, **bnd_spec}
 
 
 def test_divided_set_kummer_pairs():

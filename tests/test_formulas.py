@@ -10,7 +10,7 @@ from wilsonq.bernoulli import divided_set
 from wilsonq.differences import binom_diff_mod_p
 from wilsonq.formulas import (
     COEFF_TABLES,
-    _QTILDE_MAIN_L6,
+    _QTILDE_MAIN,
     omega5_reduction_rows,
     omega_mod_p_rhs,
     omega_vector,
@@ -95,7 +95,7 @@ def test_qtilde_rhs_levels_consistent():
 
 def test_qtilde_structural_shape():
     # the n=6 congruence has no p^3 or p^5 contribution
-    powers = {t for t, _ in _QTILDE_MAIN_L6[6]}
+    powers = {t for t, _ in _QTILDE_MAIN[6][6]}
     assert powers == {0, 2, 4}
 
 
@@ -149,7 +149,7 @@ def test_unreduced_lead_variant():
 def test_delta_vector_matches_binomial_difference():
     # the depth-5 p^4 coefficients of the order-5 column come from the
     # binomial-difference closed form
-    delta = COEFF_TABLES.level5["delta"]
+    delta = COEFF_TABLES[5]["delta"]
     for p in (11, 13, 101):
         m = make_modulus(p, 1)
         for n in range(1, 6):
@@ -158,11 +158,11 @@ def test_delta_vector_matches_binomial_difference():
 
 
 def test_printed_coefficient_vectors():
-    lvl5 = COEFF_TABLES.level5
+    lvl5 = COEFF_TABLES[5]
     assert lvl5["alpha"] == (-1, 2, -3, -16, -10)
     assert lvl5["delta"] == (-1, -4, -6, -4, -1)
     assert lvl5["beta"] == (F(11, 6), F(-11, 3), -18, -12, 0)
-    lvl6 = COEFF_TABLES.level6
+    lvl6 = COEFF_TABLES[6]
     assert lvl6["eta"] == (F(137, 60), F(77, 6), F(47, 2), 18, 5, 0)
     assert lvl6["delta"] == (F(1, 6), 1, 1, 0, 0, 0)
     assert lvl6["epsilon"] == (-1, 2, 18, 32, 23, 6)
@@ -214,9 +214,9 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
     bs = divided_set(13)
     good = omega_vector(13, bs, 5).factorial_form()
     assert good == factorial_mod(13, 6)
-    original = formulas._OMEGA_DEPTH5[1]
+    original = formulas._OMEGA[5][1]
     monkeypatch.setitem(
-        formulas._OMEGA_DEPTH5, 1, lambda t: original(t) + t.b(1)
+        formulas._OMEGA[5], 1, lambda t: original(t) + t.b(1)
     )
     bad = omega_vector(13, bs, 5).factorial_form()
     assert bad != factorial_mod(13, 6)
@@ -284,7 +284,7 @@ def test_display_returning_a_fraction_raises(monkeypatch):
     # a stray Fraction must never be wrapped as a residue and reported
     stray = lambda t: F(1, 2) * t.b(1)  # noqa: E731
     bs = divided_set(11)
-    monkeypatch.setitem(formulas._OMEGA_DEPTH5, 2, stray)
+    monkeypatch.setitem(formulas._OMEGA[5], 2, stray)
     with pytest.raises(TypeError, match="Fraction"):
         omega_vector(11, bs, 5)
     monkeypatch.setitem(formulas._OMEGA_MOD_P, 2, stray)
@@ -305,10 +305,10 @@ def test_block_is_reduced_at_its_precision_before_the_lift(monkeypatch):
     p, level = 13, 6
     bs = divided_set(p)
     base = qtilde_rhs(1, p, level, bs)
-    blocks = formulas._QTILDE_MAIN_L6[1]
+    blocks = formulas._QTILDE_MAIN[6][1]
     for t_pow in (2, 3, 4, 5):
         for e, shift in ((level - t_pow, 0), (level - t_pow - 1, p ** (level - 1))):
-            monkeypatch.setitem(formulas._QTILDE_MAIN_L6, 1,
+            monkeypatch.setitem(formulas._QTILDE_MAIN[6], 1,
                                 (*blocks, (t_pow, lambda t, e=e: p**e)))
             assert qtilde_rhs(1, p, level, bs) == base + shift, (t_pow, e)
 
@@ -331,8 +331,8 @@ def test_displays_stay_on_the_integer_path():
                 "omega5_reduction_rows", "qtilde_via_coefficients"):
             scanned.append(node)
     assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 2
-    assert {"_OMEGA_DEPTH5", "_OMEGA_DEPTH6", "_QTILDE_MAIN_L6", "_QTILDE_MAIN_L5",
-            "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS", "_OMEGA_MOD_P"} <= tables
+    assert {"_OMEGA", "_QTILDE_MAIN", "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS",
+            "_OMEGA_MOD_P"} <= tables
     offenders = [
         (call.lineno, call.func.id)
         for node in scanned for call in ast.walk(node)

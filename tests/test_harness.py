@@ -3,12 +3,15 @@ import csv
 import io
 import json
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from wilsonq import harness, oracles
-from wilsonq.bernoulli import SET_SPEC_DEPTH6, BernoulliEngine, DividedBernoulliSet
+from wilsonq.bernoulli import MIN_P, BernoulliEngine, DividedBernoulliSet, set_spec
 from wilsonq.cli import main
 from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
 from wilsonq.harness import (
@@ -52,7 +55,7 @@ def test_empty_check_set_is_rejected():
 
 
 def test_levels_follow_the_depth_table():
-    assert DividedBernoulliSet.MIN_P == {5: 7, 6: 11}
+    assert MIN_P == {5: 7, 6: 11}
     assert [PrimeRun(p).levels for p in (5, 7, 11, 13)] == [(), (5,), (5, 6), (5, 6)]
     min_p = {tag: q for tag, q, _ in CHECKS}
     assert (min_p["thm1"], min_p["thm2"]) == (7, 11)
@@ -267,13 +270,16 @@ def test_every_divided_set_row_can_fail():
     bset_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
     for p in (11, 13):
         failed: dict[tuple[str, str], bool] = {}
-        bn_spec, bnd_spec = SET_SPEC_DEPTH6
+        # drawn family by family, n ascending
+        spec = sorted(set_spec(6).items(), key=lambda item: item[0][::-1])
         for _ in range(4):
             bset = DividedBernoulliSet(p)
-            for n, r in bn_spec.items():
-                bset.bn[n] = Residue(rng.randrange(p**r), make_modulus(p, r))
-            for key, r in bnd_spec.items():
-                bset.bnd[key] = Residue(rng.randrange(p**r), make_modulus(p, r))
+            for (n, d), r in spec:
+                value = Residue(rng.randrange(p**r), make_modulus(p, r))
+                if d:
+                    bset.bnd[(n, d)] = value
+                else:
+                    bset.bn[n] = value
             run = PrimeRun(p)
             run.__dict__["bset"] = bset
             for tag, _, runner in CHECKS:
@@ -282,6 +288,23 @@ def test_every_divided_set_row_can_fail():
                         failed[(tag, case)] = failed.get((tag, case), False) or lhs != rhs
         assert len(failed) == 69
         assert [key for key, ever in failed.items() if not ever] == [], p
+
+
+def test_divided_set_rows_start_where_the_set_does(monkeypatch):
+    # a row that reads the divided set below MIN_P[5] would be an error row,
+    # not a skip marker, so its bound must not lie below the set's own
+    def no_set(p, engine):
+        raise LookupError("divided set read")
+
+    monkeypatch.setattr(harness, "divided_set", no_set)
+    readers = {}
+    for tag, min_p, runner in CHECKS:
+        try:
+            runner(PrimeRun(11))
+        except LookupError:
+            readers[tag] = min_p
+    assert set(readers) == {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
+    assert all(min_p >= MIN_P[5] for min_p in readers.values()), readers
 
 
 def test_one_factorial_per_prime(monkeypatch):
@@ -314,3 +337,15 @@ def test_kummer_sums_each_index_once(monkeypatch):
     rows = check_prime(101, RunConfig(pmin=101, pmax=101, checks=frozenset(["kummer"])))
     assert rows and all(r.passed for r in rows)
     assert len(calls) == len(set(calls)) == 85
+
+
+def test_kummer_scan_script_runs_clean():
+    # the documented command of the dense scan script, the other caller of
+    # kummer_differences
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "scripts/kummer_scan.py", "--primes", "7", "11", "13", "17", "19",
+         "--nmax", "400", "--rmax", "3"],
+        cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "zero failures" in done.stdout

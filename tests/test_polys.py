@@ -49,6 +49,8 @@ def test_multipoly_evaluate_guards():
         bad.evaluate([Residue(1, m)])
     with pytest.raises(ValueError, match="no value"):
         MultiPoly.var(3).evaluate([Residue(1, m)])
+    with pytest.raises(ValueError, match="denominator 14 not coprime to 7"):
+        MultiPoly.const(F(1, 14)).evaluate([Residue(1, m)])
 
 
 def test_first_family_table_values():
