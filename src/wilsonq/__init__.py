@@ -3,9 +3,8 @@ computed two independent ways and verified bit-exactly over prime ranges."""
 
 from .bernoulli import (
     BernoulliEngine,
-    DividedBernoulliSet,
+    DividedSet,
     bernoulli_times_p,
-    bnp,
     bnpd,
     divided_set,
     exact_bernoulli,
@@ -51,7 +50,7 @@ __all__ = [
     "BernoulliEngine",
     "CheckResult",
     "COEFF_TABLES",
-    "DividedBernoulliSet",
+    "DividedSet",
     "Modulus",
     "MultiPoly",
     "OmegaVector",
@@ -62,7 +61,6 @@ __all__ = [
     "WilsonRecord",
     "bernoulli_times_p",
     "binom_diff_mod_p",
-    "bnp",
     "bnpd",
     "check_prime",
     "divided_set",

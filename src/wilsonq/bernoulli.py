@@ -19,12 +19,12 @@ Two independent routes are provided:
   of precision per level, so each target index touches at most g smaller
   indices.
 
-Derived quantities: the p-integral value (pole removed when p-1 | m), its
-divided form value/m, and a per-prime set of the divided values at the
-index families n(p-1)-d for even d.  The depth policy lives here alone:
-``MIN_P`` maps each depth R (the expansion of (p-1)! mod p^(R+1)) to the
-smallest prime it holds for, :func:`depths` lists the depths a prime
-supports and :func:`set_spec` the set values a depth reads.
+Derived quantities: the divided value B_m/m (pole removed when p-1 | m),
+which :func:`bnpd` alone computes from p*B_m, and a per-prime dict of the
+divided values at the index families n(p-1)-d for even d.  The depth policy
+lives here alone: ``MIN_P`` maps each depth R (the expansion of (p-1)! mod
+p^(R+1)) to the smallest prime it holds for, :func:`depths` lists the depths
+a prime supports and :func:`set_spec` the set values a depth reads.
 
 One prime's power-sum tables and p*B_m values live in a
 :class:`BernoulliEngine`, an optional trailing argument of every function
@@ -32,7 +32,6 @@ built on it; a call without one works on a throwaway engine.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -107,7 +106,7 @@ class BernoulliEngine:
         self.mod = self.p**g
         self._cols: dict[int, list[int]] = {}
         self._squares = [v * v % self.mod for v in range(1, self.p)]
-        self._wrows: dict[int, list[int]] = {0: [1] * (self.p - 1)}
+        self._wrows: list[list[int]] = [[1] * (self.p - 1)]
 
     def _column(self, c: int) -> list[int]:
         col = self._cols.get(c)
@@ -123,17 +122,13 @@ class BernoulliEngine:
         return col
 
     def _wrow(self, k: int) -> list[int]:
-        row = self._wrows.get(k)
-        if row is not None:
-            return row
-        p, m = self.p, self.mod
-        if k == 1:
-            row = power_table(p, p - 1, m)
-        else:
-            w1, prev = self._wrow(1), self._wrow(k - 1)
-            row = [a * b % m for a, b in zip(prev, w1)]
-        self._wrows[k] = row
-        return row
+        # Filled upward from the highest row held: row 1 is a power table,
+        # each row above it the row below times row 1.
+        rows, m = self._wrows, self.mod
+        while len(rows) <= k:
+            rows.append(power_table(self.p, self.p - 1, m) if len(rows) == 1
+                        else [a * b % m for a, b in zip(rows[-1], rows[1])])
+        return rows[k]
 
     def power_sum(self, j: int, g: int) -> int:
         """S_j(p) mod p^g, raising the table precision to g if needed."""
@@ -192,32 +187,17 @@ def bernoulli_times_p(m: int, p: int, g: int, engine: BernoulliEngine | None = N
     return Residue(engine.pb_value(m, g), make_modulus(p, g))
 
 
-# -- p-integral and divided values -------------------------------------------
-
-
-def bnp(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Residue:
-    """The p-integral value: 0 at m=0, B_m + 1/p - 1 when p-1 | m, else B_m.
-
-    Computed from p*B_m at one extra digit; the final shift by p is exact by
-    the von Staudt-Clausen structure of the denominator, and a valuation
-    failure here would mean the engine itself is broken.
-    """
-    p, r = modulus.p, modulus.r
-    if m == 0:
-        return Residue(0, modulus)
-    pb = bernoulli_times_p(m, p, r + 1, engine)
-    if m > 0 and m % (p - 1) == 0:
-        pb = pb + (1 - p)
-    return pb.shift_down(1)
+# -- divided values ----------------------------------------------------------
 
 
 def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Residue:
-    """The divided p-integral value (.../m for m >= 1, zero for m <= 0).
+    """The divided p-integral value B_m/m for m >= 1, with the pole removed
+    (B_m + 1/p - 1 in place of B_m) when p-1 | m; zero for m <= 0.
 
-    When p^e | m the division needs e extra digits, which exist because the
-    numerator has matching valuation (Adams / Carlitz); if it does not, the
-    shift raises, making the implicit integrality claim executable.  The
-    working precision is the exact need r + 1 + e, which must stay below p.
+    Computed from p*B_m at working precision g = r + 1 + e, where p^e | m: the
+    division by p^(1+e) is exact because the numerator has matching valuation
+    (von Staudt-Clausen, Adams / Carlitz); if it does not, this raises, making
+    the implicit integrality claim executable.  g must stay below p.
     """
     p, r = modulus.p, modulus.r
     if m <= 0:
@@ -232,11 +212,13 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
             f"precision p^{r} for index {m} unreachable at p={p} "
             f"(needs working precision {g})"
         )
-    pb = bernoulli_times_p(m, p, g, engine)
+    pb = bernoulli_times_p(m, p, g, engine).value
     if m % (p - 1) == 0:
-        pb = pb + (1 - p)
-    divided = pb.shift_down(1 + e)
-    return (divided * Residue(pow(unit, -1, divided.modulus.value), divided.modulus)).reduce_to(r)
+        pb += 1 - p
+    shift = p ** (1 + e)
+    if pb % shift:
+        raise ValueError(f"insufficient valuation: {pb} not divisible by {p}^{1 + e}")
+    return Residue(pb // shift * pow(unit, -1, modulus.value), modulus)
 
 
 def kummer_admissible(p: int, r: int, n: int) -> bool:
@@ -268,46 +250,17 @@ def set_spec(depth: int) -> dict[tuple[int, int], int]:
     return {(n, d): depth - d for d in range(0, depth, 2) for n in range(depth - d, 0, -1)}
 
 
-@dataclass
-class DividedBernoulliSet:
-    """Per-prime cache of divided Bernoulli values at the two index families.
-
-    ``bn[n]`` holds the value at index n(p-1) (pole removed), ``bnd[(n, d)]``
-    the value at index n(p-1)-d, each at its own stated precision.
-    """
-
-    p: int
-    bn: dict[int, Residue] = field(default_factory=dict)
-    bnd: dict[tuple[int, int], Residue] = field(default_factory=dict)
-
-    def b(self, n: int, prec: int | None = None) -> Residue:
-        try:
-            value = self.bn[n]
-        except KeyError:
-            raise ValueError(f"missing cache entry: index family n={n} (p={self.p})")
-        return value if prec is None else value.reduce_to(prec)
-
-    def bd(self, n: int, d: int, prec: int | None = None) -> Residue:
-        try:
-            value = self.bnd[(n, d)]
-        except KeyError:
-            raise ValueError(f"missing cache entry: (n={n}, d={d}) (p={self.p})")
-        return value if prec is None else value.reduce_to(prec)
+#: One prime's divided set: (n, d) -> the divided value at index n(p-1) - d,
+#: with the keys, order and precisions of its ``set_spec``.
+DividedSet = dict[tuple[int, int], Residue]
 
 
-def divided_set(p: int, engine: BernoulliEngine | None = None) -> DividedBernoulliSet:
-    """Populate a DividedBernoulliSet for prime p >= MIN_P[5] with the spec of
-    the deepest depth p supports."""
+def divided_set(p: int, engine: BernoulliEngine | None = None) -> DividedSet:
+    """The divided set of prime p >= MIN_P[5], at the spec of the deepest
+    depth p supports."""
     supported = depths(p)
     if not supported:
         raise ValueError(f"need p >= {min(MIN_P.values())}, got {p}")
     engine = engine or BernoulliEngine(p)
-    h = p - 1
-    out = DividedBernoulliSet(p)
-    for (n, d), r in set_spec(supported[-1]).items():
-        value = bnpd(n * h - d, make_modulus(p, r), engine)
-        if d:
-            out.bnd[(n, d)] = value
-        else:
-            out.bn[n] = value
-    return out
+    return {(n, d): bnpd(n * (p - 1) - d, make_modulus(p, r), engine)
+            for (n, d), r in set_spec(supported[-1]).items()}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bernoulli import bnpd, divided_set
+from .bernoulli import MIN_P, bnpd, divided_set
 from .formulas import omega_vector
 from .harness import CHECK_TAGS, RunConfig, run_and_report
 from .oracles import wilson_quotient
@@ -52,8 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("omega", help="print the factorial expansion coefficients")
     o.add_argument("--p", type=int, required=True)
-    o.add_argument("--thm", type=int, choices=[1, 2], required=True,
-                   help="1: five coefficients (p>=7); 2: six (p>=11)")
+    o.add_argument("--thm", type=int, choices=range(1, len(MIN_P) + 1), required=True,
+                   help="; ".join(f"{n}: omega_1..omega_{depth} (p>={MIN_P[depth]})"
+                                  for n, depth in enumerate(sorted(MIN_P), 1)))
     return parser
 
 
@@ -93,9 +94,8 @@ def _cmd_wilson(args, parser) -> int:
 def _cmd_omega(args, parser) -> int:
     if not is_prime(args.p):
         parser.error(f"{args.p} is not prime")
-    depth = 5 if args.thm == 1 else 6
     try:
-        omega = omega_vector(args.p, divided_set(args.p), depth=depth)
+        omega = omega_vector(args.p, divided_set(args.p), depth=sorted(MIN_P)[args.thm - 1])
     except ValueError as exc:
         parser.error(str(exc))
     for nu, w in enumerate(omega.omegas):
@@ -117,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Sequence
 
-from .bernoulli import MIN_P, DividedBernoulliSet
+from .bernoulli import MIN_P, DividedSet
 from .oracles import qtilde
 from .polys import ptilde_eval
 from .residues import Residue, make_modulus
@@ -34,29 +34,33 @@ F = Fraction
 
 
 class _Acc:
-    """Accessor handing out set values as integers at one fixed precision."""
+    """Accessor handing out set values as integers at one fixed precision;
+    the only reader of a divided set."""
 
     __slots__ = ("p", "_set", "prec", "mod")
 
-    def __init__(self, p: int, bset: DividedBernoulliSet, prec: int):
+    def __init__(self, p: int, bset: DividedSet, prec: int):
         self.p = p
         self._set = bset
         self.prec = prec
         self.mod = make_modulus(p, prec).value
 
-    def _int(self, value: Residue) -> int:
+    def _int(self, n: int, d: int) -> int:
+        value = self._set.get((n, d))
+        if value is None:
+            raise ValueError(f"missing cache entry: (n={n}, d={d}) (p={self.p})")
         if value.modulus.r < self.prec:
             raise ValueError(f"cannot raise precision from {value.precision} to {self.prec}")
         return value.value % self.mod
 
     def b(self, n: int) -> int:
-        return self._int(self._set.b(n))
+        return self._int(n, 0)
 
     def b2(self, n: int) -> int:
-        return self._int(self._set.bd(n, 2))
+        return self._int(n, 2)
 
     def b4(self, n: int) -> int:
-        return self._int(self._set.bd(n, 4))
+        return self._int(n, 4)
 
     def F(self, a: int, b: int) -> int:
         """The rational a/b as an integer mod p^prec; b must be a unit."""
@@ -148,7 +152,7 @@ class OmegaVector:
         return Residue(total, make_modulus(self.p, r))
 
 
-def omega_vector(p: int, bset: DividedBernoulliSet, depth: int) -> OmegaVector:
+def omega_vector(p: int, bset: DividedSet, depth: int) -> OmegaVector:
     """The coefficient ladder at a depth of ``_OMEGA``, for p from
     ``MIN_P[depth]``."""
     if depth not in _OMEGA:
@@ -236,7 +240,7 @@ QTILDE_L5_N5_UNREDUCED: _Blocks = (
 )
 
 
-def _eval_blocks(blocks: _Blocks, p: int, bset: DividedBernoulliSet, level: int) -> Residue:
+def _eval_blocks(blocks: _Blocks, p: int, bset: DividedSet, level: int) -> Residue:
     total = 0
     for t_pow, build in blocks:
         prec = level - t_pow
@@ -253,14 +257,14 @@ def _check_level(n: int, p: int, level: int) -> None:
         raise ValueError(f"level {level} needs p >= {MIN_P[level]}, got {p}")
 
 
-def qtilde_rhs(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
+def qtilde_rhs(n: int, p: int, level: int, bset: DividedSet) -> Residue:
     """Closed form of (p^(n-1)/n) Q_p(n) mod p^level over divided Bernoulli
     numbers, for p >= MIN_P[level]."""
     _check_level(n, p, level)
     return _eval_blocks(_QTILDE_MAIN[level][n], p, bset, level)
 
 
-def qtilde_l5_n5_unreduced(p: int, bset: DividedBernoulliSet) -> Residue:
+def qtilde_l5_n5_unreduced(p: int, bset: DividedSet) -> Residue:
     """The (p-1)-leading variant of the depth-5, n=5 congruence."""
     return _eval_blocks(QTILDE_L5_N5_UNREDUCED, p, bset, 5)
 
@@ -318,7 +322,7 @@ _VEC_BLOCKS = {
 }
 
 
-def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedBernoulliSet) -> Residue:
+def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Residue:
     """(p^(n-1)/n) Q_p(n) mod p^level from the difference-operator expansion
     with the printed coefficient vectors, read from the same divided set as
     :func:`qtilde_rhs`.  The lead block is (p-1) times the (n-1)-th forward
@@ -420,7 +424,7 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
 )
 
 
-def zero_expressions(p: int, bset: DividedBernoulliSet) -> list[tuple[str, Residue]]:
+def zero_expressions(p: int, bset: DividedSet) -> list[tuple[str, Residue]]:
     """Every recorded vanishing combination, evaluated at its stated modulus."""
     return [(name, _residue(build(_Acc(p, bset, r)), p, r)) for name, r, build in ZERO_EXPRESSIONS]
 
@@ -437,7 +441,7 @@ _OMEGA_MOD_P: dict[int, _Display] = {
 }
 
 
-def omega_mod_p_rhs(nu: int, p: int, bset: DividedBernoulliSet) -> Residue:
+def omega_mod_p_rhs(nu: int, p: int, bset: DividedSet) -> Residue:
     """The single-digit (mod p) closed form of omega_nu, 0 <= nu <= 5.  The
     depth-6 omega_6 is stated mod p already, so it has no separate form."""
     if nu == 0:
@@ -447,20 +451,29 @@ def omega_mod_p_rhs(nu: int, p: int, bset: DividedBernoulliSet) -> Residue:
     return _residue(_OMEGA_MOD_P[nu](_Acc(p, bset, 1)), p, 1)
 
 
-def omega5_reduction_rows(p: int, bset: DividedBernoulliSet) -> list[tuple[str, Residue, Residue]]:
-    """The three term groups of omega_5 mod p^2 next to their mod-p images;
-    each pair must agree mod p."""
-    t = _Acc(p, bset, 1)
-    rows = [
+#: Depth -> the term groups of its omega_(depth-1), stated mod p^2, each
+#: next to its mod-p image in the ladder one depth below: (name, group,
+#: image), and each pair must agree mod p.
+_OMEGA_REDUCTIONS: dict[int, tuple[tuple[str, _Display, _Display], ...]] = {
+    6: (
         ("pure-power-terms",
-         t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2),
-         t.F(-1, 120) * t.b(1) ** 5),
+         lambda t: t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2),
+         lambda t: t.F(-1, 120) * t.b(1) ** 5),
         ("mixed-bnd2-terms",
-         (t.F(-1, 3) * t.b(1) * t.b(2) * t.b2(1) - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
-          + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
-         t.F(-1, 6) * t.b(1) ** 2 * t.b2(1)),
+         lambda t: (t.F(-1, 3) * t.b(1) * t.b(2) * t.b2(1) - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
+                    + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
+         lambda t: t.F(-1, 6) * t.b(1) ** 2 * t.b2(1)),
         ("bnd4-terms",
-         t.F(-2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2),
-         t.F(-1, 5) * t.b4(1)),
-    ]
-    return [(name, _residue(lhs, p, 1), _residue(rhs, p, 1)) for name, lhs, rhs in rows]
+         lambda t: t.F(-2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2),
+         lambda t: t.F(-1, 5) * t.b4(1)),
+    ),
+}
+
+
+def omega_reduction_rows(p: int, bset: DividedSet,
+                         depth: int) -> list[tuple[str, Residue, Residue]]:
+    """The term groups ``_OMEGA_REDUCTIONS`` holds at a depth (none at most
+    depths) next to their mod-p images, both mod p."""
+    t = _Acc(p, bset, 1)
+    return [(name, _residue(group(t), p, 1), _residue(image(t), p, 1))
+            for name, group, image in _OMEGA_REDUCTIONS.get(depth, ())]

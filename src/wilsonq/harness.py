@@ -26,7 +26,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import formulas, oracles
-from .bernoulli import (MIN_P, BernoulliEngine, DividedBernoulliSet, bnpd, depths, divided_set,
+from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, bnpd, depths, divided_set,
                         kummer_admissible)
 from .differences import forward_difference
 from .residues import PRIME_BOUND, Residue, is_prime, make_modulus
@@ -87,7 +87,7 @@ class PrimeRun:
         return BernoulliEngine(self.p)
 
     @cached_property
-    def bset(self) -> DividedBernoulliSet:
+    def bset(self) -> DividedSet:
         return divided_set(self.p, self.engine)
 
     @cached_property
@@ -174,16 +174,15 @@ def _check_zero_exprs(run: PrimeRun) -> list[Row]:
 
 
 def _check_table3(run: PrimeRun) -> list[Row]:
-    p = run.p
     # omega_0 is the constant -1, and the top coefficient of each ladder is
     # stated mod p by the very expression of its mod-p form, so none of
     # those rows could fail.
-    rows = [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
-             formulas.omega_mod_p_rhs(nu, p, run.bset))
-            for depth in run.levels for nu in range(1, depth)]
-    if 6 in run.levels:
-        rows += [(f"omega5-reduction-{name}", lhs, rhs)
-                 for name, lhs, rhs in formulas.omega5_reduction_rows(p, run.bset)]
+    rows = []
+    for depth in run.levels:
+        rows += [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
+                  formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, depth)]
+        rows += [(f"omega{depth - 1}-reduction-{name}", group, image) for name, group, image
+                 in formulas.omega_reduction_rows(run.p, run.bset, depth)]
     return rows
 
 
@@ -321,7 +320,12 @@ def summarize(results: list[CheckResult]) -> tuple[int, int, int]:
 
 
 def run_and_report(cfg: RunConfig, stream=None) -> int:
-    """Sweep the configured range; returns 0 when every check passed."""
+    """Sweep the configured range; returns 0 when every check passed.  The
+    report goes to ``stream``, else to ``cfg.out``, which is opened before
+    the sweep so that an unwritable path fails at once, else to stdout."""
+    if stream is None and cfg.out:
+        with open(cfg.out, "w") as fh:
+            return run_and_report(cfg, fh)
     started = time.perf_counter()
     primes = enumerate_primes(cfg.pmin, cfg.pmax)
     results: list[CheckResult] = []
@@ -346,20 +350,16 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
         f"{checked} checks, {checked - failed} passed, {failed} failed, "
         f"{skipped} skipped ({elapsed:.1f}s)"
     )
-    if stream is None and cfg.out:
-        with open(cfg.out, "w") as fh:
-            write_report(results, cfg.fmt, fh, summary)
-    else:
-        stream = sys.stdout if stream is None else stream
-        try:
-            write_report(results, cfg.fmt, stream, summary)
-            stream.flush()
-        except BrokenPipeError:
-            # The reader left early (as `| head` does).  Point stdout at
-            # devnull so the flush at interpreter exit cannot raise again.
-            if stream is sys.stdout:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+    stream = sys.stdout if stream is None else stream
+    try:
+        write_report(results, cfg.fmt, stream, summary)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader left early (as `| head` does).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        if stream is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # A text report on stdout already ends with the summary.
     if cfg.fmt != "text" or stream is not sys.stdout:
         print(summary, file=sys.stderr)

@@ -6,7 +6,6 @@ import pytest
 from wilsonq.bernoulli import (
     BernoulliEngine,
     bernoulli_times_p,
-    bnp,
     bnpd,
     depths,
     divided_set,
@@ -15,6 +14,7 @@ from wilsonq.bernoulli import (
     set_spec,
 )
 from wilsonq.differences import forward_difference
+from wilsonq.formulas import _Acc
 from wilsonq.oracles import power_sum_mod
 from wilsonq.residues import from_rational, make_modulus
 
@@ -106,15 +106,6 @@ def test_von_staudt_clausen_structure():
                 assert pb.valuation() >= 1
 
 
-def test_bnp_examples():
-    assert bnp(0, make_modulus(5, 2)).value == 0
-    # p=5, m=4: pole case, value -5/6 has valuation 1
-    assert bnp(4, make_modulus(5, 1)).value == 0
-    got = bnp(8, make_modulus(5, 2))
-    assert got == from_rational(F(-5, 6), make_modulus(5, 2))
-    assert got.value == 20
-
-
 def test_bnpd_examples():
     assert bnpd(-2, make_modulus(7, 2)).value == 0
     assert bnpd(0, make_modulus(7, 2)).value == 0
@@ -142,6 +133,26 @@ def test_bnpd_handles_index_divisible_by_p():
     assert got == from_rational(exact_bernoulli(98) / 98, make_modulus(7, 3))
 
 
+def test_bnpd_refuses_insufficient_valuation():
+    # an engine whose p*B_m is off by one leaves a numerator that p does not
+    # divide, and bnpd must refuse it rather than divide past it
+    class OffByOne(BernoulliEngine):
+        def pb_value(self, m, g):
+            return (super().pb_value(m, g) + 1) % self.p**g
+
+    for m in (4, 6, 12, 98):
+        with pytest.raises(ValueError, match="insufficient valuation"):
+            bnpd(m, make_modulus(7, 1), OffByOne(7))
+
+
+def test_engine_fills_many_rows_without_recursion():
+    # m = 6002 at p = 7 needs the 1000th v^(p-1) row
+    assert BernoulliEngine(7).power_sum(6002, 3) == power_sum_mod(6002, make_modulus(7, 3)).value
+    # 6002 = 2 + 1000 * (7 - 1): the Kummer class of index 2, B_2/2 = 1/12 = 3 mod 7
+    assert bnpd(6002, make_modulus(7, 1)) == bnpd(2, make_modulus(7, 1))
+    assert bnpd(2, make_modulus(7, 1)).value == 3
+
+
 def test_bnpd_kummer_class_step():
     for p in (7, 11):
         for m in range(2, 40, 2):
@@ -154,46 +165,50 @@ def test_bnpd_kummer_class_step():
 
 def test_divided_set_defaults_and_values():
     bs7 = divided_set(7)
-    assert set(bs7.bn) == {1, 2, 3, 4, 5}
-    assert bs7.b(1).precision == 5
+    assert bs7[(1, 0)].precision == 5
     # (B_6 + 1/7 - 1)/6 = -5/36 and -5*inv(36) = 23 mod 49
-    assert bs7.b(1, 2) == from_rational(F(-5, 36), make_modulus(7, 2))
-    assert bs7.b(1, 2).value == 23
-    assert bs7.bd(1, 2, 1).value == 6  # same value as B_4/4 mod 7
+    assert bs7[(1, 0)].reduce_to(2) == from_rational(F(-5, 36), make_modulus(7, 2))
+    assert bs7[(1, 0)].reduce_to(2).value == 23
+    assert bs7[(1, 2)].reduce_to(1).value == 6  # same value as B_4/4 mod 7
 
     bs11 = divided_set(11)
-    assert set(bs11.bn) == {1, 2, 3, 4, 5, 6}
-    assert set(bs11.bnd) == {(1, 2), (2, 2), (3, 2), (4, 2), (1, 4), (2, 4)}
-    assert bs11.b(1).precision == 6 and bs11.bd(1, 2).precision == 4
+    assert bs11[(1, 0)].precision == 6 and bs11[(1, 2)].precision == 4
 
     # the depth rule gives the set specs the paper's two ladders read
     specs = {
-        7: ({1: 5, 2: 5, 3: 5, 4: 5, 5: 5},
-            {(1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1}),
-        11: ({1: 6, 2: 6, 3: 6, 4: 6, 5: 6, 6: 6},
-             {(1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2}),
+        7: {(1, 0): 5, (2, 0): 5, (3, 0): 5, (4, 0): 5, (5, 0): 5,
+            (1, 2): 3, (2, 2): 3, (3, 2): 3, (1, 4): 1},
+        11: {(1, 0): 6, (2, 0): 6, (3, 0): 6, (4, 0): 6, (5, 0): 6, (6, 0): 6,
+             (1, 2): 4, (2, 2): 4, (3, 2): 4, (4, 2): 4, (1, 4): 2, (2, 4): 2},
     }
-    for p, bs in ((7, bs7), (11, bs11)):
-        bn_spec, bnd_spec = specs[p]
-        assert {n: value.precision for n, value in bs.bn.items()} == bn_spec, p
-        assert {key: value.precision for key, value in bs.bnd.items()} == bnd_spec, p
-        assert set_spec(depths(p)[-1]) == {**{(n, 0): r for n, r in bn_spec.items()}, **bnd_spec}
+    for p in (7, 11):
+        assert set_spec(depths(p)[-1]) == specs[p], p
+
+
+def test_divided_set_is_its_spec():
+    # the keys in the spec's order, each value at its spec precision
+    for p in (7, 11, 13):
+        spec = set_spec(depths(p)[-1])
+        bs = divided_set(p)
+        assert list(bs) == list(spec), p
+        assert [value.precision for value in bs.values()] == list(spec.values()), p
 
 
 def test_divided_set_kummer_pairs():
     for p in (7, 11, 13):
         bs = divided_set(p)
-        first = bs.b(1, 1)
-        for n in bs.bn:
-            assert bs.b(n, 1) == first, (p, n)
+        first = bs[(1, 0)].reduce_to(1)
+        for (n, d), value in bs.items():
+            if d == 0:
+                assert value.reduce_to(1) == first, (p, n)
 
 
 def test_divided_set_missing_entry_and_bounds():
-    bs = divided_set(7)
+    t = _Acc(7, divided_set(7), 1)
     with pytest.raises(ValueError, match="missing cache entry"):
-        bs.b(6)
+        t.b(6)
     with pytest.raises(ValueError, match="missing cache entry"):
-        bs.bd(2, 4)
+        t.b4(2)
     with pytest.raises(ValueError):
         divided_set(5)
 
@@ -280,10 +295,10 @@ def test_engine_is_shared_by_divided_values():
     engine = BernoulliEngine(p)
     calls = _count_power_sums(engine)
     bs = divided_set(p, engine)
-    assert bs.bn == divided_set(p).bn and bs.bnd == divided_set(p).bnd
+    assert bs == divided_set(p)
     before = len(calls)
     for n, r in ((1, 6), (3, 2), (6, 1)):
-        assert bnpd(n * (p - 1), make_modulus(p, r), engine) == bs.b(n, r)
+        assert bnpd(n * (p - 1), make_modulus(p, r), engine) == bs[(n, 0)].reduce_to(r)
     assert len(calls) == before
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,9 @@ def test_omega_subcommand(capsys):
     out = capsys.readouterr().out
     assert out.count("omega[") == 7
     assert f"{11**7 - 1}" in out  # omega[0] = -1 at full precision
+    # --thm N is the N-th depth of MIN_P: --thm 1 is depth 5
+    assert main(["omega", "--p", "11", "--thm", "1"]) == 0
+    assert capsys.readouterr().out.count("omega[") == 6
 
 
 def test_omega_rejects_out_of_range_prime(capsys):
@@ -78,3 +85,37 @@ def test_nonprime_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["wilson", "--p", "9", "--prec", "2"])
     assert exc.value.code == 2
+
+
+def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # the report path is opened before the sweep, so a bad one costs no sweep
+    from wilsonq import harness
+
+    def no_sweep(p, cfg):
+        raise AssertionError("swept before opening the report")
+
+    monkeypatch.setattr(harness, "check_prime", no_sweep)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--pmin", "7", "--pmax", "20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("args, code", [
+    (["bernoulli", "--p", "7", "--m", "6002", "--prec", "1"], 0),
+    (["verify", "--pmin", "7", "--pmax", "11", "--out", "{missing}"], 2),
+    (["wilson", "--p", "2", "--prec", "2"], 2),
+    (["bernoulli", "--p", "7", "--m", "10", "--prec", "0"], 2),
+    (["omega", "--p", "7", "--thm", "2"], 2),
+    (["verify", "--pmin", "7", "--pmax", "11", "--checks", ","], 2),
+])
+def test_bad_input_exits_without_traceback(args, code, tmp_path):
+    # each input runs (exit 0) or is refused (exit 2), never with a traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [a.format(missing=tmp_path / "missing" / "r.json") for a in args]
+    done = subprocess.run([sys.executable, "-m", "wilsonq.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr

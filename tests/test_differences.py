@@ -108,9 +108,10 @@ def test_q_sum_operator_form_full_range():
 
 
 def test_modified_sum_closed_form_on_grid():
-    # for n = d(p-1): the modified sum equals the p-integral value plus the
-    # two weighted divided terms, mod p^r for r in {5, 6}, p > r + 1
-    from wilsonq.bernoulli import bnp, bnpd
+    # for n = d(p-1): the modified sum equals the p-integral value (n times
+    # the divided value, n a unit here) plus the two weighted divided terms,
+    # mod p^r for r in {5, 6}, p > r + 1
+    from wilsonq.bernoulli import bnpd
 
     for p in (11, 13):
         h = p - 1
@@ -120,7 +121,7 @@ def test_modified_sum_closed_form_on_grid():
                 n = d * h
                 lhs = sh_mod(n, p, r)
                 rhs = (
-                    bnp(n, modr)
+                    n * bnpd(n, modr)
                     + (comb(n, 3) * bnpd(n - 2, make_modulus(p, r - 2))).mul_p_power(2)
                     + (comb(n, 5) * bnpd(n - 4, make_modulus(p, r - 4))).mul_p_power(4)
                 )

@@ -11,8 +11,8 @@ from wilsonq.differences import binom_diff_mod_p
 from wilsonq.formulas import (
     COEFF_TABLES,
     _QTILDE_MAIN,
-    omega5_reduction_rows,
     omega_mod_p_rhs,
+    omega_reduction_rows,
     omega_vector,
     qtilde_l5_n5_unreduced,
     qtilde_rhs,
@@ -57,7 +57,7 @@ def test_wilson_form_matches_quotient():
 def test_first_coefficient_mod_p():
     bs = divided_set(7)
     omega = omega_vector(7, bs, 5)
-    assert omega.omegas[1].reduce_to(1) == -bs.b(1, 1)
+    assert omega.omegas[1].reduce_to(1) == -bs[(1, 0)].reduce_to(1)
 
 
 def test_depth6_reduces_to_depth5():
@@ -201,9 +201,13 @@ def test_mod_p_coefficient_forms():
 
 
 def test_omega5_reduction_rows():
+    # the term groups of the depth-6 omega_5; depth 5 has none
     for p in (11, 13, 17):
-        for name, lhs, rhs in omega5_reduction_rows(p, divided_set(p)):
+        rows = omega_reduction_rows(p, divided_set(p), 6)
+        assert len(rows) == 3
+        for name, lhs, rhs in rows:
             assert lhs == rhs, (p, name)
+        assert omega_reduction_rows(p, divided_set(p), 5) == []
 
 
 def test_corrupted_coefficient_is_detected(monkeypatch):
@@ -261,7 +265,7 @@ def test_accessor_above_stored_precision_is_an_error_row(monkeypatch):
 
     def short_set(p, engine):
         bset = divided_set(p, engine)
-        bset.bn[1] = bset.bn[1].reduce_to(5)
+        bset[(1, 0)] = bset[(1, 0)].reduce_to(5)
         return bset
 
     monkeypatch.setattr(harness, "divided_set", short_set)
@@ -314,10 +318,9 @@ def test_block_is_reduced_at_its_precision_before_the_lift(monkeypatch):
 
 
 def test_displays_stay_on_the_integer_path():
-    # every display lambda (any lambda in a module-level table), the inline
-    # forms of omega5_reduction_rows and the blocks qtilde_via_coefficients
-    # builds from the printed vectors take rationals from t.F, never from
-    # the module-level Fraction
+    # every display lambda (any lambda in a module-level table) and the
+    # blocks qtilde_via_coefficients builds from the printed vectors take
+    # rationals from t.F, never from the module-level Fraction
     tree = ast.parse(Path(formulas.__file__).read_text())
     scanned, tables = [], set()
     for node in tree.body:
@@ -327,12 +330,11 @@ def test_displays_stay_on_the_integer_path():
                 target = node.targets[0] if isinstance(node, ast.Assign) else node.target
                 tables.add(target.id)
                 scanned += lambdas
-        elif isinstance(node, ast.FunctionDef) and node.name in (
-                "omega5_reduction_rows", "qtilde_via_coefficients"):
+        elif isinstance(node, ast.FunctionDef) and node.name == "qtilde_via_coefficients":
             scanned.append(node)
-    assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 2
+    assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 1
     assert {"_OMEGA", "_QTILDE_MAIN", "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS",
-            "_OMEGA_MOD_P"} <= tables
+            "_OMEGA_MOD_P", "_OMEGA_REDUCTIONS"} <= tables
     offenders = [
         (call.lineno, call.func.id)
         for node in scanned for call in ast.walk(node)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from wilsonq import harness, oracles
-from wilsonq.bernoulli import MIN_P, BernoulliEngine, DividedBernoulliSet, set_spec
+from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
 from wilsonq.cli import main
 from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
 from wilsonq.harness import (
@@ -273,13 +273,7 @@ def test_every_divided_set_row_can_fail():
         # drawn family by family, n ascending
         spec = sorted(set_spec(6).items(), key=lambda item: item[0][::-1])
         for _ in range(4):
-            bset = DividedBernoulliSet(p)
-            for (n, d), r in spec:
-                value = Residue(rng.randrange(p**r), make_modulus(p, r))
-                if d:
-                    bset.bnd[(n, d)] = value
-                else:
-                    bset.bn[n] = value
+            bset = {key: Residue(rng.randrange(p**r), make_modulus(p, r)) for key, r in spec}
             run = PrimeRun(p)
             run.__dict__["bset"] = bset
             for tag, _, runner in CHECKS:
@@ -305,6 +299,20 @@ def test_divided_set_rows_start_where_the_set_does(monkeypatch):
             readers[tag] = min_p
     assert set(readers) == {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
     assert all(min_p >= MIN_P[5] for min_p in readers.values()), readers
+
+
+def test_insufficient_valuation_is_an_error_row(monkeypatch):
+    # an engine whose p*B_m is off by one breaks the integrality bnpd checks,
+    # and the sweep reports that as a failed row, not an exception
+    class OffByOne(BernoulliEngine):
+        def pb_value(self, m, g):
+            return (super().pb_value(m, g) + 1) % self.p**g
+
+    monkeypatch.setattr(harness, "BernoulliEngine", OffByOne)
+    rows = check_prime(11, RunConfig(pmin=11, pmax=11, checks=frozenset(["thm1", "kummer"])))
+    assert [(r.tag, r.case, r.passed) for r in rows] == [
+        ("thm1", "error", False), ("kummer", "error", False)]
+    assert all("insufficient valuation" in r.lhs for r in rows)
 
 
 def test_one_factorial_per_prime(monkeypatch):

@@ -102,7 +102,7 @@ def test_wilson_matches_first_expansion_coefficient():
     # W_p = -(first divided Bernoulli value) mod p
     for p in (7, 11, 13, 17, 19):
         bs = divided_set(p)
-        assert wilson_quotient(p, 1).quotient == -bs.b(1, 1), p
+        assert wilson_quotient(p, 1).quotient == -bs[(1, 0)].reduce_to(1), p
 
 
 def test_one_pass_power_sums():
