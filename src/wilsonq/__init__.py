@@ -25,7 +25,6 @@ from .harness import CheckResult, RunConfig, check_prime, enumerate_primes, run_
 from .oracles import (
     WilsonRecord,
     factorial_mod,
-    fermat_quotient,
     power_sum_mod,
     q_power_sum,
     q_power_sums,
@@ -67,7 +66,6 @@ __all__ = [
     "enumerate_primes",
     "exact_bernoulli",
     "factorial_mod",
-    "fermat_quotient",
     "forward_difference",
     "from_rational",
     "is_prime",

@@ -35,7 +35,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-from threading import Lock
 
 from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
@@ -44,7 +43,6 @@ ORACLE_BOUND = 3000
 # -- exact rational oracle --------------------------------------------------
 
 _exact: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_exact_lock = Lock()
 
 
 def exact_bernoulli(n: int) -> Fraction:
@@ -60,16 +58,16 @@ def exact_bernoulli(n: int) -> Fraction:
         raise ValueError(f"oracle bound exceeded: {n} > {ORACLE_BOUND}")
     if n % 2 == 1 and n > 1:
         return Fraction(0)
-    with _exact_lock:
-        while len(_exact) <= n:
-            m = len(_exact)
-            if m % 2 == 1:
-                _exact.append(Fraction(0))
-                continue
-            s = sum(comb(m + 1, k) * _exact[k] for k in range(0, m, 2))
-            s += comb(m + 1, 1) * _exact[1]
-            _exact.append(-s / (m + 1))
-        return _exact[n]
+    # Stored at index m, not appended: racing callers write equal values to one slot.
+    while len(_exact) <= n:
+        m = len(_exact)
+        if m % 2 == 1:
+            _exact[m:m + 1] = [Fraction(0)]
+            continue
+        s = sum(comb(m + 1, k) * _exact[k] for k in range(0, m, 2))
+        s += comb(m + 1, 1) * _exact[1]
+        _exact[m:m + 1] = [-s / (m + 1)]
+    return _exact[n]
 
 
 # -- power sums --------------------------------------------------------------
@@ -176,14 +174,16 @@ class BernoulliEngine:
 
 
 def bernoulli_times_p(m: int, p: int, g: int, engine: BernoulliEngine | None = None) -> Residue:
-    """p*B_m mod p^g via the power-sum recursion; requires p > g."""
+    """p*B_m mod p^g via the power-sum recursion on an engine for p; needs p > g."""
     if m < 0:
         raise ValueError("index must be non-negative")
     if g < 1:
         raise ValueError("precision must be >= 1")
     if p <= g:
-        raise ValueError(f"need p > g for unit denominators, got p={p}, g={g}")
+        raise ValueError(f"need p > g for unit denominators, got p={p}, g={g} at index {m}")
     engine = engine or BernoulliEngine(p)
+    if engine.p != p:
+        raise ValueError(f"engine built for p={engine.p}, asked for p={p}")
     return Residue(engine.pb_value(m, g), make_modulus(p, g))
 
 
@@ -207,11 +207,6 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
         unit //= p
         e += 1
     g = r + 1 + e
-    if g >= p:
-        raise ValueError(
-            f"precision p^{r} for index {m} unreachable at p={p} "
-            f"(needs working precision {g})"
-        )
     pb = bernoulli_times_p(m, p, g, engine).value
     if m % (p - 1) == 0:
         pb += 1 - p

@@ -15,7 +15,7 @@ from .bernoulli import MIN_P, bnpd, divided_set
 from .formulas import omega_vector
 from .harness import CHECK_TAGS, RunConfig, run_and_report
 from .oracles import wilson_quotient
-from .residues import is_prime, make_modulus
+from .residues import make_modulus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,32 +58,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     if args.checks.strip() == "all":
         checks = CHECK_TAGS
     else:
         checks = frozenset(t.strip() for t in args.checks.split(",") if t.strip())
-    try:
-        cfg = RunConfig(
-            pmin=args.pmin, pmax=args.pmax, checks=checks,
-            jobs=args.jobs, fmt=args.fmt, out=args.out,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = RunConfig(
+        pmin=args.pmin, pmax=args.pmax, checks=checks,
+        jobs=args.jobs, fmt=args.fmt, out=args.out,
+    )
     return run_and_report(cfg)
 
 
-def _cmd_bernoulli(args, parser) -> int:
-    if not is_prime(args.p):
-        parser.error(f"{args.p} is not prime")
+def _cmd_bernoulli(args) -> int:
     value = bnpd(args.m, make_modulus(args.p, args.prec))
     print(value.value)
     return 0
 
 
-def _cmd_wilson(args, parser) -> int:
-    if not is_prime(args.p):
-        parser.error(f"{args.p} is not prime")
+def _cmd_wilson(args) -> int:
     record = wilson_quotient(args.p, args.prec)
     print(f"(p-1)! mod p^{args.prec + 1} = {record.factorial.value}")
     print(f"W_p mod p^{args.prec}    = {record.quotient.value}")
@@ -91,13 +84,8 @@ def _cmd_wilson(args, parser) -> int:
     return 0
 
 
-def _cmd_omega(args, parser) -> int:
-    if not is_prime(args.p):
-        parser.error(f"{args.p} is not prime")
-    try:
-        omega = omega_vector(args.p, divided_set(args.p), depth=sorted(MIN_P)[args.thm - 1])
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_omega(args) -> int:
+    omega = omega_vector(args.p, divided_set(args.p), depth=sorted(MIN_P)[args.thm - 1])
     for nu, w in enumerate(omega.omegas):
         print(
             f"omega[{nu}] mod p^{w.precision} = {w.value}"
@@ -107,8 +95,7 @@ def _cmd_omega(args, parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "verify": _cmd_verify,
         "bernoulli": _cmd_bernoulli,
@@ -116,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         "omega": _cmd_omega,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

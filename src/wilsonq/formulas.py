@@ -26,9 +26,9 @@ from math import comb
 from typing import Callable, Sequence
 
 from .bernoulli import MIN_P, DividedSet
-from .oracles import qtilde
+from .oracles import q_power_sums, qtilde
 from .polys import ptilde_eval
-from .residues import Residue, make_modulus
+from .residues import Residue, make_modulus, ratio_mod
 
 F = Fraction
 
@@ -64,9 +64,7 @@ class _Acc:
 
     def F(self, a: int, b: int) -> int:
         """The rational a/b as an integer mod p^prec; b must be a unit."""
-        if b % self.p == 0:
-            raise ValueError(f"denominator {b} not coprime to {self.p}")
-        return a * pow(b, -1, self.mod) % self.mod
+        return ratio_mod(a, b, self.p, self.mod)
 
 
 #: A transcribed display: an integer representative at its accessor's precision.
@@ -347,12 +345,13 @@ def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Res
 
 def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
     """W_p mod p^r as the sum of the scaled expansion polynomials evaluated
-    at the directly computed scaled power sums; needs odd p > r.  ``sums`` is
-    passed on to :func:`qtilde`."""
+    at the directly computed scaled power sums; needs odd p > r.  Without
+    ``sums`` the power sums are taken once, here."""
     if not 1 <= r <= 6:
         raise ValueError(f"need 1 <= r <= 6, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
+    sums = sums or q_power_sums(p, r)
     values = [qtilde(nu, p, r, sums) for nu in range(1, r + 1)]
     acc = Residue(0, make_modulus(p, r))
     for nu in range(1, r + 1):

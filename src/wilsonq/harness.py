@@ -203,6 +203,17 @@ CHECKS = (
 CHECK_TAGS = frozenset(tag for tag, _, _ in CHECKS)
 
 
+def _check_window(pmin: int, pmax: int) -> None:
+    """Refuse a prime window outside 2 <= pmin <= pmax < PRIME_BOUND, the
+    range where :func:`is_prime` is exact."""
+    if pmin < 2:
+        raise ValueError("pmin must be >= 2")
+    if pmin > pmax:
+        raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
+    if pmax >= PRIME_BOUND:
+        raise ValueError(f"pmax must be below {PRIME_BOUND}, where primality tests stay exact")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     pmin: int
@@ -213,10 +224,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.pmin > self.pmax:
-            raise ValueError(f"empty range: pmin={self.pmin} > pmax={self.pmax}")
-        if self.pmin < 2:
-            raise ValueError("pmin must be >= 2")
+        _check_window(self.pmin, self.pmax)
         if not self.checks:
             raise ValueError("no checks selected")
         unknown = self.checks - CHECK_TAGS
@@ -231,12 +239,7 @@ class RunConfig:
 def enumerate_primes(pmin: int, pmax: int) -> list[int]:
     """Ascending primes in [pmin, pmax] by deterministic Miller-Rabin, so
     memory follows the window rather than pmax."""
-    if pmin < 2:
-        raise ValueError("pmin must be >= 2")
-    if pmin > pmax:
-        raise ValueError("pmin must not exceed pmax")
-    if pmax >= PRIME_BOUND:
-        raise ValueError(f"pmax must be below {PRIME_BOUND}, where primality tests stay exact")
+    _check_window(pmin, pmax)
     return [n for n in range(pmin, pmax + 1) if is_prime(n)]
 
 

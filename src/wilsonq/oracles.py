@@ -1,5 +1,5 @@
-"""Brute-force ground truth: Fermat quotients, their power sums, factorials
-and the Wilson quotient, all modulo prime powers.
+"""Brute-force ground truth: power sums of Fermat quotients, factorials and
+the Wilson quotient, all modulo prime powers.
 
 Nothing in this module knows about Bernoulli numbers; every value is obtained
 by direct summation or multiplication so it can serve as the independent side
@@ -11,16 +11,6 @@ from dataclasses import dataclass
 from operator import mul
 
 from .residues import Modulus, Residue, make_modulus, power_table
-
-
-def fermat_quotient(a: int, p: int, r: int) -> Residue:
-    """q_p(a) = (a^(p-1) - 1)/p mod p^r."""
-    if a % p == 0:
-        raise ValueError(f"{a} is divisible by {p}")
-    if a < 1:
-        raise ValueError("base must be positive")
-    power = Residue(pow(a, p - 1, p ** (r + 1)), make_modulus(p, r + 1))
-    return (power - 1).shift_down(1)
 
 
 def q_power_sum(n: int, p: int, r: int) -> Residue:

@@ -16,7 +16,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence
 
-from .residues import Residue
+from .residues import Residue, ratio_mod
 
 NVARS = 6
 
@@ -149,9 +149,7 @@ class MultiPoly:
         for (pe, exps), coeff in self.terms.items():
             if pe < 0:
                 raise ValueError("negative power of p at evaluation time")
-            if coeff.denominator % p == 0:
-                raise ValueError(f"denominator {coeff.denominator} not coprime to {p}")
-            term = coeff.numerator * pow(coeff.denominator, -1, m) * p**pe
+            term = ratio_mod(coeff.numerator, coeff.denominator, p, m) * p**pe
             for i, e in enumerate(exps):
                 if e:
                     if i >= len(values):
@@ -226,23 +224,24 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def psi_eval(nu: int, values: Sequence[Residue]) -> Residue:
-    """Evaluate the raw-sum expansion polynomial at the given residues."""
+def _family_eval(family: int, nu: int, values: Sequence[Residue]) -> Residue:
+    """Evaluate member ``nu`` of family 0 (PSI) or 1 (PTILDE) at ``values``."""
     if not 1 <= nu <= 6:
         raise ValueError(f"index out of range: {nu}")
     if len(values) != nu:
         raise ValueError(f"need exactly {nu} values, got {len(values)}")
-    return _families()[0][nu].evaluate(values)
+    return _families()[family][nu].evaluate(values)
+
+
+def psi_eval(nu: int, values: Sequence[Residue]) -> Residue:
+    """Evaluate the raw-sum expansion polynomial at the given residues."""
+    return _family_eval(0, nu, values)
 
 
 def ptilde_eval(nu: int, values: Sequence[Residue]) -> Residue:
     """Evaluate the scaled-sum expansion polynomial; p comes from the values'
     modulus and all denominators (divisors of 720) must be units there."""
-    if not 1 <= nu <= 6:
-        raise ValueError(f"index out of range: {nu}")
-    if len(values) != nu:
-        raise ValueError(f"need exactly {nu} values, got {len(values)}")
-    return _families()[1][nu].evaluate(values)
+    return _family_eval(1, nu, values)
 
 
 def psi_ptilde_diffs() -> dict[int, MultiPoly]:

@@ -257,11 +257,14 @@ class Residue:
         return f"Residue({self.value} mod {self.p}^{self.precision})"
 
 
+def ratio_mod(a: int, b: int, p: int, mod: int) -> int:
+    """The rational a/b as an integer mod ``mod``, a power of p: a * b^-1,
+    refused when p divides b."""
+    if b % p == 0:
+        raise ValueError(f"denominator {b} not coprime to {p}")
+    return a * pow(b, -1, mod) % mod
+
+
 def from_rational(q: Fraction | int, modulus: Modulus) -> Residue:
-    """Embed a p-integral rational: numerator times inverse denominator."""
-    if isinstance(q, int):
-        return Residue(q, modulus)
-    if q.denominator % modulus.p == 0:
-        raise ValueError(f"denominator {q.denominator} not coprime to {modulus.p}")
-    den_inv = pow(q.denominator, -1, modulus.value)
-    return Residue(q.numerator * den_inv, modulus)
+    """Embed a p-integral rational (an int is q/1) by :func:`ratio_mod`."""
+    return Residue(ratio_mod(q.numerator, q.denominator, modulus.p, modulus.value), modulus)

@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from wilsonq import bernoulli
 from wilsonq.bernoulli import (
     BernoulliEngine,
     bernoulli_times_p,
@@ -58,11 +61,42 @@ def test_engine_examples():
     assert bernoulli_times_p(0, 7, 3).value == 7
 
 
+def test_exact_memo_survives_racing_threads(monkeypatch):
+    # the memo has no lock: threads extending it at once must leave the
+    # values one thread alone computes
+    want = [exact_bernoulli(m) for m in range(241)]
+    monkeypatch.setattr(bernoulli, "_exact", [F(1), F(-1, 2)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=exact_bernoulli, args=(240,)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bernoulli._exact == want
+
+
 def test_engine_rejects_small_primes():
     with pytest.raises(ValueError, match="p > g"):
         bernoulli_times_p(10, 7, 7)
     with pytest.raises(ValueError, match="not prime"):
         bernoulli_times_p(2, 9, 2)
+
+
+def test_engine_serves_one_prime():
+    # an engine of another prime would hand back its own p*B_m values
+    # (224 for p*B_10 mod 11^3 from a p = 7 engine; the true value is 1110)
+    assert bernoulli_times_p(10, 11, 3).value == 1110
+    with pytest.raises(ValueError, match="engine built for p=7"):
+        bernoulli_times_p(10, 11, 3, BernoulliEngine(7))
+    with pytest.raises(ValueError, match="engine built for p=7"):
+        bnpd(10, make_modulus(11, 2), BernoulliEngine(7))
+    with pytest.raises(ValueError, match="engine built for p=7"):
+        divided_set(11, BernoulliEngine(7))
 
 
 def test_engine_matches_exact_oracle_sample():

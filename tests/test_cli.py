@@ -33,9 +33,7 @@ def test_omega_subcommand(capsys):
 
 
 def test_omega_rejects_out_of_range_prime(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["omega", "--p", "7", "--thm", "2"])
-    assert exc.value.code == 2
+    assert main(["omega", "--p", "7", "--thm", "2"]) == 2
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -60,12 +58,8 @@ def test_verify_report_bytes_are_stable(tmp_path):
 
 
 def test_verify_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--pmin", "7", "--pmax", "20", "--checks", "nope"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--pmin", "30", "--pmax", "7"])
-    assert exc.value.code == 2
+    assert main(["verify", "--pmin", "7", "--pmax", "20", "--checks", "nope"]) == 2
+    assert main(["verify", "--pmin", "30", "--pmax", "7"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
     assert exc.value.code == 2
@@ -75,16 +69,22 @@ def test_verify_usage_errors():
 
 
 def test_verify_empty_check_list_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--pmin", "7", "--pmax", "13", "--checks", ","])
-    assert exc.value.code == 2
+    assert main(["verify", "--pmin", "7", "--pmax", "13", "--checks", ","]) == 2
     assert "no checks selected" in capsys.readouterr().err
 
 
 def test_nonprime_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["wilson", "--p", "9", "--prec", "2"])
-    assert exc.value.code == 2
+    assert main(["wilson", "--p", "9", "--prec", "2"]) == 2
+
+
+def test_oversized_pmax_leaves_existing_report(tmp_path, capsys):
+    # the window is refused before the report path is opened for writing
+    out = tmp_path / "r.json"
+    out.write_text("kept\n")
+    assert main(["verify", "--pmin", "7", "--pmax", "400000000000000000000000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "kept\n"
 
 
 def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
@@ -108,9 +108,13 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     (["bernoulli", "--p", "7", "--m", "10", "--prec", "0"], 2),
     (["omega", "--p", "7", "--thm", "2"], 2),
     (["verify", "--pmin", "7", "--pmax", "11", "--checks", ","], 2),
+    (["omega", "--p", "9", "--thm", "1"], 2),
+    (["bernoulli", "--p", "9", "--m", "4", "--prec", "1"], 2),
+    (["bernoulli", "--p", "7", "--m", "6", "--prec", "6"], 2),
 ])
 def test_bad_input_exits_without_traceback(args, code, tmp_path):
-    # each input runs (exit 0) or is refused (exit 2), never with a traceback
+    # each input runs (exit 0) or is refused (exit 2, one error line), never
+    # with a traceback
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -119,3 +123,5 @@ def test_bad_input_exits_without_traceback(args, code, tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
+    if code == 2:
+        assert done.stderr.startswith("error: "), done.stderr

@@ -181,6 +181,23 @@ def test_wilson_from_power_sums_examples():
         wilson_from_power_sums(5, 5)
 
 
+def test_wilson_from_power_sums_reads_the_sums_once(monkeypatch):
+    # without sums, Q_p(1..r) is one pass, not one per expansion polynomial
+    from wilsonq import oracles
+
+    calls = []
+    real = oracles.q_power_sums
+
+    def counting(p, r):
+        calls.append((p, r))
+        return real(p, r)
+
+    monkeypatch.setattr(oracles, "q_power_sums", counting)
+    monkeypatch.setattr(formulas, "q_power_sums", counting, raising=False)
+    assert wilson_from_power_sums(11, 6) == wilson_quotient(11, 6).quotient
+    assert calls == [(11, 6)]
+
+
 def test_zero_expressions_vanish():
     for p in (7, 11, 13):
         for name, value in zero_expressions(p, divided_set(p)):

@@ -48,6 +48,17 @@ def test_runconfig_validation():
         RunConfig(pmin=7, pmax=20, fmt="xml")
 
 
+def test_runconfig_refuses_the_window_enumerate_primes_refuses():
+    # one window rule: a config that could not be swept is refused at once
+    for pmin, pmax in ((7, PRIME_BOUND), (1, 30), (30, 7)):
+        with pytest.raises(ValueError):
+            enumerate_primes(pmin, pmax)
+        with pytest.raises(ValueError):
+            RunConfig(pmin=pmin, pmax=pmax)
+    with pytest.raises(ValueError, match="below"):
+        RunConfig(pmin=7, pmax=PRIME_BOUND)
+
+
 def test_empty_check_set_is_rejected():
     # no check selected would report "0 checks" and pass vacuously
     with pytest.raises(ValueError, match="no checks selected"):

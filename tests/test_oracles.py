@@ -4,42 +4,12 @@ from wilsonq.bernoulli import divided_set
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import (
     factorial_mod,
-    fermat_quotient,
     q_power_sum,
     q_power_sums,
     qtilde,
     sh_mod,
     wilson_quotient,
 )
-
-
-def test_fermat_quotient_examples():
-    assert fermat_quotient(1, 7, 3).value == 0
-    assert fermat_quotient(2, 5, 2).value == 3  # (16-1)/5
-    # (6^6 - 1)/7 = 6665 = 136*49 + 1
-    assert (6**6 - 1) // 7 == 6665
-    assert fermat_quotient(6, 7, 2).value == 1
-    with pytest.raises(ValueError):
-        fermat_quotient(14, 7, 2)
-
-
-def test_fermat_quotient_log_property_exhaustive():
-    # q_p(ab) = q_p(a) + q_p(b) mod p for the *integer* product; the quotient
-    # itself is not invariant under reducing its argument mod p
-    for p in enumerate_primes(3, 101):
-        q = [None] + [fermat_quotient(a, p, 1).value for a in range(1, p)]
-        for a in range(1, p):
-            for b in range(a, p):
-                assert fermat_quotient(a * b, p, 1).value == (q[a] + q[b]) % p, (p, a, b)
-
-
-def test_fermat_quotient_shift_rule():
-    # the exact failure of mod-p argument reduction: q_p(a + p) = q_p(a) - 1/a
-    for p in (5, 7, 13):
-        for a in range(1, p):
-            shifted = fermat_quotient(a + p, p, 1)
-            inv_a = pow(a, -1, p)
-            assert shifted.value == (fermat_quotient(a, p, 1).value - inv_a) % p
 
 
 def test_q_power_sum_examples():
