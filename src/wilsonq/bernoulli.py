@@ -33,8 +33,10 @@ built on it; a call without one works on a throwaway engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb
-from operator import mul
+from operator import lshift, mul, or_
+from operator import mod as imod
 
 from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
@@ -74,20 +76,24 @@ def exact_bernoulli(n: int) -> Fraction:
 
 
 class BernoulliEngine:
-    """One prime's Bernoulli state: batched power sums S_j(p) mod p^g and a
-    memo of p*B_m keyed by index.
+    """One prime's Bernoulli state: power sums S_j(p) mod p^g, memoized by
+    index, and a memo of p*B_m keyed by index.
 
-    Writing j = k(p-1) + c, the term v^j factors as (v^(p-1))^k * v^c, so a
-    row table of v^(p-1) powers and a column table of v^c powers over
-    v = 1..p-1 turn each S_j into one dot product.  The v^(p-1) row comes
-    from :func:`power_table`, and so does a column whose neighbour c-2 is
-    not held; any other column is that neighbour times a v^2 table.
-    ``pb_value`` sums its recursion terms before its own power sum, so the
-    columns a target index needs are requested in ascending order, each one
-    step above the last, and only the lowest is a power table.
-    The tables sit at the highest precision asked so far; each memo entry
-    holds its value at the highest precision it was computed at, and a lower
-    request is served by reduction.
+    Writing j = k(p-1) + c and w_v = v^(p-1), the term v^j is w_v^k * v^c.
+    The engine holds a block of BLOCK_ROWS rows w_v^0 .. w_v^(BLOCK_ROWS-1)
+    and their multiples by v^2, packed into one integer per v: each value
+    sits in its own slot, wide enough that a sum of p-1 products with a
+    reduced column entry cannot carry into the next slot.  On a miss at j
+    the engine builds one column, v^(K(p-1)+c) with K the first row of the
+    block that holds row k (K = 0 inside the block), and one column pass,
+    the sum over v of packed[v] * column[v], holds S at c and at c+2 (the
+    v^2 fold) at the BLOCK_ROWS rows K, K+1, ...; each slot, reduced mod
+    p^g, fills the S_j memo.  No row above the block is ever held.
+    ``pb_value`` sums its recursion terms before its own power sum, so a
+    target's first miss is two below its own column, and one pass serves
+    both.  The block and the sums sit at the highest precision asked so far;
+    each p*B_m memo entry holds its value at the highest precision it was
+    computed at, and a lower request is served by reduction.
     """
 
     def __init__(self, p: int):
@@ -96,49 +102,67 @@ class BernoulliEngine:
         self.p = p
         self.g = 0
         self._pb: dict[int, tuple[int, int]] = {}
+        #: (k, g) -> (sub-index precision, p^(k-1)/k mod p^g) of a recursion term.
+        self._weights: dict[tuple[int, int], tuple[int, int]] = {}
 
     def _reset(self, g: int) -> None:
         if g <= self.g:
             return
         self.g = g
-        self.mod = self.p**g
-        self._cols: dict[int, list[int]] = {}
-        self._squares = [v * v % self.mod for v in range(1, self.p)]
-        self._wrows: list[list[int]] = [[1] * (self.p - 1)]
+        self.mod = mod = make_modulus(self.p, g).value
+        # A slot holds a sum of p-1 products of a reduced column entry and a
+        # block entry below mod * (p-1)^2.
+        self._slot = ((self.p - 1) ** 3 * (mod - 1) ** 2).bit_length()
+        self._sums: dict[int, int] = {}
+        self._packed = self._pack()
 
-    def _column(self, c: int) -> list[int]:
-        col = self._cols.get(c)
-        if col is not None:
-            return col
-        m = self.mod
-        below = self._cols.get(c - 2)
-        if below is None:
-            col = power_table(self.p, c, m)
-        else:
-            col = [x * y % m for x, y in zip(below, self._squares)]
-        self._cols[c] = col
-        return col
+    def _pack(self) -> list[int]:
+        """The block at the current precision, one packed integer per v:
+        slot i holds w_v^i reduced mod p^g, and slot BLOCK_ROWS + i holds
+        v^2 times slot i, left unreduced so that one multiplication of the
+        low half by v^2 fills the high half."""
+        p, mod, rows, slot = self.p, self.mod, BLOCK_ROWS, self._slot
+        w = row = power_table(p, p - 1, mod)
+        low = list(map(or_, map(lshift, w, repeat(slot)), repeat(1)))
+        for i in range(2, rows):
+            row = list(map(imod, map(mul, row, w), repeat(mod)))
+            low = list(map(or_, low, map(lshift, row, repeat(slot * i))))
+        squares = map(mul, range(1, p), range(1, p))
+        return list(map(or_, low, map(lshift, map(mul, low, squares), repeat(slot * rows))))
 
-    def _wrow(self, k: int) -> list[int]:
-        # Filled upward from the highest row held: row 1 is a power table,
-        # each row above it the row below times row 1.
-        rows, m = self._wrows, self.mod
-        while len(rows) <= k:
-            rows.append(power_table(self.p, self.p - 1, m) if len(rows) == 1
-                        else [a * b % m for a, b in zip(rows[-1], rows[1])])
-        return rows[k]
+    def _column_pass(self, j: int) -> None:
+        """Fill the S memo at j's column and the column two above, for
+        every row of the block that holds j's row."""
+        p, mod, rows, slot = self.p, self.mod, BLOCK_ROWS, self._slot
+        k, c = divmod(j, p - 1)
+        base = (k - k % rows) * (p - 1) + c
+        total = sum(map(mul, self._packed, power_table(p, base, mod)))
+        mask = (1 << slot) - 1
+        for lift in (0, 2):
+            for i in range(rows):
+                self._sums[base + i * (p - 1) + lift] = (total & mask) % mod
+                total >>= slot
 
     def power_sum(self, j: int, g: int) -> int:
         """S_j(p) mod p^g, raising the table precision to g if needed."""
         self._reset(g)
-        m = self.p**g
-        if j == 0:
-            return (self.p - 1) % m
-        k, c = divmod(j, self.p - 1)
-        row = self._wrow(k)
-        if c == 0:
-            return sum(row) % m
-        return sum(map(mul, row, self._column(c))) % m
+        if j not in self._sums:
+            self._column_pass(j)
+        return self._sums[j] % self.p**g
+
+    def _weight(self, k: int, g: int) -> tuple[int, int]:
+        """(g - e, p^e / unit mod p^g) for k = p^e * unit: the precision of
+        the recursion's k-th sub-index and its weight (e >= g: no term)."""
+        found = self._weights.get((k, g))
+        if found is None:
+            p, e, unit = self.p, k - 1, k
+            while unit % p == 0:
+                unit //= p
+                e -= 1
+            mod = p**g
+            found = (g - e, p**e * pow(unit, -1, mod) % mod if e < g else 0)
+            self._weights[k, g] = found
+        return found
 
     def pb_value(self, m: int, g: int) -> int:
         """p*B_m mod p^g as a plain integer."""
@@ -157,17 +181,18 @@ class BernoulliEngine:
             # The recursion asks for lower precisions; rising to g first
             # keeps their tables instead of rebuilding them at g.
             self._reset(g)
+            # Odd k reach the even sub-indices m+1-k; of the odd ones only
+            # index 1 (k = m) is non-zero.
+            top = min(m + 1, g + 1)
+            ks = list(range(3, top + 1, 2))
+            if m <= top:
+                ks.append(m)
             value = 0
-            for k in range(2, min(m + 1, g + 1) + 1):
-                e, unit = k - 1, k
-                while unit % p == 0:
-                    unit //= p
-                    e -= 1
-                if e >= g:
-                    continue
-                sub = self.pb_value(m + 1 - k, g - e)
-                term = comb(m, k - 1) * p**e % mod * pow(unit, -1, mod) % mod * sub % mod
-                value = (value - term) % mod
+            for k in ks:
+                sub_g, weight = self._weight(k, g)
+                if weight:
+                    sub = self.pb_value(m + 1 - k, sub_g)
+                    value -= comb(m, k - 1) * weight % mod * sub
             value = (value + self.power_sum(m, g)) % mod
         self._pb[m] = (g, value)
         return value
@@ -230,6 +255,12 @@ def kummer_admissible(p: int, r: int, n: int) -> bool:
 #: paper states: the set spec, the coefficient ladder and the power-sum level
 #: of that depth.
 MIN_P = {5: 7, 6: 11}
+
+#: Rows w_v^0 .. w_v^(BLOCK_ROWS-1) an engine's block holds.  The divided set
+#: of the deepest depth R reads the columns p-1-d for d = 2, 4, .. at rows
+#: 0..R-1 and the column 0 at rows 1..R, which the v^2 fold of the column
+#: p-3 holds; so do the kummer check's top windows (start 3(p-1), order 3).
+BLOCK_ROWS = max(MIN_P)
 
 
 def depths(p: int) -> tuple[int, ...]:

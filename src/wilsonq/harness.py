@@ -29,7 +29,7 @@ from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, bnpd, depths, divided_set,
                         kummer_admissible)
 from .differences import forward_difference
-from .residues import PRIME_BOUND, Residue, is_prime, make_modulus
+from .residues import Residue, check_size, check_window, is_prime, make_modulus
 
 #: Even indices sampled by the kummer check (the windows reach a bit higher).
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
@@ -110,19 +110,21 @@ def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
     """(r, n, value) for r = 1..max_order and each admissible start n (first
     occurrence only, in the given order): the r-fold difference with step
     p-1 of the divided values from index n, taken mod p^r, which Kummer's
-    congruences claim is 0.  The orders are computed from the top down, so
-    the engine holds each index at its highest precision first and serves
-    the lower orders by reduction; the rows come out in ascending order."""
+    congruences claim is 0.  Each distinct index is evaluated once, at the
+    highest order that reads it (the orders are walked from the top down),
+    and every order's differences are taken from those held values."""
     h = p - 1
     starts = list(dict.fromkeys(starts))
-    found = {}
-    for r in range(max_order, 0, -1):
+    windows = [(r, n) for r in range(max_order, 0, -1) for n in starts
+               if kummer_admissible(p, r, n)]
+    held: dict[int, Residue] = {}
+    for r, n in windows:
         modulus = make_modulus(p, r)
-        found[r] = [
-            (r, n, forward_difference(lambda nu: bnpd(nu, modulus, engine), h, r, start=n))
-            for n in starts if kummer_admissible(p, r, n)
-        ]
-    return [row for r in range(1, max_order + 1) for row in found[r]]
+        for index in range(n, n + r * h + 1, h):
+            if index not in held:
+                held[index] = bnpd(index, modulus, engine)
+    return [(r, n, forward_difference(lambda nu: held[nu].reduce_to(r), h, r, start=n))
+            for r, n in sorted(windows, key=lambda window: window[0])]
 
 
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
@@ -203,17 +205,6 @@ CHECKS = (
 CHECK_TAGS = frozenset(tag for tag, _, _ in CHECKS)
 
 
-def _check_window(pmin: int, pmax: int) -> None:
-    """Refuse a prime window outside 2 <= pmin <= pmax < PRIME_BOUND, the
-    range where :func:`is_prime` is exact."""
-    if pmin < 2:
-        raise ValueError("pmin must be >= 2")
-    if pmin > pmax:
-        raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
-    if pmax >= PRIME_BOUND:
-        raise ValueError(f"pmax must be below {PRIME_BOUND}, where primality tests stay exact")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     pmin: int
@@ -224,7 +215,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        _check_window(self.pmin, self.pmax)
+        check_window(self.pmin, self.pmax)
+        check_size(self.pmax)
         if not self.checks:
             raise ValueError("no checks selected")
         unknown = self.checks - CHECK_TAGS
@@ -239,7 +231,7 @@ class RunConfig:
 def enumerate_primes(pmin: int, pmax: int) -> list[int]:
     """Ascending primes in [pmin, pmax] by deterministic Miller-Rabin, so
     memory follows the window rather than pmax."""
-    _check_window(pmin, pmax)
+    check_window(pmin, pmax)
     return [n for n in range(pmin, pmax + 1) if is_prime(n)]
 
 
@@ -278,22 +270,22 @@ def _worker(args: tuple[int, RunConfig]) -> list[CheckResult]:
     return check_prime(p, cfg)
 
 
-def _json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return encode_basestring_ascii(value)
+#: One JSON report row as json.dump(rows, indent=1) writes it: the keys of
+#: ``CheckResult.row()`` in order, each string value through
+#: ``encode_basestring_ascii``.
+_JSON_ROW = (' {{\n  "p": {},\n  "tag": {},\n  "case": {},\n  "lhs": {},\n  "rhs": {},\n'
+             '  "modulus": {},\n  "pass": {}\n }}')
 
 
 def write_report(results: list[CheckResult], fmt: str, stream, summary: str | None = None) -> None:
     if fmt == "json":
         # Row by row, byte-identical to json.dump(rows, indent=1) plus "\n".
+        text = encode_basestring_ascii
         opening = "[\n"
         for r in results:
-            fields = ",\n".join(f"  {encode_basestring_ascii(key)}: {_json_value(value)}"
-                                 for key, value in r.row().items())
-            stream.write(f"{opening} {{\n{fields}\n }}")
+            stream.write(opening + _JSON_ROW.format(
+                r.p, text(r.tag), text(r.case), text(r.lhs), text(r.rhs), text(r.modulus),
+                "true" if r.passed else "false"))
             opening = ",\n"
         stream.write("\n]\n" if results else "[]\n")
     elif fmt == "csv":

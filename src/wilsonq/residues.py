@@ -16,6 +16,12 @@ from math import isqrt
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: The least strong pseudoprime to all of ``_MR_BASES``: below it the test is exact.
 PRIME_BOUND = 318665857834031151167461
+#: The size bound on p for every command.  One prime's state is its
+#: Bernoulli engine's packed block and columns plus the divided set built on
+#: them: at depth 6 its tracemalloc peak is 750 B per v = 1..p-1 at
+#: p = 40009 and 802 B at p = 100003, growing with log p.  At this bound
+#: that is about 220 MB per worker process.
+P_LIMIT = 2**18
 
 
 def is_prime(n: int) -> bool:
@@ -42,6 +48,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_window(pmin: int, pmax: int) -> None:
+    """Refuse a prime window outside 2 <= pmin <= pmax < PRIME_BOUND, the
+    range where :func:`is_prime` is exact."""
+    if pmin < 2:
+        raise ValueError(f"primes start at 2, got {pmin}")
+    if pmin > pmax:
+        raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
+    if pmax >= PRIME_BOUND:
+        raise ValueError(f"p must be below {PRIME_BOUND}, where primality tests stay exact; "
+                         f"got {pmax}")
+
+
+def check_size(p: int) -> None:
+    """Refuse p above P_LIMIT, before any table of p-1 entries is built."""
+    if p > P_LIMIT:
+        raise ValueError(f"p must be at most {P_LIMIT}, the size bound on one prime's "
+                         f"tables; got {p}")
+
+
 def power_table(p: int, e: int, mod: int) -> list[int]:
     """[v^e mod mod for v = 1..p-1].
 
@@ -63,13 +88,17 @@ def power_table(p: int, e: int, mod: int) -> list[int]:
 
 
 class Modulus:
-    """A prime power p^r with p >= 3 prime and r >= 1."""
+    """A prime power p^r with p >= 3 prime and r >= 1.  Every command
+    builds one before its tables, so p passes the prime window rule and the
+    size bound here."""
 
     __slots__ = ("p", "r", "value")
 
     def __init__(self, p: int, r: int):
         if r < 1:
             raise ValueError(f"precision exponent must be >= 1, got {r}")
+        check_window(p, p)
+        check_size(p)
         if p < 3 or not is_prime(p):
             raise ValueError(f"modulus base must be an odd prime, got {p}")
         self.p = p

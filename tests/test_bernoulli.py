@@ -281,13 +281,22 @@ def test_kummer_congruence_cases():
 
 
 def test_power_sum_tables_match_direct():
-    from wilsonq.bernoulli import BernoulliEngine
-
-    p, g = 101, 5
-    tables = BernoulliEngine(p)
-    m = make_modulus(p, g)
-    for j in (0, 1, 2, 50, 99, 100, 200, 357, 600, 6 * 100):
-        assert tables.power_sum(j, g) == power_sum_mod(j, m).value, j
+    # rows inside the block and above it, indices with p | j, the fold of
+    # the column p-3 onto the column 0 of the next row, and one engine asked
+    # in rising and one in falling precision; p = 2003 at g = 7 is the
+    # widest slot
+    rows = bernoulli.BLOCK_ROWS
+    for p in (7, 11, 101, 691, 2003):
+        h = p - 1
+        indices = (0, 1, 2, 4, 50, 99, 357, p - 3, h, p, 2 * h - 2, 2 * h,
+                   (rows - 1) * h + p - 3, rows * h, rows * h + 2, (rows + 1) * h + 4,
+                   3 * rows * h + p - 3, 40 * h + 2, p * h, p * (p + 1))
+        want = {j: power_sum_mod(j, make_modulus(p, 7)).value for j in indices}
+        for order in (range(1, 8), range(7, 0, -1)):
+            engine = BernoulliEngine(p)
+            for g in order:
+                for j in indices:
+                    assert engine.power_sum(j, g) == want[j] % p**g, (p, g, j)
 
 
 def _count_power_sums(engine):
@@ -337,30 +346,63 @@ def test_engine_is_shared_by_divided_values():
 
 
 def test_divided_set_builds_few_tables(monkeypatch):
-    # at p = 691 the divided set reads the columns p-3, p-5 and p-7 only:
-    # one power_table call for the v^(p-1) row, one for the lowest column,
-    # the two above it stepped by v^2, and the tables never rebuilt
-    from wilsonq import bernoulli
-
+    # at p = 691 the divided set reads the columns p-7, p-5, p-3 and 0:
+    # one power table for the v^(p-1) rows of the block, one column pass at
+    # p-7 (its v^2 fold holds p-5) and one at p-3 (its fold holds the
+    # column 0 of the next row), at one precision, and nothing rebuilt
     p = 691
-    tables = []
-    direct = bernoulli.power_table
+    tables, passes, rises = [], [], []
+    direct_table = bernoulli.power_table
 
-    def counted(p, e, mod):
+    def counted_table(p, e, mod):
         tables.append(e)
-        return direct(p, e, mod)
+        return direct_table(p, e, mod)
 
-    monkeypatch.setattr(bernoulli, "power_table", counted)
+    monkeypatch.setattr(bernoulli, "power_table", counted_table)
     engine = BernoulliEngine(p)
-    rises = []
-    reset = engine._reset
+    column_pass, reset = engine._column_pass, engine._reset
+
+    def counted_pass(j):
+        passes.append(j)
+        column_pass(j)
 
     def counted_reset(g):
         if g > engine.g:
             rises.append(g)
         reset(g)
 
-    engine._reset = counted_reset
+    engine._column_pass, engine._reset = counted_pass, counted_reset
     divided_set(p, engine)
-    assert len(tables) <= 2 and rises == [7]
-    assert len(engine._cols) <= 4 and {p - 3, p - 5, p - 7} <= set(engine._cols)
+    assert tables == [p - 1, p - 7, p - 3] and rises == [7]
+    assert passes == [5 * (p - 1) + p - 7, 5 * (p - 1) + p - 3]
+
+
+def test_pb_value_skips_odd_sub_indices():
+    # odd indices above 1 are zero and are never asked for
+    engine = BernoulliEngine(101)
+    asked = []
+    direct = engine.pb_value
+
+    def counted(m, g):
+        asked.append(m)
+        return direct(m, g)
+
+    engine.pb_value = counted
+    for m in (2, 4, 100, 598, 600):
+        assert engine.pb_value(m, 7) == bernoulli_times_p(m, 101, 7).value
+    assert 1 in asked and 0 in asked
+    assert not [m for m in asked if m > 1 and m % 2]
+
+
+def test_bnpd_row_memory_stays_flat():
+    # index 600002 at p = 7 sits on row 100000: no row below it is held
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        value = bnpd(600002, make_modulus(7, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == bnpd(2, make_modulus(7, 1))
+    assert peak < 2 * 2**20

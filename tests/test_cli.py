@@ -125,3 +125,44 @@ def test_bad_input_exits_without_traceback(args, code, tmp_path):
     assert "Traceback" not in done.stderr
     if code == 2:
         assert done.stderr.startswith("error: "), done.stderr
+
+
+def test_prime_window_holds_for_single_prime_commands():
+    # PRIME_BOUND is a composite that every Miller-Rabin base passes: each
+    # command refuses it at once, here under a 512 MiB address-space cap
+    import resource
+
+    from wilsonq.residues import PRIME_BOUND
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for args in (["bernoulli", "--p", str(PRIME_BOUND), "--m", "4", "--prec", "1"],
+                 ["omega", "--p", str(PRIME_BOUND), "--thm", "1"],
+                 ["wilson", "--p", str(PRIME_BOUND), "--prec", "1"]):
+        done = subprocess.run([sys.executable, "-m", "wilsonq.cli", *args], capture_output=True,
+                              text=True, timeout=30, env=env, preexec_fn=cap)
+        assert done.returncode == 2, (args, done.stderr[-300:])
+        assert done.stderr.startswith("error: p must be below"), done.stderr
+
+
+def test_size_bound_refuses_before_any_table(monkeypatch, capsys):
+    from wilsonq import bernoulli, oracles
+    from wilsonq.residues import P_LIMIT, is_prime
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(bernoulli, "power_table", no_table)
+    monkeypatch.setattr(oracles, "power_table", no_table)
+    p = next(n for n in range(P_LIMIT + 1, 2 * P_LIMIT) if is_prime(n))
+    for args in (["bernoulli", "--p", str(p), "--m", "4", "--prec", "1"],
+                 ["omega", "--p", str(p), "--thm", "2"],
+                 ["wilson", "--p", str(p), "--prec", "2"],
+                 ["verify", "--pmin", "7", "--pmax", str(p)],
+                 ["verify", "--pmin", str(p), "--pmax", str(p)]):
+        assert main(args) == 2, args
+        assert capsys.readouterr().err.startswith(f"error: p must be at most {P_LIMIT}"), args

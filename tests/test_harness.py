@@ -343,19 +343,60 @@ def test_one_factorial_per_prime(monkeypatch):
 
 
 def test_kummer_sums_each_index_once(monkeypatch):
-    # the windows are computed from the top order down, so every lower order
-    # is served by reduction and each index costs one power-sum dot product
-    calls = []
-    direct = BernoulliEngine.power_sum
+    # every index the windows read costs one power sum, and the column
+    # passes fill them: at p = 101 the kummer check alone makes one pass per
+    # sampled column pair (the start's column two below, whose v^2 fold
+    # holds the start's own), one at the column 0 of the grid windows and
+    # one above the block, each on a column table of its own next to the
+    # v^(p-1) table of the block
+    from wilsonq import bernoulli
 
-    def counted(engine, j, g):
+    calls, tables, passes = [], [], []
+    direct_sum, direct_pass = BernoulliEngine.power_sum, BernoulliEngine._column_pass
+    direct_table = bernoulli.power_table
+
+    def counted_sum(engine, j, g):
         calls.append(j)
-        return direct(engine, j, g)
+        return direct_sum(engine, j, g)
 
-    monkeypatch.setattr(BernoulliEngine, "power_sum", counted)
+    def counted_pass(engine, j):
+        passes.append(j)
+        direct_pass(engine, j)
+
+    def counted_table(p, e, mod):
+        tables.append(e)
+        return direct_table(p, e, mod)
+
+    monkeypatch.setattr(BernoulliEngine, "power_sum", counted_sum)
+    monkeypatch.setattr(BernoulliEngine, "_column_pass", counted_pass)
+    monkeypatch.setattr(bernoulli, "power_table", counted_table)
     rows = check_prime(101, RunConfig(pmin=101, pmax=101, checks=frozenset(["kummer"])))
     assert rows and all(r.passed for r in rows)
     assert len(calls) == len(set(calls)) == 85
+    assert passes == [2, 8, 14, 20, 32, 48, 96, 124, 154, 176, 200, 600]
+    assert tables == [100, 2, 8, 14, 20, 32, 48, 96, 24, 54, 76, 0, 600]
+
+
+def test_kummer_differences_evaluate_each_index_once(monkeypatch):
+    # each distinct index is one bnpd call, at the highest order reading it
+    calls = []
+    direct = harness.bnpd
+
+    def counted(m, modulus, engine=None):
+        calls.append((m, modulus.r))
+        return direct(m, modulus, engine)
+
+    monkeypatch.setattr(harness, "bnpd", counted)
+    p, h = 101, 100
+    starts = harness.KUMMER_SAMPLE + (h, 2 * h, 3 * h)
+    found = harness.kummer_differences(p, BernoulliEngine(p), starts, 3)
+    reads = {}
+    for r, n, value in found:
+        assert value.is_zero() and value.precision == r, (r, n)
+        for index in range(n, n + r * h + 1, h):
+            reads[index] = max(reads.get(index, 0), r)
+    assert len(calls) == len(reads) == 46
+    assert dict(calls) == reads
 
 
 def test_kummer_scan_script_runs_clean():
