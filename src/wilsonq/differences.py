@@ -4,21 +4,26 @@ integer sequences, plus the operator-form route to Fermat-quotient power sums.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .oracles import sh_mod
 from .residues import Residue, make_modulus
 
-#: A pure map from integer index to Residue; indices <= 0 are the caller's
+#: Residues, or plain integers a caller reduces itself.
+Value = TypeVar("Value", Residue, int)
+
+#: A pure map from integer index to a value; indices <= 0 are the caller's
 #: business (divided Bernoulli evaluators return zero there).
-Evaluator = Callable[[int], Residue]
+Evaluator = Callable[[int], Value]
 
 
-def forward_difference(f: Evaluator, h: int, n: int, start: int = 0) -> Residue:
+def forward_difference(f: Evaluator[Value], h: int, n: int, start: int = 0) -> Value:
     """sum_{v=0}^{n} C(n, v) (-1)^(n-v) f(start + v*h).
 
-    Binomial weights are exact integers embedded into the residue ring; the
-    evaluator is called at exactly the n+1 sample points.
+    The sum takes only integer multiples, negation and addition, so it works
+    on residues (binomial weights embed into their ring) and on plain
+    integers alike; the result has the evaluator's type.  The evaluator is
+    called at exactly the n+1 sample points.
     """
     if n < 0:
         raise ValueError("order must be non-negative")

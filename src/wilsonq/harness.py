@@ -11,13 +11,16 @@ The checks are one table, :data:`CHECKS`, of (tag, smallest prime, runner).
 A runner returns (case, lhs, rhs) triples, with rhs either a residue or 0 for
 a vanishing claim; :func:`check_prime` alone turns them, and the skip and
 error markers, into report rows.  Primes are independent units of work, so
-the sweep is embarrassingly parallel; results are collected in prime order
-and are byte-identical for any worker count.
+the sweep is embarrassingly parallel: with ``--jobs`` above 1 it forks
+workers that each take every W-th prime, and the rows are merged back in
+prime order, so reports are byte-identical for any worker count.
 """
 from __future__ import annotations
 
 import csv
+import marshal
 import os
+import signal
 import sys
 import time
 from collections.abc import Iterable
@@ -112,18 +115,20 @@ def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
     p-1 of the divided values from index n, taken mod p^r, which Kummer's
     congruences claim is 0.  Each distinct index is evaluated once, at the
     highest order that reads it (the orders are walked from the top down),
-    and every order's differences are taken from those held values."""
+    and held as an integer representative.  Each difference is taken on
+    those integers and reduced once, into its row's residue."""
     h = p - 1
     starts = list(dict.fromkeys(starts))
     windows = [(r, n) for r in range(max_order, 0, -1) for n in starts
                if kummer_admissible(p, r, n)]
-    held: dict[int, Residue] = {}
+    held: dict[int, int] = {}
     for r, n in windows:
         modulus = make_modulus(p, r)
         for index in range(n, n + r * h + 1, h):
             if index not in held:
-                held[index] = bnpd(index, modulus, engine)
-    return [(r, n, forward_difference(lambda nu: held[nu].reduce_to(r), h, r, start=n))
+                held[index] = bnpd(index, modulus, engine).value
+    return [(r, n, Residue(forward_difference(held.__getitem__, h, r, start=n),
+                           make_modulus(p, r)))
             for r, n in sorted(windows, key=lambda window: window[0])]
 
 
@@ -159,9 +164,14 @@ def _check_lemmas(run: PrimeRun) -> list[Row]:
 
 
 def _check_psi(run: PrimeRun) -> list[Row]:
-    return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r),
-             formulas.wilson_from_power_sums(run.p, r, run.sums))
-            for r in range(1, min(6, run.p - 1) + 1)]
+    """W_p from the power sums, evaluated once at the top precision: each
+    lower row's right side is that value mod p^r, as reduction is a ring map
+    and every PTILDE[nu] monomial carries weight nu-1, so the terms past
+    nu = r vanish mod p^r."""
+    top = min(6, run.p - 1)
+    rhs = formulas.wilson_from_power_sums(run.p, top, run.sums)
+    return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r), rhs.reduce_to(r))
+            for r in range(1, top + 1)]
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:
@@ -265,9 +275,64 @@ def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
     return results
 
 
-def _worker(args: tuple[int, RunConfig]) -> list[CheckResult]:
-    p, cfg = args
-    return check_prime(p, cfg)
+def _run_share(primes: list[int], cfg: RunConfig, write_fd: int) -> None:
+    """A forked worker's whole life: the rows of ``primes``, prime by prime,
+    as one marshal blob of plain tuples on ``write_fd``, then ``os._exit``,
+    so no parent state (buffers, atexit hooks) is flushed or run twice."""
+    code = 1
+    try:
+        rows = [[(r.p, r.tag, r.case, r.lhs, r.rhs, r.modulus, r.passed, r.elapsed, r.skipped)
+                 for r in check_prime(p, cfg)] for p in primes]
+        with open(write_fd, "wb") as out:
+            out.write(marshal.dumps(rows))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> list[CheckResult]:
+    """Fork ``workers`` children, child i checking ``primes[i::workers]``,
+    read each one's rows, reap it, and merge the rows in prime order: prime
+    k sits at worker k % W, position k // W.  A worker that exits non-zero
+    or sends a truncated blob raises ChildProcessError; on any exception
+    every child not yet reaped is killed and reaped."""
+    running: list[int] = []
+    pipes = []
+    try:
+        for i in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns from here
+                _run_share(primes[i::workers], cfg, write_fd)
+            # Closed at once, so no later child holds this write end and the
+            # pipe reads EOF when worker i exits.
+            os.close(write_fd)
+            running.append(pid)
+        shares = []
+        for worker, pipe in enumerate(pipes):
+            with pipe:
+                blob = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
+            running.pop(0)
+            if code != 0:
+                raise ChildProcessError(f"worker {worker} exited with status {code}")
+            try:
+                shares.append(marshal.loads(blob))
+            except (EOFError, ValueError):
+                raise ChildProcessError(f"worker {worker} sent a truncated report") from None
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [CheckResult(*row) for k in range(len(primes))
+            for row in shares[k % workers][k // workers]]
 
 
 #: One JSON report row as json.dump(rows, indent=1) writes it: the keys of
@@ -323,20 +388,13 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
             return run_and_report(cfg, fh)
     started = time.perf_counter()
     primes = enumerate_primes(cfg.pmin, cfg.pmax)
-    results: list[CheckResult] = []
-    # The pool forks all its workers at once: no more than primes or cores.
-    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1)
-    if workers <= 1:
-        for p in primes:
-            results.extend(check_prime(p, cfg))
+    # Every worker is forked at once: no more than primes or cores, and
+    # none where the platform cannot fork.
+    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if workers > 1:
+        results = _forked_sweep(primes, cfg, workers)
     else:
-        # Imported here so that serial runs skip its start-up cost.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(primes) // (workers * 8))
-            for batch in pool.map(_worker, [(p, cfg) for p in primes], chunksize=chunk):
-                results.extend(batch)
+        results = [r for p in primes for r in check_prime(p, cfg)]
     elapsed = time.perf_counter() - started
 
     checked, failed, skipped = summarize(results)

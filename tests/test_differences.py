@@ -26,6 +26,17 @@ def test_forward_difference_base_cases():
     assert forward_difference(g, 1, 2, start=0).value == 0
 
 
+def test_forward_difference_on_integers():
+    # the same sum on plain integers, reduced once, as on residues
+    m = make_modulus(7, 3)
+    for h, n, start in ((1, 2, 0), (6, 3, 4), (6, 0, 9)):
+        cube = lambda i: i**3 - 5 * i
+        on_ints = forward_difference(cube, h, n, start=start)
+        assert type(on_ints) is int
+        assert Residue(on_ints, m) == forward_difference(_seq(m, cube), h, n, start=start)
+    assert forward_difference(lambda i: i**3, 1, 3) == 6
+
+
 def test_forward_difference_validates():
     m = make_modulus(7, 3)
     with pytest.raises(ValueError):

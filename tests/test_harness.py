@@ -1,16 +1,20 @@
-import concurrent.futures
 import csv
 import io
 import json
+import marshal
+import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
+import warnings
 from pathlib import Path
 
 import pytest
 
-from wilsonq import harness, oracles
+from wilsonq import formulas, harness, oracles
 from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
 from wilsonq.cli import main
 from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
@@ -181,12 +185,24 @@ def test_empty_range_passes():
     assert json.loads(buf.getvalue()) == []
 
 
-def test_worker_count_independence():
-    base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "thm3", "psi"]), fmt="json")
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    assert run_and_report(RunConfig(**base, jobs=1), stream=buf1) == 0
-    assert run_and_report(RunConfig(**base, jobs=2), stream=buf2) == 0
-    assert buf1.getvalue() == buf2.getvalue()
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_independence(monkeypatch):
+    # 14 primes over 2 workers, and over 3 in shares of 5, 5 and 4, merge
+    # back into the serial report
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "thm3", "psi", "kummer"]),
+                fmt="json")
+    serial = io.StringIO()
+    assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0
+    for jobs in (2, 3):
+        forked = io.StringIO()
+        assert run_and_report(RunConfig(**base, jobs=jobs), stream=forked) == 0
+        assert forked.getvalue() == serial.getvalue(), jobs
+    _no_child_left()
 
 
 def test_repeat_run_byte_identical():
@@ -246,25 +262,19 @@ def test_enumerate_primes_stops_at_primality_bound():
 
 
 def test_jobs_clamped_to_primes_and_cores(monkeypatch):
+    # every worker is forked at once, so the count is clamped to the primes
+    # and the cores; the fork seam records it and sweeps in-process
     created = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
+    def serial_fork(primes, cfg, workers):
+        created.append(workers)
+        return [r for p in primes for r in check_prime(p, cfg)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_forked_sweep", serial_fork)
     base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "psi"]), fmt="json")
     serial = io.StringIO()
     assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0
+    assert created == []
     # 14 primes in [7, 60]
     for cores, jobs, want in ((4, 100000, 4), (4, 3, 3), (64, 100000, 14), (None, 8, None)):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
@@ -272,6 +282,109 @@ def test_jobs_clamped_to_primes_and_cores(monkeypatch):
         assert run_and_report(RunConfig(**base, jobs=jobs), stream=buf) == 0
         assert buf.getvalue() == serial.getvalue()
         assert (created.pop() if created else None) == want, (cores, jobs)
+
+
+def test_forked_sweep_warns_nothing(monkeypatch):
+    # Python 3.12+ warns when a process with threads forks, and reports the
+    # warning even under -W error without raising it; the sweep must fork
+    # from a single thread
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        cfg = RunConfig(pmin=7, pmax=30, checks=frozenset(["psi"]), jobs=2)
+        assert run_and_report(cfg, stream=io.StringIO()) == 0
+    assert [str(w.message) for w in seen] == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["exit", "truncated"])
+def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
+    # a worker that dies at p = 31, or whose blob is cut short, ends the
+    # sweep with exit 2 and one error line, and leaves no child behind
+    if fault == "exit":
+        direct = harness.check_prime
+
+        def dying(p, cfg):
+            if p == 31:
+                os._exit(3)
+            return direct(p, cfg)
+
+        monkeypatch.setattr(harness, "check_prime", dying)
+    else:
+        monkeypatch.setattr(harness, "marshal", types.SimpleNamespace(
+            dumps=lambda rows: marshal.dumps(rows)[:-5], loads=marshal.loads))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--pmin", "7", "--pmax", "60", "--checks", "psi", "--jobs", "2",
+            "--format", "json", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: worker "), err
+    _no_child_left()
+
+
+def test_failed_sweep_kills_every_worker(monkeypatch):
+    # worker 0 dies at once while worker 1 would sleep for a minute: the
+    # parent kills and reaps it instead of waiting
+    def check(p, cfg):
+        if p == 7:
+            os._exit(3)
+        time.sleep(60)
+        return []
+
+    monkeypatch.setattr(harness, "check_prime", check)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    started = time.monotonic()
+    with pytest.raises(ChildProcessError, match="worker 0 exited with status 3"):
+        run_and_report(RunConfig(pmin=7, pmax=13, checks=frozenset(["psi"]), jobs=2),
+                       stream=io.StringIO())
+    assert time.monotonic() - started < 30
+    _no_child_left()
+
+
+def test_failed_fork_reaps_the_forked(monkeypatch, capsys):
+    # the second fork fails: the first worker is killed and reaped, and the
+    # failure is one error line
+    real_fork = os.fork
+    forked = []
+
+    def second_fails():
+        if forked:
+            raise OSError(11, "Resource temporarily unavailable")
+        forked.append(True)
+        return real_fork()
+
+    monkeypatch.setattr(harness.os, "fork", second_fails)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert main(["verify", "--pmin", "7", "--pmax", "60", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [Errno 11] Resource temporarily unavailable\n"
+    _no_child_left()
+
+
+def test_psi_evaluates_the_power_sums_once(monkeypatch):
+    # one evaluation at the top precision; each row's right side is that
+    # value reduced, and equals the evaluation at the row's own precision
+    calls = []
+    direct = formulas.wilson_from_power_sums
+
+    def counted(p, r, sums=None):
+        calls.append((p, r))
+        return direct(p, r, sums)
+
+    monkeypatch.setattr(formulas, "wilson_from_power_sums", counted)
+    cfg = RunConfig(pmin=3, pmax=101, checks=frozenset(["psi"]))
+    for p in (3, 5, 7, 11, 101):
+        calls.clear()
+        run = PrimeRun(p)
+        rows = harness._check_psi(run)
+        top = min(6, p - 1)
+        assert calls == [(p, top)], p
+        want = [direct(p, r, run.sums) for r in range(1, top + 1)]
+        assert [(rhs.value, rhs.precision) for _, _, rhs in rows] == \
+            [(w.value, w.precision) for w in want]
+        assert all(r.passed for r in check_prime(p, cfg))
 
 
 def test_every_divided_set_row_can_fail():
