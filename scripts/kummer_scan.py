@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wilsonq.bernoulli import BernoulliEngine
-from wilsonq.harness import kummer_differences
+from wilsonq.bernoulli import BernoulliEngine, kummer_differences
 
 
 def main() -> int:

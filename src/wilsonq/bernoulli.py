@@ -21,10 +21,13 @@ Two independent routes are provided:
 
 Derived quantities: the divided value B_m/m (pole removed when p-1 | m),
 which :func:`bnpd` alone computes from p*B_m, and a per-prime dict of the
-divided values at the index families n(p-1)-d for even d.  The depth policy
-lives here alone: ``MIN_P`` maps each depth R (the expansion of (p-1)! mod
-p^(R+1)) to the smallest prime it holds for, :func:`depths` lists the depths
-a prime supports and :func:`set_spec` the set values a depth reads.
+divided values at the index families n(p-1)-d for even d.  Kummer's
+congruences are written here too: :func:`kummer_admissible` says which
+r-fold forward differences (step p-1) of the divided values vanish mod p^r,
+and :func:`kummer_differences` takes them.  The depth policy lives here
+alone: ``MIN_P`` maps each depth R (the expansion of (p-1)! mod p^(R+1)) to
+the smallest prime it holds for, :func:`depths` lists the depths a prime
+supports and :func:`set_spec` the set values a depth reads.
 
 One prime's power-sum tables and p*B_m values live in a
 :class:`BernoulliEngine`, an optional trailing argument of every function
@@ -32,11 +35,13 @@ built on it; a call without one works on a throwaway engine.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import lshift, mul, or_
 from operator import mod as imod
+from typing import TypeVar
 
 from .residues import Modulus, Residue, is_prime, make_modulus, power_table
 
@@ -249,6 +254,56 @@ def kummer_admissible(p: int, r: int, n: int) -> bool:
     if n % h == 0:
         return p > r + n // h
     return n > r
+
+
+#: A forward difference's values: residues, or plain integers a caller
+#: reduces itself.
+Value = TypeVar("Value", Residue, int)
+
+
+def forward_difference(f: Callable[[int], Value], h: int, n: int, start: int = 0) -> Value:
+    """sum_{v=0}^{n} C(n, v) (-1)^(n-v) f(start + v*h).
+
+    The sum takes only integer multiples, negation and addition, so it works
+    on residues (binomial weights embed into their ring) and on plain
+    integers alike; the result has the evaluator's type.  The evaluator is
+    called at exactly the n+1 sample points.
+    """
+    if n < 0:
+        raise ValueError("order must be non-negative")
+    if h < 1:
+        raise ValueError("step must be >= 1")
+    acc: Value | None = None
+    for v in range(n + 1):
+        term = comb(n, v) * f(start + v * h)
+        if (n - v) % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
+                       max_order: int) -> list[tuple[int, int, Residue]]:
+    """(r, n, value) for r = 1..max_order and each admissible start n (first
+    occurrence only, in the given order): the r-fold difference with step
+    p-1 of the divided values from index n, taken mod p^r, which Kummer's
+    congruences claim is 0.  Each distinct index is evaluated once, at the
+    highest order that reads it (the orders are walked from the top down),
+    and held as an integer representative.  Each difference is taken on
+    those integers and reduced once, into its row's residue."""
+    h = p - 1
+    starts = list(dict.fromkeys(starts))
+    windows = [(r, n) for r in range(max_order, 0, -1) for n in starts
+               if kummer_admissible(p, r, n)]
+    held: dict[int, int] = {}
+    for r, n in windows:
+        modulus = make_modulus(p, r)
+        for index in range(n, n + r * h + 1, h):
+            if index not in held:
+                held[index] = bnpd(index, modulus, engine).value
+    return [(r, n, Residue(forward_difference(held.__getitem__, h, r, start=n),
+                           make_modulus(p, r)))
+            for r, n in sorted(windows, key=lambda window: window[0])]
 
 
 #: Depth R -> the smallest prime whose expansion of (p-1)! mod p^(R+1) the

@@ -21,18 +21,17 @@ import csv
 import marshal
 import os
 import signal
+import stat
 import sys
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import formulas, oracles
-from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, bnpd, depths, divided_set,
-                        kummer_admissible)
-from .differences import forward_difference
-from .residues import Residue, check_size, check_window, is_prime, make_modulus
+from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
+                        kummer_differences)
+from .residues import Residue, check_size, check_window, is_prime
 
 #: Even indices sampled by the kummer check (the windows reach a bit higher).
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
@@ -106,30 +105,6 @@ class PrimeRun:
         if depth not in self._omegas:
             self._omegas[depth] = formulas.omega_vector(self.p, self.bset, depth)
         return self._omegas[depth]
-
-
-def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
-                       max_order: int) -> list[tuple[int, int, Residue]]:
-    """(r, n, value) for r = 1..max_order and each admissible start n (first
-    occurrence only, in the given order): the r-fold difference with step
-    p-1 of the divided values from index n, taken mod p^r, which Kummer's
-    congruences claim is 0.  Each distinct index is evaluated once, at the
-    highest order that reads it (the orders are walked from the top down),
-    and held as an integer representative.  Each difference is taken on
-    those integers and reduced once, into its row's residue."""
-    h = p - 1
-    starts = list(dict.fromkeys(starts))
-    windows = [(r, n) for r in range(max_order, 0, -1) for n in starts
-               if kummer_admissible(p, r, n)]
-    held: dict[int, int] = {}
-    for r, n in windows:
-        modulus = make_modulus(p, r)
-        for index in range(n, n + r * h + 1, h):
-            if index not in held:
-                held[index] = bnpd(index, modulus, engine).value
-    return [(r, n, Residue(forward_difference(held.__getitem__, h, r, start=n),
-                           make_modulus(p, r)))
-            for r, n in sorted(windows, key=lambda window: window[0])]
 
 
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
@@ -379,13 +354,8 @@ def summarize(results: list[CheckResult]) -> tuple[int, int, int]:
     return len(checked), failed, skipped
 
 
-def run_and_report(cfg: RunConfig, stream=None) -> int:
-    """Sweep the configured range; returns 0 when every check passed.  The
-    report goes to ``stream``, else to ``cfg.out``, which is opened before
-    the sweep so that an unwritable path fails at once, else to stdout."""
-    if stream is None and cfg.out:
-        with open(cfg.out, "w") as fh:
-            return run_and_report(cfg, fh)
+def _sweep(cfg: RunConfig) -> tuple[list[CheckResult], str]:
+    """The rows of the configured range in prime order, and the summary line."""
     started = time.perf_counter()
     primes = enumerate_primes(cfg.pmin, cfg.pmax)
     # Every worker is forked at once: no more than primes or cores, and
@@ -403,7 +373,27 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
         f"{checked} checks, {checked - failed} passed, {failed} failed, "
         f"{skipped} skipped ({elapsed:.1f}s)"
     )
-    stream = sys.stdout if stream is None else stream
+    return results, summary
+
+
+def run_and_report(cfg: RunConfig, stream=None) -> int:
+    """Sweep the configured range; returns 0 when every check passed.  The
+    report goes to ``stream``, else to ``cfg.out``, else to stdout.
+    ``cfg.out`` is opened for appending before the sweep, so that an
+    unwritable path fails at once, and emptied only once the rows are in, so
+    that a failed sweep leaves an existing file as it was."""
+    if stream is None and cfg.out:
+        with open(cfg.out, "a") as fh:
+            results, summary = _sweep(cfg)
+            # A device or a pipe has nothing to empty, and refuses to.
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            return _report(cfg, results, summary, fh)
+    return _report(cfg, *_sweep(cfg), sys.stdout if stream is None else stream)
+
+
+def _report(cfg: RunConfig, results: list[CheckResult], summary: str, stream) -> int:
+    """Write the rows to ``stream``; returns 0 when every row passed."""
     try:
         write_report(results, cfg.fmt, stream, summary)
         stream.flush()
@@ -416,4 +406,4 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
     # A text report on stdout already ends with the summary.
     if cfg.fmt != "text" or stream is not sys.stdout:
         print(summary, file=sys.stderr)
-    return 1 if failed else 0
+    return 0 if all(r.passed for r in results) else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .residues import Modulus, Residue, make_modulus, power_table
+from .residues import Residue, make_modulus, power_table
 
 
 def q_power_sum(n: int, p: int, r: int) -> Residue:
@@ -48,28 +48,6 @@ def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> R
     modulus = make_modulus(p, r)
     base = (sums or q_power_sums(p, r))[n - 1].reduce_to(r - n + 1)
     return Residue(base.value * p ** (n - 1) * pow(n, -1, modulus.value), modulus)
-
-
-def power_sum_mod(n: int, modulus: Modulus) -> Residue:
-    """S_n(p) = 1^n + 2^n + ... + (p-1)^n mod p^r by direct summation."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    p, m = modulus.p, modulus.value
-    return Residue(sum(pow(v, n, m) for v in range(1, p)) % m, modulus)
-
-
-def sh_mod(n: int, p: int, r: int) -> Residue:
-    """Modified power sum (S_n(p) - S_0(p))/p mod p^r, with value 0 at n=0.
-
-    Only defined (p-adically) when S_n(p) = S_0(p) mod p, which holds exactly
-    when p-1 divides n -- the indices the difference operators sample.
-    """
-    modulus = make_modulus(p, r)
-    if n == 0:
-        return Residue(0, modulus)
-    up = make_modulus(p, r + 1)
-    diff = power_sum_mod(n, up) - power_sum_mod(0, up)
-    return diff.shift_down(1)
 
 
 def factorial_mod(p: int, r: int) -> Residue:

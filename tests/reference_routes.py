@@ -1,0 +1,107 @@
+"""Second routes to values the package computes one way, read only by tests.
+
+* :func:`power_sum_mod` and :func:`sh_mod` - plain and modified power sums
+  by direct summation, the reference for the Bernoulli engine's tables;
+* :func:`binom_diff_mod_p` and :func:`q_power_sum_via_differences` - the
+  operator form of the Fermat-quotient power sums, by forward differences;
+* :func:`generated_ptilde` - the PTILDE display derived afresh from the
+  p-adic log, and :func:`ptilde_mismatches` against a transcription.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from wilsonq.bernoulli import forward_difference
+from wilsonq.polys import NVARS, MultiPoly
+from wilsonq.residues import Modulus, Residue, make_modulus
+
+
+def power_sum_mod(n: int, modulus: Modulus) -> Residue:
+    """S_n(p) = 1^n + 2^n + ... + (p-1)^n mod p^r by direct summation."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    p, m = modulus.p, modulus.value
+    return Residue(sum(pow(v, n, m) for v in range(1, p)) % m, modulus)
+
+
+def sh_mod(n: int, p: int, r: int) -> Residue:
+    """Modified power sum (S_n(p) - S_0(p))/p mod p^r, with value 0 at n=0.
+
+    Only defined (p-adically) when S_n(p) = S_0(p) mod p, which holds exactly
+    when p-1 divides n -- the indices the difference operators sample.
+    """
+    modulus = make_modulus(p, r)
+    if n == 0:
+        return Residue(0, modulus)
+    up = make_modulus(p, r + 1)
+    diff = power_sum_mod(n, up) - power_sum_mod(0, up)
+    return diff.shift_down(1)
+
+
+def binom_diff_mod_p(k: int, n: int, p: int) -> Residue:
+    """n-fold difference (step p-1) of v -> C(v, k) at v = 0, mod p.
+
+    Closed form (-1)^k C(k-1, n-1) for p > k; computed here by the direct
+    alternating sum so the closed form stays an independent check.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("need k, n >= 1")
+    if p <= k:
+        raise ValueError(f"need p > k, got p={p}, k={k}")
+    total = sum(comb(n, v) * (-1) ** (n - v) * comb(v * (p - 1), k) for v in range(n + 1))
+    return Residue(total, make_modulus(p, 1))
+
+
+def q_power_sum_via_differences(n: int, p: int, r: int) -> Residue:
+    """Q_p(n) mod p^r as the (n-1)-fold backward shift of the n-fold
+    difference of the modified power sums at index 0.
+
+    The difference is taken at precision r + n - 1 so the shift lands
+    exactly on precision r.
+    """
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    prec = r + n - 1
+    diff = forward_difference(lambda nu: sh_mod(nu, p, prec), p - 1, n, start=0)
+    return diff.shift_down(n - 1)
+
+
+def _weight(key) -> int:
+    """A monomial's weight: p counts 1, x_k counts k-1."""
+    pe, exps = key
+    return pe + sum(k * e for k, e in enumerate(exps))
+
+
+def generated_ptilde() -> dict[int, MultiPoly]:
+    """The display W_p = sum_nu PTILDE[nu], derived from the p-adic log.
+
+    ((p-1)!)^(p-1) = prod_a (1 + p q_a) over the Fermat quotients q_a, and
+    (p-1)! = p W_p - 1 with p-1 even, so log(1 - p W_p) is
+    L = (p/(p-1)) sum_k (-1)^(k+1) x_k with x_k = (p^(k-1)/k) Q_p(k), and
+    W_p = (1 - exp(L))/p.  Expanded with p/(p-1) = -(p + p^2 + ...), every
+    term of L has weight at least 1, so the terms of p W_p up to weight
+    NVARS need L^k for k <= NVARS only; member nu collects weight nu.
+    """
+    def cut(poly: MultiPoly) -> MultiPoly:
+        return MultiPoly({key: c for key, c in poly.terms.items() if _weight(key) <= NVARS})
+
+    p = MultiPoly.p_var()
+    log = cut(-sum(p**k for k in range(1, NVARS + 1))
+              * sum((-1) ** (k + 1) * MultiPoly.var(k) for k in range(1, NVARS + 1)))
+    p_wilson, power = MultiPoly(), MultiPoly.const(1)
+    for k in range(1, NVARS + 1):
+        power = cut(power * log) * Fraction(1, k)
+        p_wilson -= power
+    members: dict[int, dict] = {nu: {} for nu in range(1, NVARS + 1)}
+    for (pe, exps), c in p_wilson.terms.items():
+        members[_weight((pe, exps))][pe - 1, exps] = c
+    return {nu: MultiPoly(terms) for nu, terms in members.items()}
+
+
+def ptilde_mismatches(family: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+    """nu -> family[nu] minus its generated member, for every nu = 1..NVARS
+    where the two differ; empty when the transcription is exact."""
+    generated = generated_ptilde()
+    diffs = {nu: family[nu] - generated[nu] for nu in generated}
+    return {nu: diff for nu, diff in diffs.items() if diff.terms}

@@ -8,11 +8,12 @@ from math import comb
 
 import pytest
 
-from wilsonq.bernoulli import bernoulli_times_p, bnpd, exact_bernoulli, kummer_admissible
-from wilsonq.differences import binom_diff_mod_p, forward_difference
+from reference_routes import binom_diff_mod_p, ptilde_mismatches
+from wilsonq.bernoulli import (bernoulli_times_p, bnpd, exact_bernoulli, forward_difference,
+                               kummer_admissible)
 from wilsonq.harness import RunConfig, check_prime, enumerate_primes, run_and_report
 from wilsonq.oracles import q_power_sum, wilson_quotient
-from wilsonq.polys import psi_ptilde_consistency
+from wilsonq.polys import PTILDE
 from wilsonq.residues import from_rational, make_modulus
 
 
@@ -112,9 +113,9 @@ def test_wilson_through_power_sum_polynomials(wide_sweep):
         by_prime.setdefault(r.p, []).append(r)
     for p in enumerate_primes(3, 500):
         assert len(by_prime[p]) == min(6, p - 1), p
-    assert psi_ptilde_consistency()
+    assert ptilde_mismatches(PTILDE) == {}
     print(f"PASS Wilson quotient through power-sum polynomials: {len(rows)} cases "
-          f"(r = 1..6, odd p in 3..500) plus exact symbolic rescaling identity")
+          f"(r = 1..6, odd p in 3..500) plus the exact p-adic log expansion")
 
 
 def test_kummer_congruence_suite():

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from reference_routes import power_sum_mod
 from wilsonq import bernoulli
 from wilsonq.bernoulli import (
     BernoulliEngine,
@@ -13,12 +14,11 @@ from wilsonq.bernoulli import (
     depths,
     divided_set,
     exact_bernoulli,
+    forward_difference,
     kummer_admissible,
     set_spec,
 )
-from wilsonq.differences import forward_difference
 from wilsonq.formulas import _Acc
-from wilsonq.oracles import power_sum_mod
 from wilsonq.residues import from_rational, make_modulus
 
 F = Fraction

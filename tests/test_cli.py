@@ -47,6 +47,12 @@ def test_verify_subcommand(tmp_path, capsys):
     assert {row["tag"] for row in rows} == {"thm1", "psi"}
 
 
+def test_verify_out_to_a_device():
+    # a device has nothing to empty, and refuses truncation
+    assert main(["verify", "--pmin", "7", "--pmax", "13", "--checks", "psi",
+                 "--out", os.devnull]) == 0
+
+
 def test_verify_report_bytes_are_stable(tmp_path):
     # a pinned digest: neither the arithmetic nor the report writer may
     # change a byte of this report

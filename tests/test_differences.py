@@ -2,13 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wilsonq.differences import (
-    binom_diff_mod_p,
-    forward_difference,
-    q_power_sum_via_differences,
-)
+from reference_routes import binom_diff_mod_p, q_power_sum_via_differences, sh_mod
+from wilsonq.bernoulli import forward_difference
 from wilsonq.harness import enumerate_primes
-from wilsonq.oracles import q_power_sum, sh_mod
+from wilsonq.oracles import q_power_sum
 from wilsonq.residues import Residue, make_modulus
 from math import comb
 

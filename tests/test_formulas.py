@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from reference_routes import binom_diff_mod_p
 from wilsonq import formulas
 from wilsonq.bernoulli import divided_set
-from wilsonq.differences import binom_diff_mod_p
 from wilsonq.formulas import (
     COEFF_TABLES,
     _QTILDE_MAIN,

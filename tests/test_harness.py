@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from wilsonq import formulas, harness, oracles
+from wilsonq import bernoulli, formulas, harness, oracles
 from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
 from wilsonq.cli import main
 from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
@@ -171,9 +171,14 @@ def test_csv_quotes_error_messages():
 
 
 def test_report_to_file(tmp_path):
+    # a longer file already at the path is replaced whole
     out = tmp_path / "report.json"
+    out.write_text("x" * 10**5)
     cfg = RunConfig(pmin=7, pmax=13, checks=frozenset(["psi"]), fmt="json", out=str(out))
     assert run_and_report(cfg) == 0
+    buf = io.StringIO()
+    assert run_and_report(cfg, stream=buf) == 0
+    assert out.read_text() == buf.getvalue()
     rows = json.loads(out.read_text())
     assert all(row["pass"] for row in rows)
 
@@ -300,7 +305,8 @@ def test_forked_sweep_warns_nothing(monkeypatch):
 @pytest.mark.parametrize("fault", ["exit", "truncated"])
 def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
     # a worker that dies at p = 31, or whose blob is cut short, ends the
-    # sweep with exit 2 and one error line, and leaves no child behind
+    # sweep with exit 2 and one error line, leaves an existing report as it
+    # was and leaves no child behind
     if fault == "exit":
         direct = harness.check_prime
 
@@ -315,12 +321,15 @@ def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
             dumps=lambda rows: marshal.dumps(rows)[:-5], loads=marshal.loads))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     out = tmp_path / "report.json"
+    out.write_text("kept\n")
     argv = ["verify", "--pmin", "7", "--pmax", "60", "--checks", "psi", "--jobs", "2",
             "--format", "json", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: worker "), err
+    # the report is emptied only once the rows are in
+    assert out.read_text() == "kept\n"
     _no_child_left()
 
 
@@ -462,8 +471,6 @@ def test_kummer_sums_each_index_once(monkeypatch):
     # holds the start's own), one at the column 0 of the grid windows and
     # one above the block, each on a column table of its own next to the
     # v^(p-1) table of the block
-    from wilsonq import bernoulli
-
     calls, tables, passes = [], [], []
     direct_sum, direct_pass = BernoulliEngine.power_sum, BernoulliEngine._column_pass
     direct_table = bernoulli.power_table
@@ -493,16 +500,16 @@ def test_kummer_sums_each_index_once(monkeypatch):
 def test_kummer_differences_evaluate_each_index_once(monkeypatch):
     # each distinct index is one bnpd call, at the highest order reading it
     calls = []
-    direct = harness.bnpd
+    direct = bernoulli.bnpd
 
     def counted(m, modulus, engine=None):
         calls.append((m, modulus.r))
         return direct(m, modulus, engine)
 
-    monkeypatch.setattr(harness, "bnpd", counted)
+    monkeypatch.setattr(bernoulli, "bnpd", counted)
     p, h = 101, 100
     starts = harness.KUMMER_SAMPLE + (h, 2 * h, 3 * h)
-    found = harness.kummer_differences(p, BernoulliEngine(p), starts, 3)
+    found = bernoulli.kummer_differences(p, BernoulliEngine(p), starts, 3)
     reads = {}
     for r, n, value in found:
         assert value.is_zero() and value.precision == r, (r, n)

@@ -1,5 +1,6 @@
 import pytest
 
+from reference_routes import sh_mod
 from wilsonq.bernoulli import divided_set
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import (
@@ -7,7 +8,6 @@ from wilsonq.oracles import (
     q_power_sum,
     q_power_sums,
     qtilde,
-    sh_mod,
     wilson_quotient,
 )
 

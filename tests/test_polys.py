@@ -7,15 +7,8 @@ from pathlib import Path
 import pytest
 
 import wilsonq
-from wilsonq.polys import (
-    PSI,
-    PTILDE,
-    MultiPoly,
-    psi_eval,
-    psi_ptilde_consistency,
-    psi_ptilde_diffs,
-    ptilde_eval,
-)
+from reference_routes import generated_ptilde, ptilde_mismatches
+from wilsonq.polys import PTILDE, MultiPoly, ptilde_eval
 from wilsonq.residues import Residue, make_modulus
 
 F = Fraction
@@ -31,17 +24,6 @@ def test_multipoly_algebra():
     assert (p * x1).terms == {(1, (1, 0, 0, 0, 0, 0)): F(1)}
 
 
-def test_multipoly_rescale():
-    x1, x2 = MultiPoly.var(1), MultiPoly.var(2)
-    poly = x2 + x1**2
-    out = poly.rescale_vars([F(1), F(2)] + [F(1)] * 4, [0, 1, 0, 0, 0, 0])
-    # x2 -> 2*x2/p ; x1 -> x1
-    assert out.terms == {
-        (-1, (0, 1, 0, 0, 0, 0)): F(2),
-        (0, (2, 0, 0, 0, 0, 0)): F(1),
-    }
-
-
 def test_multipoly_evaluate_guards():
     m = make_modulus(7, 2)
     with pytest.raises(ValueError, match="negative power"):
@@ -51,17 +33,6 @@ def test_multipoly_evaluate_guards():
         MultiPoly.var(3).evaluate([Residue(1, m)])
     with pytest.raises(ValueError, match="denominator 14 not coprime to 7"):
         MultiPoly.const(F(1, 14)).evaluate([Residue(1, m)])
-
-
-def test_first_family_table_values():
-    m = make_modulus(11, 3)
-    one = Residue(1, m)
-    assert psi_eval(1, [Residue(9, m)]).value == 9
-    assert psi_eval(2, [one, one]).value == 0  # 2 - 1 - 1
-    assert psi_eval(3, [one, one, one]).value == 3  # 6-6+1+3-3+2
-    # coefficient count sanity for the largest entries
-    assert len(PSI[5].terms) == 18
-    assert len(PSI[6].terms) == 29
 
 
 def test_second_family_matches_manual_form():
@@ -76,31 +47,35 @@ def test_second_family_matches_manual_form():
 
 def test_eval_argument_counts():
     m = make_modulus(7, 2)
-    with pytest.raises(ValueError):
-        psi_eval(2, [Residue(1, m)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need exactly 2 values"):
+        ptilde_eval(2, [Residue(1, m)])
+    with pytest.raises(ValueError, match="index out of range"):
         ptilde_eval(7, [Residue(1, m)] * 7)
 
 
-def test_scaling_identity_exact():
-    assert psi_ptilde_diffs() == {}
-    assert psi_ptilde_consistency()
+def test_ptilde_equals_the_log_expansion():
+    # the transcribed display, member by member and term by term, against
+    # W_p = (1 - exp(L))/p expanded from the p-adic log
+    generated = generated_ptilde()
+    assert sorted(generated) == sorted(PTILDE) == list(range(1, 7))
+    assert ptilde_mismatches(PTILDE) == {}
 
 
-def test_scaling_identity_detects_drift():
-    # corrupting one coefficient must break the identity
-    original = PTILDE[3]
-    try:
-        PTILDE[3] = original + MultiPoly.var(1)
-        assert not psi_ptilde_consistency()
-        assert 3 in psi_ptilde_diffs()
-    finally:
-        PTILDE[3] = original
+def test_log_expansion_names_a_corrupted_coefficient():
+    # one coefficient of PTILDE[3] changed, p*x1*x2 from 1 to 2: the check
+    # names nu = 3 and that monomial, and nothing else
+    monomial = (1, (1, 1, 0, 0, 0, 0))
+    corrupted = dict(PTILDE[3].terms)
+    assert corrupted[monomial] == 1
+    corrupted[monomial] = F(2)
+    family = dict(PTILDE)
+    family[3] = MultiPoly(corrupted)
+    assert ptilde_mismatches(family) == {3: MultiPoly({monomial: F(1)})}
 
 
 def test_tables_built_on_first_use():
-    # the headline checks never touch PSI or PTILDE, so importing the
-    # package and running them must not build the tables
+    # the headline checks never touch PTILDE, so importing the package and
+    # running them must not build it
     src = Path(wilsonq.__file__).resolve().parents[1]
     script = (
         "import wilsonq\n"
@@ -108,9 +83,9 @@ def test_tables_built_on_first_use():
         "from wilsonq.harness import RunConfig, check_prime\n"
         "rows = check_prime(11, RunConfig(11, 11, frozenset(['thm1', 'thm2', 'thm3'])))\n"
         "assert rows and all(r.passed for r in rows)\n"
-        "before = polys._families.cache_info().currsize\n"
-        "assert len(wilsonq.PSI) == len(wilsonq.PTILDE) == 6\n"
-        "print(before, polys._families.cache_info().currsize)\n"
+        "before = polys._ptilde.cache_info().currsize\n"
+        "assert len(wilsonq.PTILDE) == 6\n"
+        "print(before, polys._ptilde.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
