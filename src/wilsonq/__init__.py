@@ -13,6 +13,7 @@ from .bernoulli import (
 )
 from .formulas import (
     COEFF_TABLES,
+    PTILDE,
     OmegaVector,
     omega_mod_p_rhs,
     omega_vector,
@@ -30,18 +31,9 @@ from .oracles import (
     qtilde,
     wilson_quotient,
 )
-from . import polys
-from .polys import MultiPoly, ptilde_eval
 from .residues import Modulus, Residue, from_rational, is_prime, make_modulus
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    # PTILDE is built on first use (see polys), not at import.
-    if name == "PTILDE":
-        return polys.PTILDE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BernoulliEngine",
@@ -49,7 +41,6 @@ __all__ = [
     "COEFF_TABLES",
     "DividedSet",
     "Modulus",
-    "MultiPoly",
     "OmegaVector",
     "PTILDE",
     "Residue",
@@ -69,7 +60,6 @@ __all__ = [
     "make_modulus",
     "omega_mod_p_rhs",
     "omega_vector",
-    "ptilde_eval",
     "q_power_sum",
     "q_power_sums",
     "qtilde",

@@ -13,6 +13,11 @@ explicit power p^t are built at precision (target - t), reduced there and
 lifted exactly, so each final value is a well-defined class at the target
 modulus; the lifted integers are summed and wrapped once at the target.
 
+One display reads no divided set: ``PTILDE``, the Wilson quotient through
+the scaled Fermat-quotient power sums, whose builders take the sums as
+integer representatives after ``t`` (there ``t`` only supplies ``t.p`` and
+``t.F``).
+
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
 expansion coefficients of (p-1)! in base p are called omega_0..omega_R, with
@@ -27,7 +32,6 @@ from typing import Callable, Sequence
 
 from .bernoulli import MIN_P, DividedSet
 from .oracles import q_power_sums, qtilde
-from .polys import ptilde_eval
 from .residues import Residue, make_modulus, ratio_mod
 
 F = Fraction
@@ -342,21 +346,48 @@ def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Res
 
 # -- Wilson quotient through power sums ---------------------------------------
 
+#: nu -> the member of weight nu-1 (p weighs 1, x_k weighs k-1) in the display
+#: W_p = sum_{nu <= r} PTILDE[nu](t, x_1, ..., x_nu) mod p^r at the scaled
+#: power sums x_k = (p^(k-1)/k) Q_p(k); the members past nu = r vanish mod p^r.
+PTILDE: dict[int, Callable[..., int]] = {
+    1: lambda t, x1: x1,
+    2: lambda t, x1, x2: t.p * (x1 - t.F(1, 2) * x1**2) - x2,
+    3: lambda t, x1, x2, x3: (t.p**2 * (x1 - x1**2 + t.F(1, 6) * x1**3)
+                              + t.p * (x1 * x2 - x2) + x3),
+    4: lambda t, x1, x2, x3, x4: (
+        t.p**3 * (x1 - t.F(3, 2) * x1**2 + t.F(1, 2) * x1**3 - t.F(1, 24) * x1**4)
+        + t.p**2 * (2 * x1 * x2 - t.F(1, 2) * x1**2 * x2 - x2)
+        + t.p * (-t.F(1, 2) * x2**2 - x1 * x3 + x3) - x4),
+    5: lambda t, x1, x2, x3, x4, x5: (
+        t.p**4 * (x1 - 2 * x1**2 + x1**3 - t.F(1, 6) * x1**4 + t.F(1, 120) * x1**5)
+        + t.p**3 * (3 * x1 * x2 - t.F(3, 2) * x1**2 * x2 + t.F(1, 6) * x1**3 * x2 - x2)
+        + t.p**2 * (t.F(1, 2) * x1 * x2**2 - x2**2 - 2 * x1 * x3 + t.F(1, 2) * x1**2 * x3 + x3)
+        + t.p * (x2 * x3 + x1 * x4 - x4) + x5),
+    6: lambda t, x1, x2, x3, x4, x5, x6: (
+        t.p**5 * (x1 - t.F(5, 2) * x1**2 + t.F(5, 3) * x1**3 - t.F(5, 12) * x1**4
+                  + t.F(1, 24) * x1**5 - t.F(1, 720) * x1**6)
+        + t.p**4 * (4 * x1 * x2 - 3 * x1**2 * x2 + t.F(2, 3) * x1**3 * x2
+                    - t.F(1, 24) * x1**4 * x2 - x2)
+        + t.p**3 * (t.F(3, 2) * x1 * x2**2 - t.F(1, 4) * x1**2 * x2**2 - t.F(3, 2) * x2**2
+                    - 3 * x1 * x3 + t.F(3, 2) * x1**2 * x3 - t.F(1, 6) * x1**3 * x3 + x3)
+        + t.p**2 * (-x1 * x2 * x3 + 2 * x2 * x3 - t.F(1, 6) * x2**3
+                    + 2 * x1 * x4 - t.F(1, 2) * x1**2 * x4 - x4)
+        + t.p * (-t.F(1, 2) * x3**2 - x2 * x4 - x1 * x5 + x5) - x6),
+}
+
 
 def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
-    """W_p mod p^r as the sum of the scaled expansion polynomials evaluated
-    at the directly computed scaled power sums; needs odd p > r.  Without
-    ``sums`` the power sums are taken once, here."""
+    """W_p mod p^r as the sum of the ``PTILDE`` members evaluated at the
+    directly computed scaled power sums; needs odd p > r.  Without ``sums``
+    the power sums are taken once, here."""
     if not 1 <= r <= 6:
         raise ValueError(f"need 1 <= r <= 6, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
     sums = sums or q_power_sums(p, r)
-    values = [qtilde(nu, p, r, sums) for nu in range(1, r + 1)]
-    acc = Residue(0, make_modulus(p, r))
-    for nu in range(1, r + 1):
-        acc = acc + ptilde_eval(nu, values[:nu])
-    return acc
+    xs = [qtilde(nu, p, r, sums).value for nu in range(1, r + 1)]
+    t = _Acc(p, {}, r)
+    return _residue(sum(PTILDE[nu](t, *xs[:nu]) for nu in range(1, r + 1)), p, r)
 
 
 # -- zero expressions ----------------------------------------------------------

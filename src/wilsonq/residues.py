@@ -22,6 +22,14 @@ PRIME_BOUND = 318665857834031151167461
 #: p = 40009 and 802 B at p = 100003, growing with log p.  At this bound
 #: that is about 220 MB per worker process.
 P_LIMIT = 2**18
+#: The bound on the precision exponent r of every modulus p^r, checked before
+#: p^r is formed.  ``verify`` builds at most p^7, ``wilson --prec r`` builds
+#: p^(r+1), and the tests' operator route to Q_p(6) mod p^6 builds p^12.  The
+#: engine's packed block widens with its working precision g = r + 1 + v_p(m):
+#: the worst accepted case, ``bernoulli --p 262139 --m 4 --prec 11`` (g = 12,
+#: the largest prime under P_LIMIT), peaks at 354 MB RSS in 3.6 s, against
+#: 242 MB at ``--prec 6``.
+R_LIMIT = 12
 
 
 def is_prime(n: int) -> bool:
@@ -88,15 +96,17 @@ def power_table(p: int, e: int, mod: int) -> list[int]:
 
 
 class Modulus:
-    """A prime power p^r with p >= 3 prime and r >= 1.  Every command
-    builds one before its tables, so p passes the prime window rule and the
-    size bound here."""
+    """A prime power p^r with p >= 3 prime and 1 <= r <= R_LIMIT.  Every
+    command builds one before its tables, so p passes the prime window rule
+    and the size bound here, and r the precision bound."""
 
     __slots__ = ("p", "r", "value")
 
     def __init__(self, p: int, r: int):
         if r < 1:
             raise ValueError(f"precision exponent must be >= 1, got {r}")
+        if r > R_LIMIT:
+            raise ValueError(f"precision exponent must be at most {R_LIMIT}, got {r}")
         check_window(p, p)
         check_size(p)
         if p < 3 or not is_prime(p):

@@ -4,6 +4,8 @@
   by direct summation, the reference for the Bernoulli engine's tables;
 * :func:`binom_diff_mod_p` and :func:`q_power_sum_via_differences` - the
   operator form of the Fermat-quotient power sums, by forward differences;
+* :class:`MultiPoly` - exact polynomials in p and x_1..x_6, and
+  :func:`symbolic`, which reads a display builder as one;
 * :func:`generated_ptilde` - the PTILDE display derived afresh from the
   p-adic log, and :func:`ptilde_mismatches` against a transcription.
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 from wilsonq.bernoulli import forward_difference
-from wilsonq.polys import NVARS, MultiPoly
 from wilsonq.residues import Modulus, Residue, make_modulus
 
 
@@ -67,6 +69,120 @@ def q_power_sum_via_differences(n: int, p: int, r: int) -> Residue:
     return diff.shift_down(n - 1)
 
 
+NVARS = 6
+
+# term key: (exponent of p, (e1, ..., e6)).
+Key = tuple[int, tuple[int, ...]]
+
+
+class MultiPoly:
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Key, Fraction] | None = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+
+    @classmethod
+    def const(cls, q) -> "MultiPoly":
+        return cls({(0, (0,) * NVARS): Fraction(q)})
+
+    @classmethod
+    def var(cls, i: int) -> "MultiPoly":
+        if not 1 <= i <= NVARS:
+            raise ValueError(f"variable index out of range: {i}")
+        exps = [0] * NVARS
+        exps[i - 1] = 1
+        return cls({(0, tuple(exps)): Fraction(1)})
+
+    @classmethod
+    def p_var(cls) -> "MultiPoly":
+        return cls({(1, (0,) * NVARS): Fraction(1)})
+
+    def _coerce(self, other) -> "MultiPoly | None":
+        if isinstance(other, MultiPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly.const(other)
+        return None
+
+    def __add__(self, other) -> "MultiPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return MultiPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "MultiPoly":
+        return MultiPoly({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other) -> "MultiPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "MultiPoly":
+        return -(self - other)
+
+    def __mul__(self, other) -> "MultiPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out: dict[Key, Fraction] = {}
+        for (pa, ea), va in self.terms.items():
+            for (pb, eb), vb in other.terms.items():
+                key = (pa + pb, tuple(x + y for x, y in zip(ea, eb)))
+                out[key] = out.get(key, Fraction(0)) + va * vb
+        return MultiPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "MultiPoly":
+        if n < 0:
+            raise ValueError("negative power")
+        out = MultiPoly.const(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MultiPoly) and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "MultiPoly(0)"
+        bits = []
+        for (pe, exps), coeff in sorted(self.terms.items()):
+            mono = [f"p^{pe}"] if pe else []
+            mono += [f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+            bits.append(f"{coeff}*" + "*".join(mono) if mono else f"{coeff}")
+        return "MultiPoly(" + " + ".join(bits) + ")"
+
+
+class _Symbols:
+    """The accessor a builder reads, with p as a symbol and t.F exact."""
+
+    p = MultiPoly.p_var()
+    F = Fraction
+
+
+def symbolic(display: Callable[..., int]) -> MultiPoly:
+    """A display builder read as a polynomial: called with ``t.p`` the p
+    symbol, ``t.F`` as ``Fraction`` and x_k (one per argument after ``t``)
+    the k-th symbol."""
+    nargs = display.__code__.co_argcount - 1
+    return display(_Symbols, *(MultiPoly.var(k) for k in range(1, nargs + 1)))
+
+
 def _weight(key) -> int:
     """A monomial's weight: p counts 1, x_k counts k-1."""
     pe, exps = key
@@ -99,9 +215,10 @@ def generated_ptilde() -> dict[int, MultiPoly]:
     return {nu: MultiPoly(terms) for nu, terms in members.items()}
 
 
-def ptilde_mismatches(family: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
-    """nu -> family[nu] minus its generated member, for every nu = 1..NVARS
-    where the two differ; empty when the transcription is exact."""
+def ptilde_mismatches(family: dict[int, Callable[..., int]]) -> dict[int, MultiPoly]:
+    """nu -> the builder family[nu], read by :func:`symbolic`, minus its
+    generated member, for every nu = 1..NVARS where the two differ; empty
+    when the transcription is exact."""
     generated = generated_ptilde()
-    diffs = {nu: family[nu] - generated[nu] for nu in generated}
+    diffs = {nu: symbolic(family[nu]) - generated[nu] for nu in generated}
     return {nu: diff for nu, diff in diffs.items() if diff.terms}

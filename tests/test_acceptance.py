@@ -11,9 +11,9 @@ import pytest
 from reference_routes import binom_diff_mod_p, ptilde_mismatches
 from wilsonq.bernoulli import (bernoulli_times_p, bnpd, exact_bernoulli, forward_difference,
                                kummer_admissible)
+from wilsonq.formulas import PTILDE
 from wilsonq.harness import RunConfig, check_prime, enumerate_primes, run_and_report
 from wilsonq.oracles import q_power_sum, wilson_quotient
-from wilsonq.polys import PTILDE
 from wilsonq.residues import from_rational, make_modulus
 
 

@@ -133,12 +133,9 @@ def test_bad_input_exits_without_traceback(args, code, tmp_path):
         assert done.stderr.startswith("error: "), done.stderr
 
 
-def test_prime_window_holds_for_single_prime_commands():
-    # PRIME_BOUND is a composite that every Miller-Rabin base passes: each
-    # command refuses it at once, here under a 512 MiB address-space cap
+def _run_capped(args, timeout):
+    """The CLI in a child process under a 512 MiB address-space cap."""
     import resource
-
-    from wilsonq.residues import PRIME_BOUND
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
@@ -146,13 +143,34 @@ def test_prime_window_holds_for_single_prime_commands():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "wilsonq.cli", *args], capture_output=True,
+                          text=True, timeout=timeout, env=env, preexec_fn=cap)
+
+
+def test_prime_window_holds_for_single_prime_commands():
+    # PRIME_BOUND is a composite that every Miller-Rabin base passes: each
+    # command refuses it at once, here under a 512 MiB address-space cap
+    from wilsonq.residues import PRIME_BOUND
+
     for args in (["bernoulli", "--p", str(PRIME_BOUND), "--m", "4", "--prec", "1"],
                  ["omega", "--p", str(PRIME_BOUND), "--thm", "1"],
                  ["wilson", "--p", str(PRIME_BOUND), "--prec", "1"]):
-        done = subprocess.run([sys.executable, "-m", "wilsonq.cli", *args], capture_output=True,
-                              text=True, timeout=30, env=env, preexec_fn=cap)
+        done = _run_capped(args, timeout=30)
         assert done.returncode == 2, (args, done.stderr[-300:])
         assert done.stderr.startswith("error: p must be below"), done.stderr
+
+
+def test_precision_bound_refuses_at_once():
+    # a precision far past R_LIMIT is one error line and exit 2, here under
+    # a 512 MiB address-space cap and a time limit: p^r is never formed
+    from wilsonq.residues import R_LIMIT
+
+    for args in (["wilson", "--p", "7", "--prec", "1000000000"],
+                 ["bernoulli", "--p", "10007", "--m", "4", "--prec", "300"]):
+        done = _run_capped(args, timeout=20)
+        assert done.returncode == 2, (args, done.stderr[-300:])
+        assert done.stderr.startswith(f"error: precision exponent must be at most {R_LIMIT}")
+        assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_size_bound_refuses_before_any_table(monkeypatch, capsys):

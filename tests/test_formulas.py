@@ -351,7 +351,7 @@ def test_displays_stay_on_the_integer_path():
             scanned.append(node)
     assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 1
     assert {"_OMEGA", "_QTILDE_MAIN", "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS",
-            "_OMEGA_MOD_P", "_OMEGA_REDUCTIONS"} <= tables
+            "_OMEGA_MOD_P", "_OMEGA_REDUCTIONS", "PTILDE"} <= tables
     offenders = [
         (call.lineno, call.func.id)
         for node in scanned for call in ast.walk(node)
