@@ -30,7 +30,7 @@ def main() -> int:
     for p in args.primes:
         found = kummer_differences(p, BernoulliEngine(p), range(2, args.nmax + 1, 2), args.rmax)
         for r, n, diff in found:
-            if not diff.is_zero():
+            if diff.value:
                 failures += 1
                 print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
         print(f"p={p}: {len(found)} differences vanish")

@@ -31,7 +31,7 @@ from .oracles import (
     qtilde,
     wilson_quotient,
 )
-from .residues import Modulus, Residue, from_rational, is_prime, make_modulus
+from .residues import Modulus, Residue, is_prime, make_modulus
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "exact_bernoulli",
     "factorial_mod",
     "forward_difference",
-    "from_rational",
     "is_prime",
     "kummer_admissible",
     "make_modulus",

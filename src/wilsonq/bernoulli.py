@@ -2,7 +2,7 @@
 
 Everything here works with p*B_m rather than B_m: the product is always
 p-integral (the denominator of B_m carries p to at most the first power, and
-only when p-1 divides m), so every intermediate stays a true ``Residue``.
+only when p-1 divides m), so every intermediate is an integer mod p^g.
 
 Two independent routes are provided:
 
@@ -41,9 +41,9 @@ from itertools import repeat
 from math import comb
 from operator import lshift, mul, or_
 from operator import mod as imod
-from typing import TypeVar
 
-from .residues import Modulus, Residue, is_prime, make_modulus, power_table
+from .residues import (R_LIMIT, Modulus, Residue, divide_exactly, is_prime, make_modulus,
+                       power_table)
 
 ORACLE_BOUND = 3000
 
@@ -227,7 +227,8 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
     Computed from p*B_m at working precision g = r + 1 + e, where p^e | m: the
     division by p^(1+e) is exact because the numerator has matching valuation
     (von Staudt-Clausen, Adams / Carlitz); if it does not, this raises, making
-    the implicit integrality claim executable.  g must stay below p.
+    the implicit integrality claim executable.  g must stay below p and at
+    most R_LIMIT, and is checked before any table is built.
     """
     p, r = modulus.p, modulus.r
     if m <= 0:
@@ -237,13 +238,14 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
         unit //= p
         e += 1
     g = r + 1 + e
+    if g > R_LIMIT or g >= p:
+        raise ValueError(f"precision exponent must be at most {R_LIMIT} and below p = {p} in "
+                         f"the working precision g = r + 1 + v_p(m) = {g} at index {m}, "
+                         f"got {r}")
     pb = bernoulli_times_p(m, p, g, engine).value
     if m % (p - 1) == 0:
         pb += 1 - p
-    shift = p ** (1 + e)
-    if pb % shift:
-        raise ValueError(f"insufficient valuation: {pb} not divisible by {p}^{1 + e}")
-    return Residue(pb // shift * pow(unit, -1, modulus.value), modulus)
+    return Residue(divide_exactly(pb, p, 1 + e) * pow(unit, -1, modulus.value), modulus)
 
 
 def kummer_admissible(p: int, r: int, n: int) -> bool:
@@ -256,30 +258,15 @@ def kummer_admissible(p: int, r: int, n: int) -> bool:
     return n > r
 
 
-#: A forward difference's values: residues, or plain integers a caller
-#: reduces itself.
-Value = TypeVar("Value", Residue, int)
-
-
-def forward_difference(f: Callable[[int], Value], h: int, n: int, start: int = 0) -> Value:
-    """sum_{v=0}^{n} C(n, v) (-1)^(n-v) f(start + v*h).
-
-    The sum takes only integer multiples, negation and addition, so it works
-    on residues (binomial weights embed into their ring) and on plain
-    integers alike; the result has the evaluator's type.  The evaluator is
-    called at exactly the n+1 sample points.
-    """
+def forward_difference(f: Callable[[int], int], h: int, n: int, start: int = 0) -> int:
+    """sum_{v=0}^{n} C(n, v) (-1)^(n-v) f(start + v*h) on integers, left
+    unreduced for the caller.  The evaluator is called at exactly the n+1
+    sample points."""
     if n < 0:
         raise ValueError("order must be non-negative")
     if h < 1:
         raise ValueError("step must be >= 1")
-    acc: Value | None = None
-    for v in range(n + 1):
-        term = comb(n, v) * f(start + v * h)
-        if (n - v) % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return sum((-1) ** (n - v) * comb(n, v) * f(start + v * h) for v in range(n + 1))
 
 
 def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],

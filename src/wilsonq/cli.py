@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bernoulli", help="print a divided Bernoulli value mod p^r")
     b.add_argument("--p", type=int, required=True)
-    b.add_argument("--m", type=int, required=True, help="index of the divided value")
+    b.add_argument("--m", type=int, required=True, help="index m >= 1 of the divided value")
     b.add_argument("--prec", type=int, required=True, help="precision exponent r")
 
     w = sub.add_parser("wilson", help="print (p-1)!, the Wilson quotient and digits")
@@ -71,6 +71,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"index must be >= 1, where B_m/m is defined; got {args.m}")
     value = bnpd(args.m, make_modulus(args.p, args.prec))
     print(value.value)
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .residues import Residue, make_modulus, power_table
+from .residues import R_LIMIT, Residue, divide_exactly, make_modulus, power_table
 
 
 def q_power_sum(n: int, p: int, r: int) -> Residue:
@@ -72,6 +72,9 @@ def wilson_quotient(p: int, r: int) -> WilsonRecord:
     """W_p = ((p-1)! + 1)/p mod p^r, from the factorial at one extra digit."""
     if r < 1:
         raise ValueError("precision must be >= 1")
+    if r + 1 > R_LIMIT:
+        raise ValueError(f"precision exponent must be at most {R_LIMIT} in the working "
+                         f"precision r + 1 = {r + 1} of the factorial, got {r}")
     fact = factorial_mod(p, r + 1)
-    quotient = (fact + 1).shift_down(1)
+    quotient = Residue(divide_exactly(fact.value + 1, p, 1), make_modulus(p, r))
     return WilsonRecord(factorial=fact, quotient=quotient)

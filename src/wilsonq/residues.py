@@ -1,15 +1,13 @@
-"""Exact arithmetic in Z/p^r Z with explicit precision tracking.
+"""Residues modulo prime powers, and the integer rules that build them.
 
-A ``Residue`` is a canonical representative in [0, p^r) together with its
-``Modulus`` (p, r).  All operations are pure; mixed-precision operands with
-the same p are silently reduced to the smaller precision, which is how
-congruences are weakened when moving down a chain of moduli.  Division by p
-is only available through :meth:`Residue.shift_down`, which spends precision
-explicitly, and its inverse :meth:`Residue.mul_p_power`, which gains it.
+A ``Residue`` is a record: a canonical representative in [0, p^r) together
+with its ``Modulus`` (p, r).  Every computation runs on plain integers; the
+two rules that go beyond ``%`` are written here once: :func:`ratio_mod`, a
+rational a/b mod a power of p, and :func:`divide_exactly`, division by p^k
+that refuses a value p^k does not divide.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -24,11 +22,12 @@ PRIME_BOUND = 318665857834031151167461
 P_LIMIT = 2**18
 #: The bound on the precision exponent r of every modulus p^r, checked before
 #: p^r is formed.  ``verify`` builds at most p^7, ``wilson --prec r`` builds
-#: p^(r+1), and the tests' operator route to Q_p(6) mod p^6 builds p^12.  The
-#: engine's packed block widens with its working precision g = r + 1 + v_p(m):
-#: the worst accepted case, ``bernoulli --p 262139 --m 4 --prec 11`` (g = 12,
-#: the largest prime under P_LIMIT), peaks at 354 MB RSS in 3.6 s, against
-#: 242 MB at ``--prec 6``.
+#: p^(r+1), and the tests' operator route to Q_p(6) mod p^6 builds p^12;
+#: ``wilson`` and ``bnpd`` refuse a working precision above it before building
+#: anything.  The engine's packed block widens with its working precision
+#: g = r + 1 + v_p(m): the worst accepted case,
+#: ``bernoulli --p 262139 --m 4 --prec 11`` (g = 12, the largest prime under
+#: P_LIMIT), peaks at 354 MB RSS in 3.6 s, against 242 MB at ``--prec 6``.
 R_LIMIT = 12
 
 
@@ -115,12 +114,6 @@ class Modulus:
         self.r = r
         self.value = p**r
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Modulus) and self.p == other.p and self.r == other.r
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r))
-
     def __repr__(self) -> str:
         return f"Modulus({self.p}, {self.r})"
 
@@ -148,116 +141,6 @@ class Residue:
     def precision(self) -> int:
         return self.modulus.r
 
-    # -- coercion ---------------------------------------------------------
-
-    def _pair(self, other) -> tuple[int, int, Modulus] | None:
-        """Return (self value, other value, shared modulus), or None.
-
-        Integers and p-integral Fractions embed at self's modulus; two
-        residues must share p and are reduced to the smaller precision.
-        """
-        if isinstance(other, Residue):
-            if other.modulus is self.modulus:  # make_modulus interns each modulus
-                return self.value, other.value, self.modulus
-            if other.p != self.p:
-                raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-            if other.precision == self.precision:
-                return self.value, other.value, self.modulus
-            m = make_modulus(self.p, min(self.precision, other.precision))
-            return self.value % m.value, other.value % m.value, m
-        if isinstance(other, int):
-            return self.value, other % self.modulus.value, self.modulus
-        if isinstance(other, Fraction):
-            return self.value, from_rational(other, self.modulus).value, self.modulus
-        return None
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other) -> Residue:
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return Residue(a + b, m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> Residue:
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return Residue(a - b, m)
-
-    def __rsub__(self, other) -> Residue:
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return Residue(b - a, m)
-
-    def __mul__(self, other) -> Residue:
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b, m = pair
-        return Residue(a * b, m)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, n: int) -> Residue:
-        if n < 0:
-            raise ValueError("negative exponent; use inv() for unit inverses")
-        return Residue(pow(self.value, n, self.modulus.value), self.modulus)
-
-    def inv(self) -> Residue:
-        """Multiplicative inverse; the value must be a unit (not divisible by p)."""
-        if self.value % self.p == 0:
-            raise ValueError(f"{self.value} is not a unit mod {self.p}^{self.precision}")
-        return Residue(pow(self.value, -1, self.modulus.value), self.modulus)
-
-    # -- p-adic structure -------------------------------------------------
-
-    def valuation(self) -> int:
-        """Largest k <= r with p^k dividing the value; r itself means 'at least r'."""
-        if self.value == 0:
-            return self.precision
-        v, k = self.value, 0
-        while v % self.p == 0:
-            v //= self.p
-            k += 1
-        return k
-
-    def shift_down(self, k: int) -> Residue:
-        """Exact division by p^k, spending k digits of precision.
-
-        The class must have valuation >= k and k must be < r, so the result
-        is a well-defined class modulo p^(r-k).
-        """
-        if k == 0:
-            return self
-        if k < 0:
-            raise ValueError("shift must be non-negative")
-        if k >= self.precision:
-            raise ValueError(f"cannot shift by {k}: only {self.precision} digits held")
-        pk = self.p**k
-        if self.value % pk != 0:
-            raise ValueError(
-                f"insufficient valuation: {self.value} not divisible by {self.p}^{k}"
-            )
-        return Residue(self.value // pk, make_modulus(self.p, self.precision - k))
-
-    def mul_p_power(self, k: int) -> Residue:
-        """Exact multiplication by p^k, gaining k digits of precision."""
-        if k < 0:
-            raise ValueError("power must be non-negative")
-        if k == 0:
-            return self
-        return Residue(self.value * self.p**k, make_modulus(self.p, self.precision + k))
-
     def reduce_to(self, r: int) -> Residue:
         """Weaken to precision r <= current precision."""
         if r == self.precision:
@@ -273,11 +156,6 @@ class Residue:
             v, d = divmod(v, self.p)
             out.append(d)
         return out
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    # -- comparison -------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Residue):
@@ -304,6 +182,9 @@ def ratio_mod(a: int, b: int, p: int, mod: int) -> int:
     return a * pow(b, -1, mod) % mod
 
 
-def from_rational(q: Fraction | int, modulus: Modulus) -> Residue:
-    """Embed a p-integral rational (an int is q/1) by :func:`ratio_mod`."""
-    return Residue(ratio_mod(q.numerator, q.denominator, modulus.p, modulus.value), modulus)
+def divide_exactly(value: int, p: int, k: int) -> int:
+    """value / p^k, refused when p^k does not divide value."""
+    quotient, rest = divmod(value, p**k)
+    if rest:
+        raise ValueError(f"insufficient valuation: {value} not divisible by {p}^{k}")
+    return quotient

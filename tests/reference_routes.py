@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable
 
 from wilsonq.bernoulli import forward_difference
-from wilsonq.residues import Modulus, Residue, make_modulus
+from wilsonq.residues import Modulus, Residue, divide_exactly, make_modulus
 
 
 def power_sum_mod(n: int, modulus: Modulus) -> Residue:
@@ -37,8 +37,8 @@ def sh_mod(n: int, p: int, r: int) -> Residue:
     if n == 0:
         return Residue(0, modulus)
     up = make_modulus(p, r + 1)
-    diff = power_sum_mod(n, up) - power_sum_mod(0, up)
-    return diff.shift_down(1)
+    diff = power_sum_mod(n, up).value - power_sum_mod(0, up).value
+    return Residue(divide_exactly(diff, p, 1), modulus)
 
 
 def binom_diff_mod_p(k: int, n: int, p: int) -> Residue:
@@ -65,8 +65,8 @@ def q_power_sum_via_differences(n: int, p: int, r: int) -> Residue:
     if n < 1:
         raise ValueError("power must be >= 1")
     prec = r + n - 1
-    diff = forward_difference(lambda nu: sh_mod(nu, p, prec), p - 1, n, start=0)
-    return diff.shift_down(n - 1)
+    diff = forward_difference(lambda nu: sh_mod(nu, p, prec).value, p - 1, n, start=0)
+    return Residue(divide_exactly(diff, p, n - 1), make_modulus(p, r))
 
 
 NVARS = 6

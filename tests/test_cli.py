@@ -117,6 +117,8 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     (["omega", "--p", "9", "--thm", "1"], 2),
     (["bernoulli", "--p", "9", "--m", "4", "--prec", "1"], 2),
     (["bernoulli", "--p", "7", "--m", "6", "--prec", "6"], 2),
+    (["bernoulli", "--p", "7", "--m", "0", "--prec", "2"], 2),
+    (["bernoulli", "--p", "7", "--m", "-4", "--prec", "2"], 2),
 ])
 def test_bad_input_exits_without_traceback(args, code, tmp_path):
     # each input runs (exit 0) or is refused (exit 2, one error line), never
@@ -171,6 +173,29 @@ def test_precision_bound_refuses_at_once():
         assert done.returncode == 2, (args, done.stderr[-300:])
         assert done.stderr.startswith(f"error: precision exponent must be at most {R_LIMIT}")
         assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("args, working", [
+    (["wilson", "--p", "7", "--prec", "12"], "r + 1 = 13"),
+    (["bernoulli", "--p", "17", "--m", "17", "--prec", "11"], "g = r + 1 + v_p(m) = 13"),
+    (["bernoulli", "--p", "13", "--m", "12", "--prec", "12"], "g = r + 1 + v_p(m) = 13"),
+], ids=["wilson", "bernoulli-g-above-limit", "bernoulli-g-not-below-p"])
+def test_precision_refusal_names_the_typed_precision(args, working, monkeypatch, capsys):
+    # the working precision taken from --prec is refused before any table
+    # or factorial is built, and the message names both: the typed value as
+    # the one it got, and the working precision it implies
+    from wilsonq import bernoulli, oracles
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(bernoulli, "power_table", no_table)
+    monkeypatch.setattr(oracles, "factorial_mod", no_table)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.rstrip().endswith(f"got {args[-1]}"), err
+    assert working in err, err
 
 
 def test_size_bound_refuses_before_any_table(monkeypatch, capsys):

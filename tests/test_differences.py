@@ -6,40 +6,36 @@ from reference_routes import binom_diff_mod_p, q_power_sum_via_differences, sh_m
 from wilsonq.bernoulli import forward_difference
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import q_power_sum
-from wilsonq.residues import Residue, make_modulus
+from wilsonq.residues import make_modulus, ratio_mod
 from math import comb
 
 
-def _seq(m, fn):
-    return lambda i: Residue(fn(i), m)
-
-
 def test_forward_difference_base_cases():
-    m = make_modulus(7, 3)
-    f = _seq(m, lambda i: i**2)
-    assert forward_difference(f, 1, 0, start=5) == Residue(25, m)
-    assert forward_difference(f, 1, 2, start=0).value == 2  # 0 - 2*1 + 4
-    g = _seq(m, lambda i: i)
-    assert forward_difference(g, 1, 2, start=0).value == 0
+    square = lambda i: i**2
+    assert forward_difference(square, 1, 0, start=5) == 25
+    assert forward_difference(square, 1, 2, start=0) == 2  # 0 - 2*1 + 4
+    assert forward_difference(lambda i: i, 1, 2, start=0) == 0
 
 
 def test_forward_difference_on_integers():
-    # the same sum on plain integers, reduced once, as on residues
-    m = make_modulus(7, 3)
+    # the sum is left unreduced, and reducing the samples first gives the
+    # same class
+    mod = 7**3
+    cube = lambda i: i**3 - 5 * i
     for h, n, start in ((1, 2, 0), (6, 3, 4), (6, 0, 9)):
-        cube = lambda i: i**3 - 5 * i
-        on_ints = forward_difference(cube, h, n, start=start)
-        assert type(on_ints) is int
-        assert Residue(on_ints, m) == forward_difference(_seq(m, cube), h, n, start=start)
+        whole = forward_difference(cube, h, n, start=start)
+        assert type(whole) is int
+        reduced = forward_difference(lambda i: cube(i) % mod, h, n, start=start)
+        assert whole % mod == reduced % mod
+    assert forward_difference(cube, 6, 3, start=4) == 6 * 6**3  # above 7^3: unreduced
     assert forward_difference(lambda i: i**3, 1, 3) == 6
 
 
 def test_forward_difference_validates():
-    m = make_modulus(7, 3)
     with pytest.raises(ValueError):
-        forward_difference(_seq(m, lambda i: i), 0, 1)
+        forward_difference(lambda i: i, 0, 1)
     with pytest.raises(ValueError):
-        forward_difference(_seq(m, lambda i: i), 1, -1)
+        forward_difference(lambda i: i, 1, -1)
 
 
 @settings(max_examples=50)
@@ -54,13 +50,13 @@ def test_forward_difference_validates():
     st.lists(st.integers(-(10**6), 10**6), min_size=24, max_size=24),
 )
 def test_linearity(p, r, h, n, a, b, fs, gs):
-    m = make_modulus(p, r)
-    f = _seq(m, lambda i: fs[i % 24])
-    g = _seq(m, lambda i: gs[i % 24])
-    combo = _seq(m, lambda i: a * fs[i % 24] + b * gs[i % 24])
+    mod = p**r
+    f = lambda i: fs[i % 24] % mod
+    g = lambda i: gs[i % 24] % mod
+    combo = lambda i: (a * fs[i % 24] + b * gs[i % 24]) % mod
     lhs = forward_difference(combo, h, n)
     rhs = a * forward_difference(f, h, n) + b * forward_difference(g, h, n)
-    assert lhs == rhs
+    assert (lhs - rhs) % mod == 0
 
 
 @settings(max_examples=50)
@@ -73,8 +69,7 @@ def test_linearity(p, r, h, n, a, b, fs, gs):
     st.lists(st.integers(-(10**6), 10**6), min_size=32, max_size=32),
 )
 def test_composition(p, r, h, n, k, fs):
-    m = make_modulus(p, r)
-    f = _seq(m, lambda i: fs[i % 32])
+    f = lambda i: fs[i % 32] % p**r
     once = forward_difference(f, h, n + k, start=0)
     inner = lambda s: forward_difference(f, h, k, start=s)
     twice = forward_difference(inner, h, n, start=0)
@@ -129,9 +124,9 @@ def test_modified_sum_closed_form_on_grid():
                 n = d * h
                 lhs = sh_mod(n, p, r)
                 rhs = (
-                    n * bnpd(n, modr)
-                    + (comb(n, 3) * bnpd(n - 2, make_modulus(p, r - 2))).mul_p_power(2)
-                    + (comb(n, 5) * bnpd(n - 4, make_modulus(p, r - 4))).mul_p_power(4)
+                    n * bnpd(n, modr).value
+                    + p**2 * comb(n, 3) * bnpd(n - 2, make_modulus(p, r - 2)).value
+                    + p**4 * comb(n, 5) * bnpd(n - 4, make_modulus(p, r - 4)).value
                 )
                 assert lhs == rhs, (p, r, d)
 
@@ -139,8 +134,6 @@ def test_modified_sum_closed_form_on_grid():
 def test_difference_form_of_scaled_sums():
     # the two-block difference expansion of (p^(n-1)/n) Q_p(n) built straight
     # from the operator, before any coefficient tables
-    from fractions import Fraction
-
     from wilsonq.bernoulli import bnpd
     from wilsonq.oracles import qtilde
 
@@ -150,15 +143,15 @@ def test_difference_form_of_scaled_sums():
             for n in range(1, r + 1):
                 lead_mod = make_modulus(p, r)
                 lead = (p - 1) * forward_difference(
-                    lambda nu: bnpd(nu, lead_mod), h, n - 1, start=h
+                    lambda nu: bnpd(nu, lead_mod).value, h, n - 1, start=h
                 )
                 m2 = make_modulus(p, r - 2)
                 t2 = forward_difference(
-                    lambda nu: comb(nu, 3) * bnpd(nu - 2, m2), h, n, start=0
+                    lambda nu: comb(nu, 3) * bnpd(nu - 2, m2).value, h, n, start=0
                 )
                 m4 = make_modulus(p, r - 4)
                 t4 = forward_difference(
-                    lambda nu: comb(nu, 5) * bnpd(nu - 4, m4), h, n, start=0
+                    lambda nu: comb(nu, 5) * bnpd(nu - 4, m4).value, h, n, start=0
                 )
-                rhs = lead + Fraction(1, n) * (t2.mul_p_power(2) + t4.mul_p_power(4))
+                rhs = lead + ratio_mod(1, n, p, p**r) * (p**2 * t2 + p**4 * t4)
                 assert rhs == qtilde(n, p, r), (p, r, n)
