@@ -4,7 +4,8 @@
 For each prime and difference order r, walks every admissible even index up
 to a bound and confirms the r-fold forward difference (step p-1) vanishes
 modulo p^r.  Denser than the sampled harness check; useful for poking at
-larger index ranges.
+larger index ranges.  Input the engine refuses (a non-prime, or an index
+whose working precision reaches p) exits 2 with one ``error:`` line.
 
     python scripts/kummer_scan.py --primes 7 11 13 17 19 --nmax 400 --rmax 3
 """
@@ -27,13 +28,18 @@ def main() -> int:
 
     failures = 0
     started = time.perf_counter()
-    for p in args.primes:
-        found = kummer_differences(p, BernoulliEngine(p), range(2, args.nmax + 1, 2), args.rmax)
-        for r, n, diff in found:
-            if diff.value:
-                failures += 1
-                print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
-        print(f"p={p}: {len(found)} differences vanish")
+    try:
+        for p in args.primes:
+            found = kummer_differences(p, BernoulliEngine(p), range(2, args.nmax + 1, 2),
+                                       args.rmax)
+            for r, n, diff in found:
+                if diff.value:
+                    failures += 1
+                    print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
+            print(f"p={p}: {len(found)} differences vanish")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'zero failures' if not failures else f'{failures} FAILURES'} "
           f"({time.perf_counter() - started:.1f}s)")
     return 1 if failures else 0

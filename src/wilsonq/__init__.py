@@ -4,10 +4,8 @@ computed two independent ways and verified bit-exactly over prime ranges."""
 from .bernoulli import (
     BernoulliEngine,
     DividedSet,
-    bernoulli_times_p,
     bnpd,
     divided_set,
-    exact_bernoulli,
     forward_difference,
     kummer_admissible,
 )
@@ -26,7 +24,6 @@ from .harness import CheckResult, RunConfig, check_prime, enumerate_primes, run_
 from .oracles import (
     WilsonRecord,
     factorial_mod,
-    q_power_sum,
     q_power_sums,
     qtilde,
     wilson_quotient,
@@ -46,12 +43,10 @@ __all__ = [
     "Residue",
     "RunConfig",
     "WilsonRecord",
-    "bernoulli_times_p",
     "bnpd",
     "check_prime",
     "divided_set",
     "enumerate_primes",
-    "exact_bernoulli",
     "factorial_mod",
     "forward_difference",
     "is_prime",
@@ -59,7 +54,6 @@ __all__ = [
     "make_modulus",
     "omega_mod_p_rhs",
     "omega_vector",
-    "q_power_sum",
     "q_power_sums",
     "qtilde",
     "qtilde_rhs",

@@ -4,30 +4,29 @@ Everything here works with p*B_m rather than B_m: the product is always
 p-integral (the denominator of B_m carries p to at most the first power, and
 only when p-1 divides m), so every intermediate is an integer mod p^g.
 
-Two independent routes are provided:
-
-* :func:`exact_bernoulli` - exact rationals from the defining recurrence,
-  the slow reference oracle;
-* :func:`bernoulli_times_p` - p*B_m mod p^g from power sums of 1..p-1 via
+p*B_m mod p^g has one route, :meth:`BernoulliEngine.pb_value`, from power
+sums of 1..p-1 via
 
       p*B_m = S_m(p) - sum_{k=2}^{K} C(m, k-1) * (p^(k-1)/k) * p*B_(m+1-k),
 
-  a rearrangement of the closed form of S_m as a polynomial in p.  The term
-  for k carries p^(k-1) (after removing any factor p from k), so the cutoff
-  K = min(m+1, g+1) is exact at working precision g; a unit test checks that
-  raising K further changes nothing.  The recursion drops at least one digit
-  of precision per level, so each target index touches at most g smaller
-  indices.
+a rearrangement of the closed form of S_m as a polynomial in p.  The term
+for k carries p^(k-1) (after removing any factor p from k), so the cutoff
+K = min(m+1, g+1) is exact at working precision g; a unit test checks that
+raising K further changes nothing.  The recursion drops at least one digit
+of precision per level, so each target index touches at most g smaller
+indices.  The second route, exact rationals from the defining recurrence,
+is a test-only reference and lives beside the tests.
 
 Derived quantities: the divided value B_m/m (pole removed when p-1 | m),
-which :func:`bnpd` alone computes from p*B_m, and a per-prime dict of the
-divided values at the index families n(p-1)-d for even d.  Kummer's
-congruences are written here too: :func:`kummer_admissible` says which
-r-fold forward differences (step p-1) of the divided values vanish mod p^r,
-and :func:`kummer_differences` takes them.  The depth policy lives here
-alone: ``MIN_P`` maps each depth R (the expansion of (p-1)! mod p^(R+1)) to
-the smallest prime it holds for, :func:`depths` lists the depths a prime
-supports and :func:`set_spec` the set values a depth reads.
+which :func:`bnpd` alone computes from p*B_m on an engine for its own
+prime, and a per-prime dict of the divided values at the index families
+n(p-1)-d for even d.  Kummer's congruences are written here too:
+:func:`kummer_admissible` says which r-fold forward differences (step p-1)
+of the divided values vanish mod p^r, and :func:`kummer_differences` takes
+them.  The depth policy lives here alone: ``MIN_P`` maps each depth R (the
+expansion of (p-1)! mod p^(R+1)) to the smallest prime it holds for,
+:func:`depths` lists the depths a prime supports and :func:`set_spec` the
+set values a depth reads.
 
 One prime's power-sum tables and p*B_m values live in a
 :class:`BernoulliEngine`, an optional trailing argument of every function
@@ -36,46 +35,13 @@ built on it; a call without one works on a throwaway engine.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from itertools import repeat
 from math import comb
 from operator import lshift, mul, or_
 from operator import mod as imod
 
 from .residues import (R_LIMIT, Modulus, Residue, divide_exactly, is_prime, make_modulus,
-                       power_table)
-
-ORACLE_BOUND = 3000
-
-# -- exact rational oracle --------------------------------------------------
-
-_exact: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-
-
-def exact_bernoulli(n: int) -> Fraction:
-    """Exact B_n from sum_{k=0}^{m-1} C(m+1, k) B_k = -(m+1) B_m, memoized.
-
-    Odd indices above 1 are zero, so the sum only visits even k plus the
-    single B_1 term.  Intended as a reference oracle; capped at
-    ORACLE_BOUND because the cost is quadratic with fast-growing numerators.
-    """
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n > ORACLE_BOUND:
-        raise ValueError(f"oracle bound exceeded: {n} > {ORACLE_BOUND}")
-    if n % 2 == 1 and n > 1:
-        return Fraction(0)
-    # Stored at index m, not appended: racing callers write equal values to one slot.
-    while len(_exact) <= n:
-        m = len(_exact)
-        if m % 2 == 1:
-            _exact[m:m + 1] = [Fraction(0)]
-            continue
-        s = sum(comb(m + 1, k) * _exact[k] for k in range(0, m, 2))
-        s += comb(m + 1, 1) * _exact[1]
-        _exact[m:m + 1] = [-s / (m + 1)]
-    return _exact[n]
-
+                       power_table, split_p)
 
 # -- power sums --------------------------------------------------------------
 
@@ -107,8 +73,6 @@ class BernoulliEngine:
         self.p = p
         self.g = 0
         self._pb: dict[int, tuple[int, int]] = {}
-        #: (k, g) -> (sub-index precision, p^(k-1)/k mod p^g) of a recursion term.
-        self._weights: dict[tuple[int, int], tuple[int, int]] = {}
 
     def _reset(self, g: int) -> None:
         if g <= self.g:
@@ -155,20 +119,6 @@ class BernoulliEngine:
             self._column_pass(j)
         return self._sums[j] % self.p**g
 
-    def _weight(self, k: int, g: int) -> tuple[int, int]:
-        """(g - e, p^e / unit mod p^g) for k = p^e * unit: the precision of
-        the recursion's k-th sub-index and its weight (e >= g: no term)."""
-        found = self._weights.get((k, g))
-        if found is None:
-            p, e, unit = self.p, k - 1, k
-            while unit % p == 0:
-                unit //= p
-                e -= 1
-            mod = p**g
-            found = (g - e, p**e * pow(unit, -1, mod) % mod if e < g else 0)
-            self._weights[k, g] = found
-        return found
-
     def pb_value(self, m: int, g: int) -> int:
         """p*B_m mod p^g as a plain integer."""
         p = self.p
@@ -194,27 +144,15 @@ class BernoulliEngine:
                 ks.append(m)
             value = 0
             for k in ks:
-                sub_g, weight = self._weight(k, g)
-                if weight:
-                    sub = self.pb_value(m + 1 - k, sub_g)
-                    value -= comb(m, k - 1) * weight % mod * sub
+                # The weight p^(k-1)/k is p^e / unit; at e >= g the term vanishes.
+                v, unit = split_p(k, p)
+                e = k - 1 - v
+                if e < g:
+                    value -= (comb(m, k - 1) * p**e * pow(unit, -1, mod) % mod
+                              * self.pb_value(m + 1 - k, g - e))
             value = (value + self.power_sum(m, g)) % mod
         self._pb[m] = (g, value)
         return value
-
-
-def bernoulli_times_p(m: int, p: int, g: int, engine: BernoulliEngine | None = None) -> Residue:
-    """p*B_m mod p^g via the power-sum recursion on an engine for p; needs p > g."""
-    if m < 0:
-        raise ValueError("index must be non-negative")
-    if g < 1:
-        raise ValueError("precision must be >= 1")
-    if p <= g:
-        raise ValueError(f"need p > g for unit denominators, got p={p}, g={g} at index {m}")
-    engine = engine or BernoulliEngine(p)
-    if engine.p != p:
-        raise ValueError(f"engine built for p={engine.p}, asked for p={p}")
-    return Residue(engine.pb_value(m, g), make_modulus(p, g))
 
 
 # -- divided values ----------------------------------------------------------
@@ -228,21 +166,22 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
     division by p^(1+e) is exact because the numerator has matching valuation
     (von Staudt-Clausen, Adams / Carlitz); if it does not, this raises, making
     the implicit integrality claim executable.  g must stay below p and at
-    most R_LIMIT, and is checked before any table is built.
+    most R_LIMIT, and is checked before any table is built; an engine built
+    for another prime is refused.
     """
     p, r = modulus.p, modulus.r
     if m <= 0:
         return Residue(0, modulus)
-    e, unit = 0, m
-    while unit % p == 0:
-        unit //= p
-        e += 1
+    e, unit = split_p(m, p)
     g = r + 1 + e
     if g > R_LIMIT or g >= p:
         raise ValueError(f"precision exponent must be at most {R_LIMIT} and below p = {p} in "
                          f"the working precision g = r + 1 + v_p(m) = {g} at index {m}, "
                          f"got {r}")
-    pb = bernoulli_times_p(m, p, g, engine).value
+    engine = engine or BernoulliEngine(p)
+    if engine.p != p:
+        raise ValueError(f"engine built for p={engine.p}, asked for p={p}")
+    pb = engine.pb_value(m, g)
     if m % (p - 1) == 0:
         pb += 1 - p
     return Residue(divide_exactly(pb, p, 1 + e) * pow(unit, -1, modulus.value), modulus)

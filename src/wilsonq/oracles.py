@@ -13,16 +13,6 @@ from operator import mul
 from .residues import R_LIMIT, Residue, divide_exactly, make_modulus, power_table
 
 
-def q_power_sum(n: int, p: int, r: int) -> Residue:
-    """Q_p(n) = sum of n-th powers of all Fermat quotients, mod p^r."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    modulus = make_modulus(p, r)
-    m, up = modulus.value, p ** (r + 1)
-    quotients = ((pow(a, p - 1, up) - 1) // p for a in range(1, p))
-    return Residue(sum(pow(q, n, m) for q in quotients) % m, modulus)
-
-
 def q_power_sums(p: int, r: int) -> tuple[Residue, ...]:
     """(Q_p(1), ..., Q_p(r)) mod p^r in one pass over the Fermat quotients,
     each quotient's powers taken as running products.  The products stay

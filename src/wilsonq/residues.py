@@ -2,9 +2,10 @@
 
 A ``Residue`` is a record: a canonical representative in [0, p^r) together
 with its ``Modulus`` (p, r).  Every computation runs on plain integers; the
-two rules that go beyond ``%`` are written here once: :func:`ratio_mod`, a
-rational a/b mod a power of p, and :func:`divide_exactly`, division by p^k
-that refuses a value p^k does not divide.
+rules that go beyond ``%`` are written here once: :func:`ratio_mod`, a
+rational a/b mod a power of p, :func:`split_p`, which splits the power of p
+off an integer, and :func:`divide_exactly`, division by p^k that refuses a
+value p^k does not divide.
 """
 from __future__ import annotations
 
@@ -180,6 +181,15 @@ def ratio_mod(a: int, b: int, p: int, mod: int) -> int:
     if b % p == 0:
         raise ValueError(f"denominator {b} not coprime to {p}")
     return a * pow(b, -1, mod) % mod
+
+
+def split_p(n: int, p: int) -> tuple[int, int]:
+    """(e, unit) with n = p^e * unit and p not dividing unit, for n >= 1."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
 
 
 def divide_exactly(value: int, p: int, k: int) -> int:

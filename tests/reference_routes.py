@@ -1,5 +1,9 @@
 """Second routes to values the package computes one way, read only by tests.
 
+* :func:`exact_bernoulli` - exact rational B_n from the defining recurrence,
+  the reference for the engine's p*B_m and the divided values;
+* :func:`q_power_sum` - one Fermat-quotient power sum Q_p(n) by direct
+  summation, the reference for ``oracles.q_power_sums``;
 * :func:`power_sum_mod` and :func:`sh_mod` - plain and modified power sums
   by direct summation, the reference for the Bernoulli engine's tables;
 * :func:`binom_diff_mod_p` and :func:`q_power_sum_via_differences` - the
@@ -17,6 +21,45 @@ from typing import Callable
 
 from wilsonq.bernoulli import forward_difference
 from wilsonq.residues import Modulus, Residue, divide_exactly, make_modulus
+
+ORACLE_BOUND = 3000
+
+_exact: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+
+
+def exact_bernoulli(n: int) -> Fraction:
+    """Exact B_n from sum_{k=0}^{m-1} C(m+1, k) B_k = -(m+1) B_m, memoized.
+
+    Odd indices above 1 are zero, so the sum only visits even k plus the
+    single B_1 term.  Intended as a reference oracle; capped at
+    ORACLE_BOUND because the cost is quadratic with fast-growing numerators.
+    """
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    if n > ORACLE_BOUND:
+        raise ValueError(f"oracle bound exceeded: {n} > {ORACLE_BOUND}")
+    if n % 2 == 1 and n > 1:
+        return Fraction(0)
+    # Stored at index m, not appended: racing callers write equal values to one slot.
+    while len(_exact) <= n:
+        m = len(_exact)
+        if m % 2 == 1:
+            _exact[m:m + 1] = [Fraction(0)]
+            continue
+        s = sum(comb(m + 1, k) * _exact[k] for k in range(0, m, 2))
+        s += comb(m + 1, 1) * _exact[1]
+        _exact[m:m + 1] = [-s / (m + 1)]
+    return _exact[n]
+
+
+def q_power_sum(n: int, p: int, r: int) -> Residue:
+    """Q_p(n) = sum of n-th powers of all Fermat quotients, mod p^r."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    modulus = make_modulus(p, r)
+    m, up = modulus.value, p ** (r + 1)
+    quotients = ((pow(a, p - 1, up) - 1) // p for a in range(1, p))
+    return Residue(sum(pow(q, n, m) for q in quotients) % m, modulus)
 
 
 def power_sum_mod(n: int, modulus: Modulus) -> Residue:

@@ -5,15 +5,14 @@ from math import comb
 
 import pytest
 
-from reference_routes import power_sum_mod
+import reference_routes
+from reference_routes import exact_bernoulli, power_sum_mod
 from wilsonq import bernoulli
 from wilsonq.bernoulli import (
     BernoulliEngine,
-    bernoulli_times_p,
     bnpd,
     depths,
     divided_set,
-    exact_bernoulli,
     forward_difference,
     kummer_admissible,
     set_spec,
@@ -52,20 +51,21 @@ def test_power_sum_examples():
 
 def test_engine_examples():
     # p*B_2 = 5/6
-    assert bernoulli_times_p(2, 5, 3).value == 105
-    assert bernoulli_times_p(3, 7, 4).value == 0
+    assert BernoulliEngine(5).pb_value(2, 3) == 105
+    assert BernoulliEngine(7).pb_value(3, 4) == 0
     # p*B_12 at p=7 against the exact oracle
     want = 7 * exact_bernoulli(12)
-    assert bernoulli_times_p(12, 7, 3) == ratio_mod(want.numerator, want.denominator, 7, 7**3)
-    assert bernoulli_times_p(1, 7, 3) == ratio_mod(-7, 2, 7, 7**3)
-    assert bernoulli_times_p(0, 7, 3).value == 7
+    want = ratio_mod(want.numerator, want.denominator, 7, 7**3)
+    assert BernoulliEngine(7).pb_value(12, 3) == want
+    assert BernoulliEngine(7).pb_value(1, 3) == ratio_mod(-7, 2, 7, 7**3)
+    assert BernoulliEngine(7).pb_value(0, 3) == 7
 
 
 def test_exact_memo_survives_racing_threads(monkeypatch):
     # the memo has no lock: threads extending it at once must leave the
     # values one thread alone computes
     want = [exact_bernoulli(m) for m in range(241)]
-    monkeypatch.setattr(bernoulli, "_exact", [F(1), F(-1, 2)])
+    monkeypatch.setattr(reference_routes, "_exact", [F(1), F(-1, 2)])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -77,22 +77,20 @@ def test_exact_memo_survives_racing_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert bernoulli._exact == want
+    assert reference_routes._exact == want
 
 
 def test_engine_rejects_small_primes():
-    with pytest.raises(ValueError, match="p > g"):
-        bernoulli_times_p(10, 7, 7)
+    with pytest.raises(ValueError, match="below p = 7"):
+        bnpd(10, make_modulus(7, 6))
     with pytest.raises(ValueError, match="not prime"):
-        bernoulli_times_p(2, 9, 2)
+        BernoulliEngine(9)
 
 
 def test_engine_serves_one_prime():
     # an engine of another prime would hand back its own p*B_m values
     # (224 for p*B_10 mod 11^3 from a p = 7 engine; the true value is 1110)
-    assert bernoulli_times_p(10, 11, 3).value == 1110
-    with pytest.raises(ValueError, match="engine built for p=7"):
-        bernoulli_times_p(10, 11, 3, BernoulliEngine(7))
+    assert BernoulliEngine(11).pb_value(10, 3) == 1110
     with pytest.raises(ValueError, match="engine built for p=7"):
         bnpd(10, make_modulus(11, 2), BernoulliEngine(7))
     with pytest.raises(ValueError, match="engine built for p=7"):
@@ -106,7 +104,7 @@ def test_engine_matches_exact_oracle_sample():
             exact = p * exact_bernoulli(m)
             for g in (1, 3, gmax):
                 want = ratio_mod(exact.numerator, exact.denominator, p, p**g)
-                assert bernoulli_times_p(m, p, g) == want, (p, m, g)
+                assert BernoulliEngine(p).pb_value(m, g) == want, (p, m, g)
 
 
 def test_dropped_recursion_terms_vanish():
@@ -133,11 +131,11 @@ def test_dropped_recursion_terms_vanish():
 def test_von_staudt_clausen_structure():
     for p in (7, 11, 13, 17):
         for m in range(2, 80, 2):
-            pb = bernoulli_times_p(m, p, 4)
+            pb = BernoulliEngine(p).pb_value(m, 4)
             if m % (p - 1) == 0:
-                assert (pb.value + 1) % p == 0  # p*B_m = -1 mod p at the pole
+                assert (pb + 1) % p == 0  # p*B_m = -1 mod p at the pole
             else:
-                assert pb.value % p == 0
+                assert pb % p == 0
 
 
 def test_bnpd_examples():
@@ -325,13 +323,13 @@ def test_engine_serves_any_precision_order():
             calls = _count_power_sums(engine)
             for g in order:
                 for m in indices:
-                    got = bernoulli_times_p(m, p, g, engine)
-                    assert got == bernoulli_times_p(m, p, g), (p, m, g)
+                    got = engine.pb_value(m, g)
+                    assert got == BernoulliEngine(p).pb_value(m, g), (p, m, g)
                 if g == top:
                     after_top = len(calls)
             for g in range(1, top + 1):
                 for m in indices:
-                    bernoulli_times_p(m, p, g, engine)
+                    engine.pb_value(m, g)
             assert after_top > 0 and len(calls) == after_top, (p, order)
 
 
@@ -391,7 +389,7 @@ def test_pb_value_skips_odd_sub_indices():
 
     engine.pb_value = counted
     for m in (2, 4, 100, 598, 600):
-        assert engine.pb_value(m, 7) == bernoulli_times_p(m, 101, 7).value
+        assert engine.pb_value(m, 7) == BernoulliEngine(101).pb_value(m, 7)
     assert 1 in asked and 0 in asked
     assert not [m for m in asked if m > 1 and m % 2]
 

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_routes import binom_diff_mod_p, q_power_sum_via_differences, sh_mod
+from reference_routes import binom_diff_mod_p, q_power_sum, q_power_sum_via_differences, sh_mod
 from wilsonq.bernoulli import forward_difference
 from wilsonq.harness import enumerate_primes
-from wilsonq.oracles import q_power_sum
 from wilsonq.residues import make_modulus, ratio_mod
 from math import comb
 

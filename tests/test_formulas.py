@@ -170,7 +170,7 @@ def test_printed_coefficient_vectors():
 
 def test_wilson_from_power_sums_examples():
     # r=1 is the plain first expansion polynomial evaluated at Q_p(1)
-    from wilsonq.oracles import q_power_sum
+    from reference_routes import q_power_sum
 
     for p in (5, 7, 11):
         assert wilson_from_power_sums(p, 1) == q_power_sum(1, p, 1)

@@ -519,6 +519,30 @@ def test_kummer_differences_evaluate_each_index_once(monkeypatch):
     assert dict(calls) == reads
 
 
+@pytest.mark.parametrize("fault", ["none", "top", "every", 3, 4, 5])
+def test_shared_power_table_fault_is_seen(fault, monkeypatch):
+    # q_power_sums and the engine share residues.power_table; a fault at
+    # v = 6 that both sides see must still fail every thm3 and props row:
+    # p^5 added at e = p-1 only or at every e, or the entry lifted to
+    # (6 + p^k)^e
+    direct = bernoulli.power_table
+
+    def faulted(p, e, mod):
+        table = direct(p, e, mod)
+        if fault == "every" or fault == "top" and e == p - 1:
+            table[5] = (table[5] + p**5) % mod
+        elif isinstance(fault, int):
+            table[5] = pow(6 + p**fault, e, mod)
+        return table
+
+    monkeypatch.setattr(bernoulli, "power_table", faulted)
+    monkeypatch.setattr(oracles, "power_table", faulted)
+    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset({"thm3", "props"}))
+    rows = [row for p in enumerate_primes(11, 43) for row in check_prime(p, cfg)]
+    assert len(rows) == 220
+    assert sum(not row.passed for row in rows) == (0 if fault == "none" else 220)
+
+
 def test_kummer_scan_script_runs_clean():
     # the documented command of the dense scan script, the other caller of
     # kummer_differences
@@ -529,3 +553,19 @@ def test_kummer_scan_script_runs_clean():
         cwd=root, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "zero failures" in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("--primes", "9"),
+    # index 686 = 2 * 7^3 needs the working precision g = 7, not below p
+    ("--primes", "7", "--nmax", "700", "--rmax", "3"),
+    ("--primes", "5", "--nmax", "20", "--rmax", "5"),
+], ids=["not-prime", "index-686", "order-5-at-p-5"])
+def test_kummer_scan_script_refuses_bad_input(args):
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "scripts/kummer_scan.py", *args],
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -1,11 +1,10 @@
 import pytest
 
-from reference_routes import sh_mod
+from reference_routes import q_power_sum, sh_mod
 from wilsonq.bernoulli import divided_set
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import (
     factorial_mod,
-    q_power_sum,
     q_power_sums,
     qtilde,
     wilson_quotient,
