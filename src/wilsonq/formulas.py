@@ -25,10 +25,9 @@ omega_nu stated modulo p^(R+1-nu).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bernoulli import MIN_P, DividedSet
 from .oracles import q_power_sums, qtilde
@@ -86,6 +85,24 @@ def _residue(value: int, p: int, prec: int) -> Residue:
 
 # -- factorial / Wilson-quotient expansion coefficients ----------------------
 
+#: Depth -> the named term groups of omega_5 at that depth, stated mod
+#: p^(depth-4); omega_5 is their sum, and each depth-6 group agrees mod p
+#: with the depth-5 group of its name.
+_OMEGA5_TERMS: dict[int, dict[str, _Display]] = {
+    5: {
+        "pure-power-terms": lambda t: t.F(-1, 120) * t.b(1) ** 5,
+        "mixed-bnd2-terms": lambda t: t.F(-1, 6) * t.b(1) ** 2 * t.b2(1),
+        "bnd4-terms": lambda t: t.F(-1, 5) * t.b4(1),
+    },
+    6: {
+        "pure-power-terms": lambda t: t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2),
+        "mixed-bnd2-terms": lambda t: (t.F(-1, 3) * t.b(1) * t.b(2) * t.b2(1)
+                                       - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
+                                       + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
+        "bnd4-terms": lambda t: t.F(-2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2),
+    },
+}
+
 #: Depth -> nu -> the display of omega_nu, stated mod p^(depth+1-nu).
 _OMEGA: dict[int, dict[int, _Display]] = {
     5: {
@@ -97,8 +114,7 @@ _OMEGA: dict[int, dict[int, _Display]] = {
                       - t.b2(1) + t.b2(2) - t.F(1, 3) * t.b2(3)),
         4: lambda t: (t.F(-5, 24) * t.b(1) ** 4 + t.F(1, 6) * t.b(1) ** 3 * t.b(2)
                       - t.F(2, 3) * t.b(1) * t.b2(1) + t.F(1, 3) * t.b(2) * t.b2(2)),
-        5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
-                      - t.F(1, 5) * t.b4(1)),
+        5: lambda t: sum(group(t) for group in _OMEGA5_TERMS[5].values()),
     },
     6: {
         1: lambda t: (-6 * t.b(1) + 15 * t.b(2) - 20 * t.b(3) + 15 * t.b(4)
@@ -115,19 +131,14 @@ _OMEGA: dict[int, dict[int, _Display]] = {
         4: lambda t: (t.b(1) ** 3 * (t.F(-5, 8) * t.b(1) + t.b(2) - t.F(1, 6) * t.b(3))
                       - t.F(1, 4) * t.b(1) ** 2 * t.b(2) ** 2
                       - t.b(1) * t.b2(1) + t.b(2) * t.b2(2) - t.F(1, 3) * t.b(3) * t.b2(3)),
-        5: lambda t: (t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2)
-                      - t.F(1, 3) * t.b(1) * t.b(2) * t.b2(1)
-                      - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
-                      + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)
-                      - t.F(2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2)),
+        5: lambda t: sum(group(t) for group in _OMEGA5_TERMS[6].values()),
         6: lambda t: (t.F(-1, 720) * t.b(1) ** 6 - t.F(1, 18) * t.b(1) ** 3 * t.b2(1)
                       - t.F(1, 18) * t.b2(1) ** 2 - t.F(1, 5) * t.b(1) * t.b4(1)),
     },
 }
 
 
-@dataclass(frozen=True)
-class OmegaVector:
+class OmegaVector(NamedTuple):
     """Expansion coefficients omega_0..omega_depth of (p-1)! in powers of p,
     each at its own stated precision (p^(depth+1-nu) for omega_nu)."""
 
@@ -232,13 +243,12 @@ _QTILDE_MAIN: dict[int, dict[int, _Blocks]] = {
 }
 
 #: The depth-5 congruence for n=5 with its leading factor left as (p-1)
-#: instead of the compacted -1.  The two variants differ by p times the fourth
-#: difference of b(1..5), which vanishes mod p^5 only by Kummer's congruence,
-#: so both are tested.
+#: instead of the compacted -1; its p^2 and p^4 blocks are the compact form's.
+#: The two variants differ by p times the fourth difference of b(1..5), which
+#: vanishes mod p^5 only by Kummer's congruence, so both are tested.
 QTILDE_L5_N5_UNREDUCED: _Blocks = (
     (0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-    (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
-    (4, lambda t: t.F(-1, 5) * t.b4(1)),
+    *_QTILDE_MAIN[5][5][1:],
 )
 
 
@@ -461,13 +471,13 @@ def zero_expressions(p: int, bset: DividedSet) -> list[tuple[str, Residue]]:
 
 # -- first-order (mod p) forms of the expansion coefficients -------------------
 
+#: nu -> omega_nu mod p; omega_5's depth-5 display is stated mod p already.
 _OMEGA_MOD_P: dict[int, _Display] = {
     1: lambda t: -t.b(1),
     2: lambda t: t.F(-1, 2) * t.b(1) ** 2,
     3: lambda t: t.F(-1, 6) * t.b(1) ** 3 - t.F(1, 3) * t.b2(1),
     4: lambda t: t.F(-1, 24) * t.b(1) ** 4 - t.F(1, 3) * t.b(1) * t.b2(1),
-    5: lambda t: (t.F(-1, 120) * t.b(1) ** 5 - t.F(1, 6) * t.b(1) ** 2 * t.b2(1)
-                  - t.F(1, 5) * t.b4(1)),
+    5: _OMEGA[5][5],
 }
 
 
@@ -481,29 +491,13 @@ def omega_mod_p_rhs(nu: int, p: int, bset: DividedSet) -> Residue:
     return _residue(_OMEGA_MOD_P[nu](_Acc(p, bset, 1)), p, 1)
 
 
-#: Depth -> the term groups of its omega_(depth-1), stated mod p^2, each
-#: next to its mod-p image in the ladder one depth below: (name, group,
-#: image), and each pair must agree mod p.
-_OMEGA_REDUCTIONS: dict[int, tuple[tuple[str, _Display, _Display], ...]] = {
-    6: (
-        ("pure-power-terms",
-         lambda t: t.F(-1, 20) * t.b(1) ** 5 + t.F(1, 24) * t.b(1) ** 4 * t.b(2),
-         lambda t: t.F(-1, 120) * t.b(1) ** 5),
-        ("mixed-bnd2-terms",
-         lambda t: (t.F(-1, 3) * t.b(1) * t.b(2) * t.b2(1) - t.F(1, 2) * t.b(1) ** 2 * t.b2(2)
-                    + t.F(2, 3) * t.b(1) * t.b(2) * t.b2(2)),
-         lambda t: t.F(-1, 6) * t.b(1) ** 2 * t.b2(1)),
-        ("bnd4-terms",
-         lambda t: t.F(-2, 5) * t.b4(1) + t.F(1, 5) * t.b4(2),
-         lambda t: t.F(-1, 5) * t.b4(1)),
-    ),
-}
-
-
 def omega_reduction_rows(p: int, bset: DividedSet,
                          depth: int) -> list[tuple[str, Residue, Residue]]:
-    """The term groups ``_OMEGA_REDUCTIONS`` holds at a depth (none at most
-    depths) next to their mod-p images, both mod p."""
-    t = _Acc(p, bset, 1)
-    return [(name, _residue(group(t), p, 1), _residue(image(t), p, 1))
-            for name, group, image in _OMEGA_REDUCTIONS.get(depth, ())]
+    """The term groups of omega_5 at ``depth`` next to the groups of the same
+    names one depth below, both mod p; none unless ``_OMEGA5_TERMS`` holds
+    both depths."""
+    if depth - 1 not in _OMEGA5_TERMS:
+        return []
+    t, lower = _Acc(p, bset, 1), _OMEGA5_TERMS[depth - 1]
+    return [(name, _residue(group(t), p, 1), _residue(lower[name](t), p, 1))
+            for name, group in _OMEGA5_TERMS[depth].items()]

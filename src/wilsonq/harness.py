@@ -24,9 +24,9 @@ import signal
 import stat
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
@@ -42,9 +42,10 @@ KUMMER_MAX_ORDER = 3
 Row = tuple[str, Residue, Residue | int]
 
 
-@dataclass
-class CheckResult:
-    """One report row."""
+class CheckResult(NamedTuple):
+    """One report row.  A report writes the fields up to ``passed``;
+    ``elapsed``, the row's share of its tag's time, is left out so reports
+    are byte-stable across runs and worker counts."""
 
     p: int
     tag: str
@@ -55,19 +56,6 @@ class CheckResult:
     passed: bool
     elapsed: float = 0.0
     skipped: bool = False
-
-    def row(self) -> dict:
-        """The serialized form (timing deliberately excluded so reports are
-        byte-stable across runs and worker counts)."""
-        return {
-            "p": self.p,
-            "tag": self.tag,
-            "case": self.case,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "modulus": self.modulus,
-            "pass": self.passed,
-        }
 
 
 class PrimeRun:
@@ -190,27 +178,26 @@ CHECKS = (
 CHECK_TAGS = frozenset(tag for tag, _, _ in CHECKS)
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    pmin: int
-    pmax: int
-    checks: frozenset[str] = CHECK_TAGS
-    jobs: int = 1
-    fmt: str = "text"
-    out: str | None = None
+    """One sweep's settings, refused here when out of range."""
 
-    def __post_init__(self):
-        check_window(self.pmin, self.pmax)
-        check_size(self.pmax)
-        if not self.checks:
+    __slots__ = ("pmin", "pmax", "checks", "jobs", "fmt", "out")
+
+    def __init__(self, pmin: int, pmax: int, checks: frozenset[str] = CHECK_TAGS,
+                 jobs: int = 1, fmt: str = "text", out: str | None = None):
+        check_window(pmin, pmax)
+        check_size(pmax)
+        if not checks:
             raise ValueError("no checks selected")
-        unknown = self.checks - CHECK_TAGS
+        unknown = checks - CHECK_TAGS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ValueError(f"unknown format: {self.fmt}")
+        if fmt not in ("json", "csv", "text"):
+            raise ValueError(f"unknown format: {fmt}")
+        self.pmin, self.pmax, self.checks = pmin, pmax, checks
+        self.jobs, self.fmt, self.out = jobs, fmt, out
 
 
 def enumerate_primes(pmin: int, pmax: int) -> list[int]:
@@ -235,18 +222,12 @@ def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
             continue
         started = time.perf_counter()
         try:
-            found = [
-                CheckResult(p, tag, case, str(lhs.value),
-                            str(rhs.value if isinstance(rhs, Residue) else rhs),
-                            str(lhs.modulus.value), passed=lhs == rhs)
-                for case, lhs, rhs in runner(run)
-            ]
+            found = [(case, str(lhs.value), str(rhs.value if isinstance(rhs, Residue) else rhs),
+                      str(lhs.modulus.value), lhs == rhs) for case, lhs, rhs in runner(run)]
         except Exception as exc:  # surface as a failure, keep sweeping
-            found = [CheckResult(p, tag, "error", f"error: {exc}", "", "", passed=False)]
-        elapsed = time.perf_counter() - started
-        for item in found:
-            item.elapsed = elapsed / max(len(found), 1)
-        results.extend(found)
+            found = [("error", f"error: {exc}", "", "", False)]
+        share = (time.perf_counter() - started) / max(len(found), 1)
+        results += [CheckResult(p, tag, *fields, share) for fields in found]
     return results
 
 
@@ -256,8 +237,7 @@ def _run_share(primes: list[int], cfg: RunConfig, write_fd: int) -> None:
     so no parent state (buffers, atexit hooks) is flushed or run twice."""
     code = 1
     try:
-        rows = [[(r.p, r.tag, r.case, r.lhs, r.rhs, r.modulus, r.passed, r.elapsed, r.skipped)
-                 for r in check_prime(p, cfg)] for p in primes]
+        rows = [[tuple(r) for r in check_prime(p, cfg)] for p in primes]
         with open(write_fd, "wb") as out:
             out.write(marshal.dumps(rows))
         code = 0
@@ -310,9 +290,9 @@ def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> list[Check
             for row in shares[k % workers][k // workers]]
 
 
-#: One JSON report row as json.dump(rows, indent=1) writes it: the keys of
-#: ``CheckResult.row()`` in order, each string value through
-#: ``encode_basestring_ascii``.
+#: One JSON report row as json.dump(rows, indent=1) writes it: the fields of
+#: ``CheckResult`` up to ``passed`` in order, ``passed`` under the key
+#: "pass", each string value through ``encode_basestring_ascii``.
 _JSON_ROW = (' {{\n  "p": {},\n  "tag": {},\n  "case": {},\n  "lhs": {},\n  "rhs": {},\n'
              '  "modulus": {},\n  "pass": {}\n }}')
 

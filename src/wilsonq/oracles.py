@@ -7,8 +7,8 @@ of each verification.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .residues import R_LIMIT, Residue, divide_exactly, make_modulus, power_table
 
@@ -50,8 +50,7 @@ def factorial_mod(p: int, r: int) -> Residue:
     return Residue(acc, modulus)
 
 
-@dataclass(frozen=True)
-class WilsonRecord:
+class WilsonRecord(NamedTuple):
     """(p-1)! mod p^(r+1) and the Wilson quotient mod p^r."""
 
     factorial: Residue

@@ -40,9 +40,9 @@ def exact_bernoulli(n: int) -> Fraction:
         raise ValueError(f"oracle bound exceeded: {n} > {ORACLE_BOUND}")
     if n % 2 == 1 and n > 1:
         return Fraction(0)
-    # Stored at index m, not appended: racing callers write equal values to one slot.
-    while len(_exact) <= n:
-        m = len(_exact)
+    # m is read once per step and the value stored at index m, not appended:
+    # racing callers then write equal values to one slot.
+    while (m := len(_exact)) <= n:
         if m % 2 == 1:
             _exact[m:m + 1] = [Fraction(0)]
             continue

@@ -135,6 +135,17 @@ def test_bad_input_exits_without_traceback(args, code, tmp_path):
         assert done.stderr.startswith("error: "), done.stderr
 
 
+def test_start_up_loads_no_dataclasses_or_inspect():
+    # every command pays for what importing the CLI loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; before = set(sys.modules); import wilsonq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "[]\n", done.stderr
+
+
 def _run_capped(args, timeout):
     """The CLI in a child process under a 512 MiB address-space cap."""
     import resource

@@ -243,6 +243,28 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
     assert bad != factorial_mod(13, 6)
 
 
+@pytest.mark.parametrize("name", ["pure-power-terms", "mixed-bnd2-terms", "bnd4-terms"])
+def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
+    # omega_5 is transcribed once, as term groups: a depth-5 group off by 1
+    # (not set to a value: b4(1) is 0 mod 37) must fail the depth-5
+    # factorial, the depth-6 omega_5 against both depth-5 forms, and the
+    # group's own reduction row, at every prime
+    from wilsonq.harness import RunConfig, check_prime, enumerate_primes
+
+    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1", "thm2", "table3"]))
+    watched = {("thm1", "factorial-mod-p^6"), ("thm2", "reduces-to-depth5-w5"),
+               ("table3", "depth6-omega5-mod-p"), ("table3", f"omega5-reduction-{name}")}
+    primes = enumerate_primes(11, 43)
+    for p in primes:
+        rows = {(r.tag, r.case): r.passed for r in check_prime(p, cfg)}
+        assert all(rows[key] for key in watched), p
+    group = formulas._OMEGA5_TERMS[5][name]
+    monkeypatch.setitem(formulas._OMEGA5_TERMS[5], name, lambda t: group(t) + 1)
+    for p in primes:
+        failed = {(r.tag, r.case) for r in check_prime(p, cfg) if not r.passed}
+        assert watched <= failed, (p, watched - failed)
+
+
 def test_corrupted_unreduced_lead_is_detected(monkeypatch):
     # the lemmas row must be able to fail: perturb one coefficient of the
     # lead block of the (p-1)-lead form and watch the row break
@@ -351,7 +373,7 @@ def test_displays_stay_on_the_integer_path():
             scanned.append(node)
     assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 1
     assert {"_OMEGA", "_QTILDE_MAIN", "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS",
-            "_OMEGA_MOD_P", "_OMEGA_REDUCTIONS", "PTILDE"} <= tables
+            "_OMEGA_MOD_P", "_OMEGA5_TERMS", "PTILDE"} <= tables
     offenders = [
         (call.lineno, call.func.id)
         for node in scanned for call in ast.walk(node)

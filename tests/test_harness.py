@@ -149,7 +149,9 @@ def test_json_report_matches_json_dumps():
     for rows in (results, results[:1], []):
         buf = io.StringIO()
         write_report(rows, "json", buf)
-        assert buf.getvalue() == json.dumps([r.row() for r in rows], indent=1) + "\n"
+        keys = ("p", "tag", "case", "lhs", "rhs", "modulus", "pass")
+        expected = [dict(zip(keys, r)) for r in rows]
+        assert buf.getvalue() == json.dumps(expected, indent=1) + "\n"
     assert buf.getvalue() == "[]\n"
 
 
