@@ -9,9 +9,9 @@ holds raises), and ``t.F(a, b)`` is a * b^-1 mod p^r (raising when p divides
 b).  A display is thus plain integer arithmetic on representatives at its
 stated precision; its result must be an ``int``, and it becomes a
 ``Residue`` once, when the display is done.  Contributions carrying an
-explicit power p^t are built at precision (target - t), reduced there and
-lifted exactly, so each final value is a well-defined class at the target
-modulus; the lifted integers are summed and wrapped once at the target.
+explicit power p^t are built at precision (target - t) and summed by
+:func:`_lift`, so each final value is a well-defined class at the target
+modulus.
 
 One display reads no divided set: ``PTILDE``, the Wilson quotient through
 the scaled Fermat-quotient power sums, whose builders take the sums as
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bernoulli import MIN_P, DividedSet
 from .oracles import q_power_sums, qtilde
@@ -52,6 +52,8 @@ class _Acc:
         value = self._set.get((n, d))
         if value is None:
             raise ValueError(f"missing cache entry: (n={n}, d={d}) (p={self.p})")
+        if value.modulus.p != self.p:
+            raise ValueError(f"divided set built for p={value.modulus.p}, read at p={self.p}")
         if value.modulus.r < self.prec:
             raise ValueError(f"cannot raise precision from {value.precision} to {self.prec}")
         return value.value % self.mod
@@ -81,6 +83,12 @@ def _residue(value: int, p: int, prec: int) -> Residue:
     if not isinstance(value, int):
         raise TypeError(f"closed form gave {type(value).__name__}, not int")
     return Residue(value, make_modulus(p, prec))
+
+
+def _lift(terms: Iterable[tuple[int, int]], p: int, level: int) -> Residue:
+    """sum x * p^t over the (t, x) pairs as a class mod p^level, which is
+    well defined when each x is known mod p^(level - t)."""
+    return _residue(sum(x * p**t for t, x in terms), p, level)
 
 
 # -- factorial / Wilson-quotient expansion coefficients ----------------------
@@ -151,18 +159,13 @@ class OmegaVector(NamedTuple):
 
     def factorial_form(self) -> Residue:
         """sum omega_nu p^nu, an exact class modulo p^(depth+1)."""
-        top = self.depth + 1
-        total = sum(w.reduce_to(top - nu).value * self.p**nu for nu, w in enumerate(self.omegas))
-        return Residue(total, make_modulus(self.p, top))
+        return _lift(enumerate(w.value for w in self.omegas), self.p, self.depth + 1)
 
-    def wilson_form(self, r: int | None = None) -> Residue:
-        """sum_{nu=1..r} omega_nu p^(nu-1) modulo p^r (default r = depth)."""
-        r = self.depth if r is None else r
+    def wilson_form(self, r: int) -> Residue:
+        """sum_{nu=1..r} omega_nu p^(nu-1) modulo p^r."""
         if not 1 <= r <= self.depth:
             raise ValueError(f"need 1 <= r <= {self.depth}")
-        total = sum(self.omegas[nu].reduce_to(self.depth + 1 - nu).value * self.p**(nu - 1)
-                    for nu in range(1, r + 1))
-        return Residue(total, make_modulus(self.p, r))
+        return _lift(enumerate(w.value for w in self.omegas[1:r + 1]), self.p, r)
 
 
 def omega_vector(p: int, bset: DividedSet, depth: int) -> OmegaVector:
@@ -209,55 +212,45 @@ _QTILDE_MAIN: dict[int, dict[int, _Blocks]] = {
             (2, lambda t: -2 * t.b2(1) + 4 * t.b2(2) - 2 * t.b2(3)),
             (4, lambda t: t.F(-1, 5) * t.b4(1))),
     },
-    6: {
-        1: ((0, lambda t: (t.p - 1) * t.b(1)),
-            (2, lambda t: -t.b2(1)),
-            (3, lambda t: t.F(11, 6) * t.b2(1)),
-            (4, lambda t: -(t.b2(1) + t.b4(1))),
-            (5, lambda t: t.F(1, 6) * t.b2(1) + t.F(137, 60) * t.b4(1))),
-        2: ((0, lambda t: (t.p - 1) * (t.b(2) - t.b(1))),
-            (2, lambda t: t.b2(1) - 2 * t.b2(2)),
-            (3, lambda t: t.F(-11, 6) * t.b2(1) + t.F(13, 3) * t.b2(2)),
-            (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
-            (5, lambda t: t.F(1, 2) * t.b2(1) + t.F(77, 12) * t.b4(1))),
-        3: ((0, lambda t: (t.p - 1) * (t.b(3) - 2 * t.b(2) + t.b(1))),
-            (2, lambda t: -t.b2(1) + 4 * t.b2(2) - t.F(10, 3) * t.b2(3)),
-            (3, lambda t: t.F(11, 6) * t.b2(1) - t.F(26, 3) * t.b2(2) + t.F(47, 6) * t.b2(3)),
-            (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
-            (5, lambda t: t.F(1, 3) * t.b2(1) + t.F(47, 6) * t.b4(1))),
-        4: ((0, lambda t: (t.p - 1) * (t.b(4) - 3 * t.b(3) + 3 * t.b(2) - t.b(1))),
-            (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
-            (3, lambda t: t.F(21, 2) * t.b2(1) - 24 * t.b2(2) + t.F(27, 2) * t.b2(3)),
-            (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
-            (5, lambda t: t.F(9, 2) * t.b4(1))),
-        5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-            (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
-            (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
-            (4, lambda t: t.F(23, 5) * t.b4(1) - t.F(24, 5) * t.b4(2)),
-            (5, lambda t: t.b4(1))),
-        6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
-            (2, lambda t: (t.F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3)
-                           - t.F(10, 3) * t.b2(4))),
-            (4, lambda t: t.b4(1) - t.b4(2))),
-    },
+}
+
+#: The p^6 forms open with the p^5 forms' leading blocks, unchanged.
+_QTILDE_MAIN[6] = {
+    1: (*_QTILDE_MAIN[5][1][:4],
+        (5, lambda t: t.F(1, 6) * t.b2(1) + t.F(137, 60) * t.b4(1))),
+    2: (*_QTILDE_MAIN[5][2][:3],
+        (4, lambda t: t.b2(1) - 3 * t.b2(2) + t.b4(1) - 3 * t.b4(2)),
+        (5, lambda t: t.F(1, 2) * t.b2(1) + t.F(77, 12) * t.b4(1))),
+    3: (*_QTILDE_MAIN[5][3][:2],
+        (3, lambda t: t.F(11, 6) * t.b2(1) - t.F(26, 3) * t.b2(2) + t.F(47, 6) * t.b2(3)),
+        (4, lambda t: 5 * t.b2(1) - 6 * t.b2(2) + 6 * t.b4(1) - 8 * t.b4(2)),
+        (5, lambda t: t.F(1, 3) * t.b2(1) + t.F(47, 6) * t.b4(1))),
+    4: (*_QTILDE_MAIN[5][4][:1],
+        (2, lambda t: t.b2(1) - 6 * t.b2(2) + 10 * t.b2(3) - 5 * t.b2(4)),
+        (3, lambda t: t.F(21, 2) * t.b2(1) - 24 * t.b2(2) + t.F(27, 2) * t.b2(3)),
+        (4, lambda t: 3 * t.b2(1) - 3 * t.b2(2) + 8 * t.b4(1) - 9 * t.b4(2)),
+        (5, lambda t: t.F(9, 2) * t.b4(1))),
+    5: ((0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
+        (2, lambda t: 6 * t.b2(1) - 20 * t.b2(2) + 22 * t.b2(3) - 8 * t.b2(4)),
+        (3, lambda t: 6 * t.b2(1) - 12 * t.b2(2) + 6 * t.b2(3)),
+        (4, lambda t: t.F(23, 5) * t.b4(1) - t.F(24, 5) * t.b4(2)),
+        (5, lambda t: t.b4(1))),
+    6: ((0, lambda t: -(t.b(6) - 5 * t.b(5) + 10 * t.b(4) - 10 * t.b(3) + 5 * t.b(2) - t.b(1))),
+        (2, lambda t: (t.F(10, 3) * t.b2(1) - 10 * t.b2(2) + 10 * t.b2(3)
+                       - t.F(10, 3) * t.b2(4))),
+        (4, lambda t: t.b4(1) - t.b4(2))),
 }
 
 #: The depth-5 congruence for n=5 with its leading factor left as (p-1)
-#: instead of the compacted -1; its p^2 and p^4 blocks are the compact form's.
-#: The two variants differ by p times the fourth difference of b(1..5), which
-#: vanishes mod p^5 only by Kummer's congruence, so both are tested.
-QTILDE_L5_N5_UNREDUCED: _Blocks = (
-    (0, lambda t: (t.p - 1) * (t.b(5) - 4 * t.b(4) + 6 * t.b(3) - 4 * t.b(2) + t.b(1))),
-    *_QTILDE_MAIN[5][5][1:],
-)
+#: instead of the compacted -1: the p^6 form's lead block, then the compact
+#: form's p^2 and p^4 blocks.  The two variants differ by p times the fourth
+#: difference of b(1..5), which vanishes mod p^5 only by Kummer's congruence,
+#: so both are tested.
+QTILDE_L5_N5_UNREDUCED: _Blocks = (_QTILDE_MAIN[6][5][0], *_QTILDE_MAIN[5][5][1:])
 
 
 def _eval_blocks(blocks: _Blocks, p: int, bset: DividedSet, level: int) -> Residue:
-    total = 0
-    for t_pow, build in blocks:
-        prec = level - t_pow
-        total += _residue(build(_Acc(p, bset, prec)), p, prec).value * p**t_pow
-    return Residue(total, make_modulus(p, level))
+    return _lift(((t, build(_Acc(p, bset, level - t))) for t, build in blocks), p, level)
 
 
 def _check_level(n: int, p: int, level: int) -> None:
@@ -390,8 +383,8 @@ def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = No
     """W_p mod p^r as the sum of the ``PTILDE`` members evaluated at the
     directly computed scaled power sums; needs odd p > r.  Without ``sums``
     the power sums are taken once, here."""
-    if not 1 <= r <= 6:
-        raise ValueError(f"need 1 <= r <= 6, got {r}")
+    if not 1 <= r <= len(PTILDE):
+        raise ValueError(f"need 1 <= r <= {len(PTILDE)}, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
     sums = sums or q_power_sums(p, r)

@@ -82,11 +82,11 @@ class PrimeRun:
 
     @cached_property
     def sums(self) -> tuple[Residue, ...]:
-        return oracles.q_power_sums(self.p, 6)
+        return oracles.q_power_sums(self.p, max(MIN_P))
 
     @cached_property
     def wilson(self) -> oracles.WilsonRecord:
-        return oracles.wilson_quotient(self.p, 6)
+        return oracles.wilson_quotient(self.p, max(MIN_P))
 
     def omega(self, depth: int) -> formulas.OmegaVector:
         """The coefficient ladder at ``depth``, built on first use."""
@@ -131,7 +131,7 @@ def _check_psi(run: PrimeRun) -> list[Row]:
     lower row's right side is that value mod p^r, as reduction is a ring map
     and every PTILDE[nu] monomial carries weight nu-1, so the terms past
     nu = r vanish mod p^r."""
-    top = min(6, run.p - 1)
+    top = min(max(MIN_P), run.p - 1)
     rhs = formulas.wilson_from_power_sums(run.p, top, run.sums)
     return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r), rhs.reduce_to(r))
             for r in range(1, top + 1)]

@@ -36,8 +36,11 @@ def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> R
     if n >= r + 1:
         return Residue(0, make_modulus(p, r))
     modulus = make_modulus(p, r)
-    base = (sums or q_power_sums(p, r))[n - 1].reduce_to(r - n + 1)
-    return Residue(base.value * p ** (n - 1) * pow(n, -1, modulus.value), modulus)
+    base = (sums or q_power_sums(p, r))[n - 1]
+    if base.p != p:
+        raise ValueError(f"power sums taken at p={base.p}, read at p={p}")
+    return Residue(base.reduce_to(r - n + 1).value * p ** (n - 1) * pow(n, -1, modulus.value),
+                   modulus)
 
 
 def factorial_mod(p: int, r: int) -> Residue:

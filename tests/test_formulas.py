@@ -7,9 +7,11 @@ import pytest
 
 from reference_routes import binom_diff_mod_p
 from wilsonq import formulas
-from wilsonq.bernoulli import divided_set
+from wilsonq.bernoulli import MIN_P, divided_set
 from wilsonq.formulas import (
     COEFF_TABLES,
+    PTILDE,
+    QTILDE_L5_N5_UNREDUCED,
     _QTILDE_MAIN,
     omega_mod_p_rhs,
     omega_reduction_rows,
@@ -20,7 +22,7 @@ from wilsonq.formulas import (
     wilson_from_power_sums,
     zero_expressions,
 )
-from wilsonq.oracles import factorial_mod, qtilde, wilson_quotient
+from wilsonq.oracles import factorial_mod, q_power_sums, qtilde, wilson_quotient
 from wilsonq.residues import Residue, make_modulus
 
 F = Fraction
@@ -361,18 +363,22 @@ def test_displays_stay_on_the_integer_path():
     # blocks qtilde_via_coefficients builds from the printed vectors take
     # rationals from t.F, never from the module-level Fraction
     tree = ast.parse(Path(formulas.__file__).read_text())
+    # (a table filled in more than one statement, such as _QTILDE_MAIN[6],
+    # is named by the table it fills)
     scanned, tables = [], set()
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             lambdas = [n for n in ast.walk(node) if isinstance(n, ast.Lambda)]
             if lambdas:
                 target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                while isinstance(target, ast.Subscript):
+                    target = target.value
                 tables.add(target.id)
                 scanned += lambdas
         elif isinstance(node, ast.FunctionDef) and node.name == "qtilde_via_coefficients":
             scanned.append(node)
     assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 1
-    assert {"_OMEGA", "_QTILDE_MAIN", "QTILDE_L5_N5_UNREDUCED", "ZERO_EXPRESSIONS",
+    assert {"_OMEGA", "_QTILDE_MAIN", "ZERO_EXPRESSIONS",
             "_OMEGA_MOD_P", "_OMEGA5_TERMS", "PTILDE"} <= tables
     offenders = [
         (call.lineno, call.func.id)
@@ -381,3 +387,47 @@ def test_displays_stay_on_the_integer_path():
         and call.func.id in ("F", "Fraction")
     ]
     assert offenders == []
+
+
+def test_each_block_is_written_once():
+    # the p^6 forms open with the p^5 forms' own leading blocks, and the
+    # (p-1)-lead lemma form reuses the p^6 lead block; tuples compare their
+    # lambdas by identity, so a second transcription fails here
+    for n, k in ((1, 4), (2, 3), (3, 2), (4, 1)):
+        assert _QTILDE_MAIN[6][n][:k] == _QTILDE_MAIN[5][n][:k], n
+    assert QTILDE_L5_N5_UNREDUCED[0] is _QTILDE_MAIN[6][5][0]
+    assert QTILDE_L5_N5_UNREDUCED[1:] == _QTILDE_MAIN[5][5][1:]
+
+
+def test_no_two_lambdas_share_a_body():
+    # one pair is two displays that happen to coincide: omega_5's depth-5
+    # bnd4 group and the p^4 block of the compact n=5 form mod p^5
+    tree = ast.parse(Path(formulas.__file__).read_text())
+    lines_by_body: dict[str, list[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            lines_by_body.setdefault(ast.dump(node.body), []).append(node.lineno)
+    repeated = [sorted(lines) for lines in lines_by_body.values() if len(lines) > 1]
+    allowed = sorted(f.__code__.co_firstlineno for f in (
+        formulas._OMEGA5_TERMS[5]["bnd4-terms"], _QTILDE_MAIN[5][5][2][1]))
+    assert repeated == [allowed]
+
+
+def test_state_for_another_prime_is_refused():
+    # a divided set or power sums taken at p = 11 must not be read at p = 13
+    bs11, sums11 = divided_set(11), q_power_sums(11, 6)
+    calls = (lambda: omega_vector(13, bs11, 5),
+             lambda: qtilde_rhs(3, 13, 5, bs11),
+             lambda: qtilde(2, 13, 5, sums11),
+             lambda: wilson_from_power_sums(13, 5, sums11))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"p=11, read at p=13"):
+            call()
+
+
+def test_power_sum_display_covers_the_top_precision():
+    # PrimeRun takes its power sums at max(MIN_P), and psi evaluates PTILDE there
+    assert len(PTILDE) == max(MIN_P)
+    for r in (0, len(PTILDE) + 1):
+        with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {r}$"):
+            wilson_from_power_sums(13, r)
