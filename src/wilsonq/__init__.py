@@ -24,8 +24,8 @@ from .harness import CheckResult, RunConfig, check_prime, enumerate_primes, run_
 from .oracles import (
     WilsonRecord,
     factorial_mod,
-    q_power_sums,
     qtilde,
+    qtilde_sums,
     wilson_quotient,
 )
 from .residues import Modulus, Residue, is_prime, make_modulus
@@ -54,9 +54,9 @@ __all__ = [
     "make_modulus",
     "omega_mod_p_rhs",
     "omega_vector",
-    "q_power_sums",
     "qtilde",
     "qtilde_rhs",
+    "qtilde_sums",
     "qtilde_via_coefficients",
     "run_and_report",
     "wilson_from_power_sums",

@@ -190,10 +190,11 @@ def bnpd(m: int, modulus: Modulus, engine: BernoulliEngine | None = None) -> Res
 def kummer_admissible(p: int, r: int, n: int) -> bool:
     """Whether the r-fold difference with step p-1 of the divided values,
     started at index n, is claimed to vanish mod p^r: on the (p-1)-grid it
-    needs p > r + n/(p-1), off the grid n > r."""
+    needs n > 0 and p > r + n/(p-1), off the grid n > r.  Start 0 and the
+    grid points below it are no claim: their differences do not vanish."""
     h = p - 1
     if n % h == 0:
-        return p > r + n // h
+        return n > 0 and p > r + n // h
     return n > r
 
 

@@ -14,9 +14,9 @@ explicit power p^t are built at precision (target - t) and summed by
 modulus.
 
 One display reads no divided set: ``PTILDE``, the Wilson quotient through
-the scaled Fermat-quotient power sums, whose builders take the sums as
-integer representatives after ``t`` (there ``t`` only supplies ``t.p`` and
-``t.F``).
+the scaled Fermat-quotient power sums Q~_n = (p^(n-1)/n) Q_p(n), whose
+builders take the sums as integer representatives after ``t`` (there ``t``
+only supplies ``t.p`` and ``t.F``).
 
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
@@ -26,11 +26,10 @@ omega_nu stated modulo p^(R+1-nu).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bernoulli import MIN_P, DividedSet
-from .oracles import q_power_sums, qtilde
+from .bernoulli import MIN_P, DividedSet, forward_difference
+from .oracles import qtilde_sums
 from .residues import Residue, make_modulus, ratio_mod
 
 F = Fraction
@@ -277,36 +276,32 @@ def qtilde_l5_n5_unreduced(p: int, bset: DividedSet) -> Residue:
 # -- coefficient-vector form --------------------------------------------------
 
 
-def _fr(*xs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in xs)
-
-
 #: Level -> the per-n coefficient vectors of the difference-operator
 #: expansion at that level, exactly as printed.
-COEFF_TABLES: dict[int, dict[str, tuple[Fraction, ...]]] = {
+COEFF_TABLES: dict[int, dict[str, tuple[int | Fraction, ...]]] = {
     5: {
-        "alpha": _fr(-1, 2, -3, -16, -10),
-        "alpha_p": _fr(0, -4, 12, 36, 20),
-        "alpha_pp": _fr(0, 0, -10, -20, -10),
-        "beta": _fr(F(11, 6), F(-11, 3), -18, -12, 0),
-        "beta_p": _fr(0, F(26, 3), 21, 12, 0),
-        "gamma": _fr(-1, -4, -3, 0, 0),
-        "delta": _fr(-1, -4, -6, -4, -1),
+        "alpha": (-1, 2, -3, -16, -10),
+        "alpha_p": (0, -4, 12, 36, 20),
+        "alpha_pp": (0, 0, -10, -20, -10),
+        "beta": (F(11, 6), F(-11, 3), -18, -12, 0),
+        "beta_p": (0, F(26, 3), 21, 12, 0),
+        "gamma": (-1, -4, -3, 0, 0),
+        "delta": (-1, -4, -6, -4, -1),
     },
     6: {
-        "alpha": _fr(-1, 2, -3, 4, 30, 20),
-        "alpha_p": _fr(0, -4, 12, -24, -100, -60),
-        "alpha_pp": _fr(0, 0, -10, 40, 110, 60),
-        "alpha_ppp": _fr(0, 0, 0, -20, -40, -20),
-        "beta": _fr(F(11, 6), F(-11, 3), F(11, 2), 42, 30, 0),
-        "beta_p": _fr(0, F(26, 3), -26, -96, -60, 0),
-        "beta_pp": _fr(0, 0, F(47, 2), 54, 30, 0),
-        "gamma": _fr(-1, 2, 15, 12, 0, 0),
-        "gamma_p": _fr(0, -6, -18, -12, 0, 0),
-        "delta": _fr(F(1, 6), 1, 1, 0, 0, 0),
-        "epsilon": _fr(-1, 2, 18, 32, 23, 6),
-        "epsilon_p": _fr(0, -6, -24, -36, -24, -6),
-        "eta": _fr(F(137, 60), F(77, 6), F(47, 2), 18, 5, 0),
+        "alpha": (-1, 2, -3, 4, 30, 20),
+        "alpha_p": (0, -4, 12, -24, -100, -60),
+        "alpha_pp": (0, 0, -10, 40, 110, 60),
+        "alpha_ppp": (0, 0, 0, -20, -40, -20),
+        "beta": (F(11, 6), F(-11, 3), F(11, 2), 42, 30, 0),
+        "beta_p": (0, F(26, 3), -26, -96, -60, 0),
+        "beta_pp": (0, 0, F(47, 2), 54, 30, 0),
+        "gamma": (-1, 2, 15, 12, 0, 0),
+        "gamma_p": (0, -6, -18, -12, 0, 0),
+        "delta": (F(1, 6), 1, 1, 0, 0, 0),
+        "epsilon": (-1, 2, 18, 32, 23, 6),
+        "epsilon_p": (0, -6, -24, -36, -24, -6),
+        "eta": (F(137, 60), F(77, 6), F(47, 2), 18, 5, 0),
     },
 }
 
@@ -337,8 +332,7 @@ def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Res
     _check_level(n, p, level)
     vectors = COEFF_TABLES[level]
     blocks: list[tuple[int, _Display]] = [
-        (0, lambda t: (t.p - 1) * sum((-1) ** (n - 1 - v) * comb(n - 1, v) * t.b(v + 1)
-                                      for v in range(n)))]
+        (0, lambda t: (t.p - 1) * forward_difference(t.b, 1, n - 1, start=1))]
     for t_pow, row in _VEC_BLOCKS[level].items():
         terms = [(c, d, j) for name, d, j in row if (c := vectors[name][n - 1])]
         blocks.append((t_pow, lambda t, terms=terms: t.F(1, n) * sum(
@@ -381,14 +375,16 @@ PTILDE: dict[int, Callable[..., int]] = {
 
 def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
     """W_p mod p^r as the sum of the ``PTILDE`` members evaluated at the
-    directly computed scaled power sums; needs odd p > r.  Without ``sums``
-    the power sums are taken once, here."""
+    directly computed scaled power sums ``sums``, Q~_1.. mod p^R for some
+    R >= r; needs odd p > r.  Without ``sums`` they are taken once, here."""
     if not 1 <= r <= len(PTILDE):
         raise ValueError(f"need 1 <= r <= {len(PTILDE)}, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
-    sums = sums or q_power_sums(p, r)
-    xs = [qtilde(nu, p, r, sums).value for nu in range(1, r + 1)]
+    sums = sums or qtilde_sums(p, r)
+    if sums[0].p != p:
+        raise ValueError(f"power sums taken at p={sums[0].p}, read at p={p}")
+    xs = [x.reduce_to(r).value for x in sums[:r]]
     t = _Acc(p, {}, r)
     return _residue(sum(PTILDE[nu](t, *xs[:nu]) for nu in range(1, r + 1)), p, r)
 

@@ -2,9 +2,9 @@
 
 Per prime, one :class:`PrimeRun` owns every derived value the selected
 checks share: the Bernoulli engine (power-sum tables and p*B_m values), the
-divided-Bernoulli set, the coefficient ladders, the Fermat-quotient power
-sums, the one factorial (p-1)! mod p^7 with its Wilson quotient, and the
-power-sum levels the prime supports.  It is built when the prime's checks
+divided-Bernoulli set, the coefficient ladders, the scaled Fermat-quotient
+power sums, the one factorial (p-1)! mod p^7 with its Wilson quotient, and
+the power-sum levels the prime supports.  It is built when the prime's checks
 start and dropped when they end, so no state outlives its prime.
 
 The checks are one table, :data:`CHECKS`, of (tag, smallest prime, runner).
@@ -61,15 +61,16 @@ class CheckResult(NamedTuple):
 class PrimeRun:
     """Everything one prime's checks share, built on first use: the Bernoulli
     engine every Bernoulli value of the prime comes from, the divided set and
-    omega ladders built on it, Q_p(1..6) mod p^6 (``sums``), from which the
-    direct side of ``thm3``, ``props``, ``lemmas`` and ``psi`` reduces, and
-    (p-1)! mod p^7 with W_p mod p^6 (``wilson``), from which the direct side
-    of ``thm1``, ``thm2`` and ``psi`` reduces.  ``levels`` are the power-sum
+    omega ladders built on it, Q~_1..Q~_top mod p^top (``sums``), read by
+    ``thm3``, ``props``, ``lemmas`` and ``psi``, and W_p mod p^top with (p-1)!
+    mod p^(top+1) (``wilson``), read by ``thm1``, ``thm2`` and ``psi``.  ``top``
+    = min(6, p-1) is the one precision rule; ``levels`` are the power-sum
     precisions (and ladder depths) the prime supports."""
 
     def __init__(self, p: int):
         self.p = p
         self.levels = depths(p)
+        self.top = min(max(MIN_P), p - 1)
         self._omegas: dict[int, formulas.OmegaVector] = {}
 
     @cached_property
@@ -82,11 +83,11 @@ class PrimeRun:
 
     @cached_property
     def sums(self) -> tuple[Residue, ...]:
-        return oracles.q_power_sums(self.p, max(MIN_P))
+        return oracles.qtilde_sums(self.p, self.top)
 
     @cached_property
     def wilson(self) -> oracles.WilsonRecord:
-        return oracles.wilson_quotient(self.p, max(MIN_P))
+        return oracles.wilson_quotient(self.p, self.top)
 
     def omega(self, depth: int) -> formulas.OmegaVector:
         """The coefficient ladder at ``depth``, built on first use."""
@@ -115,14 +116,14 @@ def _expansion(run: PrimeRun, depth: int) -> list[Row]:
 def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
     """The scaled power sums at every level against ``closed_form(n, p,
     level, bset)``."""
-    return [(f"n={n}-mod-p^{level}", oracles.qtilde(n, run.p, level, run.sums),
+    return [(f"n={n}-mod-p^{level}", run.sums[n - 1].reduce_to(level),
              closed_form(n, run.p, level, run.bset))
             for level in run.levels for n in range(1, level + 1)]
 
 
 def _check_lemmas(run: PrimeRun) -> list[Row]:
     """The (p-1)-lead variant of the n=5 congruence mod p^5."""
-    return [("n=5-mod-p^5-unreduced-lead", oracles.qtilde(5, run.p, 5, run.sums),
+    return [("n=5-mod-p^5-unreduced-lead", run.sums[4].reduce_to(5),
              formulas.qtilde_l5_n5_unreduced(run.p, run.bset))]
 
 
@@ -131,10 +132,9 @@ def _check_psi(run: PrimeRun) -> list[Row]:
     lower row's right side is that value mod p^r, as reduction is a ring map
     and every PTILDE[nu] monomial carries weight nu-1, so the terms past
     nu = r vanish mod p^r."""
-    top = min(max(MIN_P), run.p - 1)
-    rhs = formulas.wilson_from_power_sums(run.p, top, run.sums)
+    rhs = formulas.wilson_from_power_sums(run.p, run.top, run.sums)
     return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r), rhs.reduce_to(r))
-            for r in range(1, top + 1)]
+            for r in range(1, run.top + 1)]
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:

@@ -1,5 +1,5 @@
-"""Brute-force ground truth: power sums of Fermat quotients, factorials and
-the Wilson quotient, all modulo prime powers.
+"""Brute-force ground truth: the scaled power sums of Fermat quotients,
+factorials and the Wilson quotient, all modulo prime powers.
 
 Nothing in this module knows about Bernoulli numbers; every value is obtained
 by direct summation or multiplication so it can serve as the independent side
@@ -13,34 +13,29 @@ from typing import NamedTuple
 from .residues import R_LIMIT, Residue, divide_exactly, make_modulus, power_table
 
 
-def q_power_sums(p: int, r: int) -> tuple[Residue, ...]:
-    """(Q_p(1), ..., Q_p(r)) mod p^r in one pass over the Fermat quotients,
-    each quotient's powers taken as running products.  The products stay
-    unreduced (a quotient is below p^r, so its r-th power is below p^(r*r));
-    only the r sums are reduced."""
+def qtilde_sums(p: int, r: int) -> tuple[Residue, ...]:
+    """(Q~_1, ..., Q~_r) mod p^r, Q~_n = (p^(n-1)/n) * Q_p(n), for r < p: one
+    pass over the Fermat quotients, each quotient's powers taken as unreduced
+    running products (a quotient is below p^r, so its r-th power is below
+    p^(r*r)); each sum is scaled, then reduced once."""
     modulus = make_modulus(p, r)
+    if r >= p:
+        raise ValueError(f"need r < p, where n = 1..r are units; got p={p}, r={r}")
     quotients = [(x - 1) // p for x in power_table(p, p - 1, p ** (r + 1))]
     sums, powers = [sum(quotients)], quotients
     for _ in range(r - 1):
         powers = list(map(mul, powers, quotients))
         sums.append(sum(powers))
-    return tuple(Residue(total, modulus) for total in sums)
+    return tuple(Residue(total * p**n * pow(n + 1, -1, modulus.value), modulus)
+                 for n, total in enumerate(sums))
 
 
-def qtilde(n: int, p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
-    """The scaled sum (p^(n-1)/n) * Q_p(n) mod p^r, from the direct oracle.
-
-    ``sums`` is the caller's ``q_power_sums(p, R)`` for some R >= r; without
-    it the sums are taken afresh.
-    """
-    if n >= r + 1:
-        return Residue(0, make_modulus(p, r))
-    modulus = make_modulus(p, r)
-    base = (sums or q_power_sums(p, r))[n - 1]
-    if base.p != p:
-        raise ValueError(f"power sums taken at p={base.p}, read at p={p}")
-    return Residue(base.reduce_to(r - n + 1).value * p ** (n - 1) * pow(n, -1, modulus.value),
-                   modulus)
+def qtilde(n: int, p: int, r: int) -> Residue:
+    """Q~_n mod p^r from :func:`qtilde_sums`, for 1 <= n < p; zero for
+    n > r, where p^(n-1)/n vanishes mod p^r."""
+    if not 1 <= n < p:
+        raise ValueError(f"need 1 <= n < p = {p}, got n={n}")
+    return qtilde_sums(p, r)[n - 1] if n <= r else Residue(0, make_modulus(p, r))
 
 
 def factorial_mod(p: int, r: int) -> Residue:

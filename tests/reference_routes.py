@@ -3,7 +3,7 @@
 * :func:`exact_bernoulli` - exact rational B_n from the defining recurrence,
   the reference for the engine's p*B_m and the divided values;
 * :func:`q_power_sum` - one Fermat-quotient power sum Q_p(n) by direct
-  summation, the reference for ``oracles.q_power_sums``;
+  summation, the reference for ``oracles.qtilde_sums``;
 * :func:`power_sum_mod` and :func:`sh_mod` - plain and modified power sums
   by direct summation, the reference for the Bernoulli engine's tables;
 * :func:`binom_diff_mod_p` and :func:`q_power_sum_via_differences` - the

@@ -250,12 +250,14 @@ def test_divided_set_missing_entry_and_bounds():
 def test_kummer_admissible_bounds():
     # (p, r, n, admissible), worked by hand on both sides of each bound
     cases = [
-        # on the grid: p > r + n/(p-1)
+        # on the grid: n > 0 and p > r + n/(p-1)
         (7, 5, 6, True), (7, 6, 6, False),
         (7, 4, 12, True), (7, 5, 12, False),
         (7, 1, 30, True), (7, 2, 30, False),
         (11, 9, 10, True), (11, 10, 10, False),
         (11, 8, 20, True), (11, 9, 20, False),
+        # at start 0 and below the differences do not vanish (2 mod 7 at r = 1)
+        (7, 1, 0, False), (7, 1, -6, False), (11, 3, 0, False),
         # off the grid: n > r
         (7, 1, 2, True), (7, 2, 2, False),
         (7, 3, 4, True), (7, 4, 4, False),
@@ -264,6 +266,8 @@ def test_kummer_admissible_bounds():
     ]
     for p, r, n, want in cases:
         assert kummer_admissible(p, r, n) is want, (p, r, n)
+    found = bernoulli.kummer_differences(7, BernoulliEngine(7), [0, -6, 6], 3)
+    assert [(r, n) for r, n, _ in found] == [(1, 6), (2, 6), (3, 6)]
 
 
 def test_kummer_congruence_cases():

@@ -83,14 +83,6 @@ def test_binomial_difference_examples():
         binom_diff_mod_p(7, 1, 7)
 
 
-def test_binomial_difference_closed_form_sample():
-    for p in (11, 13):
-        for k in range(1, 9):
-            for n in range(1, 9):
-                want = ((-1) ** k * comb(k - 1, n - 1)) % p
-                assert binom_diff_mod_p(k, n, p).value == want, (p, k, n)
-
-
 def test_q_sum_operator_form_examples():
     got = q_power_sum_via_differences(1, 5, 2)
     assert got.value == 20  # 0 + 3 + 16 + 51 = 70

@@ -22,7 +22,7 @@ from wilsonq.formulas import (
     wilson_from_power_sums,
     zero_expressions,
 )
-from wilsonq.oracles import factorial_mod, q_power_sums, qtilde, wilson_quotient
+from wilsonq.oracles import factorial_mod, qtilde, qtilde_sums, wilson_quotient
 from wilsonq.residues import Residue, make_modulus
 
 F = Fraction
@@ -184,18 +184,18 @@ def test_wilson_from_power_sums_examples():
 
 
 def test_wilson_from_power_sums_reads_the_sums_once(monkeypatch):
-    # without sums, Q_p(1..r) is one pass, not one per expansion polynomial
+    # without sums, Q~_1..Q~_r is one pass, not one per expansion polynomial
     from wilsonq import oracles
 
     calls = []
-    real = oracles.q_power_sums
+    real = oracles.qtilde_sums
 
     def counting(p, r):
         calls.append((p, r))
         return real(p, r)
 
-    monkeypatch.setattr(oracles, "q_power_sums", counting)
-    monkeypatch.setattr(formulas, "q_power_sums", counting, raising=False)
+    monkeypatch.setattr(oracles, "qtilde_sums", counting)
+    monkeypatch.setattr(formulas, "qtilde_sums", counting, raising=False)
     assert wilson_from_power_sums(11, 6) == wilson_quotient(11, 6).quotient
     assert calls == [(11, 6)]
 
@@ -344,7 +344,7 @@ def test_display_returning_a_fraction_raises(monkeypatch):
         zero_expressions(11, bs)
 
 
-def test_block_is_reduced_at_its_precision_before_the_lift(monkeypatch):
+def test_block_counts_only_mod_its_precision(monkeypatch):
     # the block of p^t holds a class mod p^(level-t): p^(level-t) is 0 there
     # and so contributes nothing, while p^(level-t-1) lifts to p^(level-1)
     p, level = 13, 6
@@ -415,10 +415,9 @@ def test_no_two_lambdas_share_a_body():
 
 def test_state_for_another_prime_is_refused():
     # a divided set or power sums taken at p = 11 must not be read at p = 13
-    bs11, sums11 = divided_set(11), q_power_sums(11, 6)
+    bs11, sums11 = divided_set(11), qtilde_sums(11, 6)
     calls = (lambda: omega_vector(13, bs11, 5),
              lambda: qtilde_rhs(3, 13, 5, bs11),
-             lambda: qtilde(2, 13, 5, sums11),
              lambda: wilson_from_power_sums(13, 5, sums11))
     for call in calls:
         with pytest.raises(ValueError, match=r"p=11, read at p=13"):
@@ -426,7 +425,7 @@ def test_state_for_another_prime_is_refused():
 
 
 def test_power_sum_display_covers_the_top_precision():
-    # PrimeRun takes its power sums at max(MIN_P), and psi evaluates PTILDE there
+    # PrimeRun.top is at most max(MIN_P), and psi evaluates PTILDE at run.top
     assert len(PTILDE) == max(MIN_P)
     for r in (0, len(PTILDE) + 1):
         with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {r}$"):

@@ -391,6 +391,7 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
         run = PrimeRun(p)
         rows = harness._check_psi(run)
         top = min(6, p - 1)
+        assert run.top == top and len(run.sums) == top, p
         assert calls == [(p, top)], p
         want = [direct(p, r, run.sums) for r in range(1, top + 1)]
         assert [(rhs.value, rhs.precision) for _, _, rhs in rows] == \

@@ -5,8 +5,8 @@ from wilsonq.bernoulli import divided_set
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import (
     factorial_mod,
-    q_power_sums,
     qtilde,
+    qtilde_sums,
     wilson_quotient,
 )
 
@@ -75,21 +75,29 @@ def test_wilson_matches_first_expansion_coefficient():
 
 
 def test_one_pass_power_sums():
+    # Q~_n = (p^(n-1)/n) Q_p(n) against the reference sum, and every lower
+    # precision is a reduction of the top one
     for p in (7, 11, 13, 101):
-        for top in range(1, 7):
-            sums = q_power_sums(p, top)
-            assert len(sums) == top
-            for n in range(1, top + 1):
-                assert sums[n - 1] == q_power_sum(n, p, top), (p, top, n)
-            for r in range(1, top + 1):
-                for n in range(1, 7):
-                    assert qtilde(n, p, r, sums) == qtilde(n, p, r), (p, top, r, n)
-    with pytest.raises(ValueError):
-        qtilde(1, 7, 3, q_power_sums(7, 2))
+        top = qtilde_sums(p, 6)
+        for r in range(1, 7):
+            sums = qtilde_sums(p, r)
+            assert [x.precision for x in sums] == [r] * r, (p, r)
+            for n in range(1, 7):
+                if n > r:
+                    assert qtilde(n, p, r) == 0, (p, r, n)
+                    continue
+                want = q_power_sum(n, p, r).value * p ** (n - 1) * pow(n, -1, p**r)
+                assert sums[n - 1] == want, (p, r, n)
+                assert sums[n - 1] == top[n - 1].reduce_to(r) == qtilde(n, p, r), (p, r, n)
+    # some n <= r is a multiple of p
+    for p, r in ((3, 3), (5, 5), (7, 8)):
+        with pytest.raises(ValueError, match=rf"^need r < p, .* got p={p}, r={r}$"):
+            qtilde_sums(p, r)
 
 
 def test_qtilde_needs_a_unit_power():
-    # 1/n has no class mod p^r when p divides n
-    for n, p, r in ((3, 3, 3), (5, 5, 5)):
-        with pytest.raises(ValueError):
+    # 1/n has no class mod p^r when p divides n; at n = p = r + 1 the sum
+    # p^(p-2) Q_p(p) is not 0 mod p^r (5 * 7^5 at p = 7), and n starts at 1
+    for n, p, r in ((3, 3, 3), (5, 5, 5), (7, 7, 6), (0, 7, 3), (-1, 7, 3)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= n < p = {p}, got n={n}$"):
             qtilde(n, p, r)
