@@ -12,8 +12,10 @@ A runner returns (case, lhs, rhs) triples, with rhs either a residue or 0 for
 a vanishing claim; :func:`check_prime` alone turns them, and the skip and
 error markers, into report rows.  Primes are independent units of work, so
 the sweep is embarrassingly parallel: with ``--jobs`` above 1 it forks
-workers that each take every W-th prime, and the rows are merged back in
-prime order, so reports are byte-identical for any worker count.
+workers that each take every W-th prime and send their rows prime by prime.
+Either way one loop writes each prime's rows as they come, in prime order,
+so reports are byte-identical for any worker count and the parent holds one
+prime's rows at a time.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import sys
 import time
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
@@ -232,25 +234,31 @@ def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
 
 
 def _run_share(primes: list[int], cfg: RunConfig, write_fd: int) -> None:
-    """A forked worker's whole life: the rows of ``primes``, prime by prime,
-    as one marshal blob of plain tuples on ``write_fd``, then ``os._exit``,
-    so no parent state (buffers, atexit hooks) is flushed or run twice."""
+    """A forked worker's whole life: per prime of ``primes``, one frame on
+    ``write_fd`` as soon as it is made (the marshalled rows' length, then the
+    rows, so the parent loads each frame whole rather than field by field),
+    then ``os._exit``, so no parent state is flushed or run twice."""
     code = 1
     try:
-        rows = [[tuple(r) for r in check_prime(p, cfg)] for p in primes]
         with open(write_fd, "wb") as out:
-            out.write(marshal.dumps(rows))
+            for p in primes:
+                frame = marshal.dumps([tuple(r) for r in check_prime(p, cfg)])
+                out.write(marshal.dumps(len(frame)) + frame)
+                out.flush()
         code = 0
     finally:
         os._exit(code)
 
 
-def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> list[CheckResult]:
+def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> Iterator[list[CheckResult]]:
     """Fork ``workers`` children, child i checking ``primes[i::workers]``,
-    read each one's rows, reap it, and merge the rows in prime order: prime
-    k sits at worker k % W, position k // W.  A worker that exits non-zero
-    or sends a truncated blob raises ChildProcessError; on any exception
-    every child not yet reaped is killed and reaped."""
+    and yield each prime's rows in prime order as they arrive: prime k is
+    the next frame of worker k % W.  That worker has nothing unread ahead
+    of prime k, so the sweep cannot deadlock, and no worker runs more than
+    a pipe's worth of frames ahead.  A worker whose frames end early raises
+    ChildProcessError.  However the generator ends (its last prime, an
+    exception, or ``close``), every child not yet reaped is killed and
+    reaped; after its last frame a worker has nothing left to do."""
     running: list[int] = []
     pipes = []
     try:
@@ -268,26 +276,22 @@ def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> list[Check
             # pipe reads EOF when worker i exits.
             os.close(write_fd)
             running.append(pid)
-        shares = []
-        for worker, pipe in enumerate(pipes):
-            with pipe:
-                blob = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(running[0], 0)[1])
-            running.pop(0)
-            if code != 0:
-                raise ChildProcessError(f"worker {worker} exited with status {code}")
+        for k in range(len(primes)):
             try:
-                shares.append(marshal.loads(blob))
+                rows = marshal.loads(pipes[k % workers].read(marshal.load(pipes[k % workers])))
             except (EOFError, ValueError):
-                raise ChildProcessError(f"worker {worker} sent a truncated report") from None
+                # Closed first, so that a worker still writing exits.
+                pipes[k % workers].close()
+                code = os.waitstatus_to_exitcode(os.waitpid(running.pop(k % workers), 0)[1])
+                fault = f"exited with status {code}" if code else "sent a truncated report"
+                raise ChildProcessError(f"worker {k % workers} {fault}") from None
+            yield [CheckResult(*row) for row in rows]
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in running:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [CheckResult(*row) for k in range(len(primes))
-            for row in shares[k % workers][k // workers]]
 
 
 #: One JSON report row as json.dump(rows, indent=1) writes it: the fields of
@@ -297,85 +301,78 @@ _JSON_ROW = (' {{\n  "p": {},\n  "tag": {},\n  "case": {},\n  "lhs": {},\n  "rhs
              '  "modulus": {},\n  "pass": {}\n }}')
 
 
-def write_report(results: list[CheckResult], fmt: str, stream, summary: str | None = None) -> None:
-    if fmt == "json":
-        # Row by row, byte-identical to json.dump(rows, indent=1) plus "\n".
-        text = encode_basestring_ascii
-        opening = "[\n"
-        for r in results:
-            stream.write(opening + _JSON_ROW.format(
-                r.p, text(r.tag), text(r.case), text(r.lhs), text(r.rhs), text(r.modulus),
-                "true" if r.passed else "false"))
-            opening = ",\n"
-        stream.write("\n]\n" if results else "[]\n")
-    elif fmt == "csv":
-        # csv quotes a field only when it holds a comma, quote or newline,
-        # as an error message may.
-        writer = csv.writer(stream, lineterminator="\n")
+def write_report(results: Iterable[CheckResult], fmt: str, stream) -> tuple[int, int, int]:
+    """Write each row as it comes; returns the counts of checked, failed and
+    skipped rows.  JSON is byte-identical to json.dump(rows, indent=1) plus
+    "\n"; csv quotes a field only when it holds a comma, quote or newline, as
+    an error message may; text lists the failed rows."""
+    text = encode_basestring_ascii
+    writer = csv.writer(stream, lineterminator="\n")
+    if fmt == "csv":
         writer.writerow(("p", "tag", "case", "lhs", "rhs", "modulus", "pass"))
-        for r in results:
-            writer.writerow((r.p, r.tag, r.case, r.lhs, r.rhs, r.modulus,
-                             "true" if r.passed else "false"))
-    else:
-        for r in results:
-            if not r.passed:
-                stream.write(
-                    f"FAIL p={r.p} {r.tag}/{r.case}: lhs={r.lhs} rhs={r.rhs} "
-                    f"mod {r.modulus}\n"
-                )
-        if summary is not None:
-            stream.write(summary + "\n")
-
-
-def summarize(results: list[CheckResult]) -> tuple[int, int, int]:
-    checked = [r for r in results if not r.skipped]
-    failed = sum(1 for r in checked if not r.passed)
-    skipped = len(results) - len(checked)
-    return len(checked), failed, skipped
-
-
-def _sweep(cfg: RunConfig) -> tuple[list[CheckResult], str]:
-    """The rows of the configured range in prime order, and the summary line."""
-    started = time.perf_counter()
-    primes = enumerate_primes(cfg.pmin, cfg.pmax)
-    # Every worker is forked at once: no more than primes or cores, and
-    # none where the platform cannot fork.
-    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers > 1:
-        results = _forked_sweep(primes, cfg, workers)
-    else:
-        results = [r for p in primes for r in check_prime(p, cfg)]
-    elapsed = time.perf_counter() - started
-
-    checked, failed, skipped = summarize(results)
-    summary = (
-        f"{len(primes)} primes in [{cfg.pmin}, {cfg.pmax}]: "
-        f"{checked} checks, {checked - failed} passed, {failed} failed, "
-        f"{skipped} skipped ({elapsed:.1f}s)"
-    )
-    return results, summary
+    opening, rows, failed, skipped = "[\n", 0, 0, 0
+    for r in results:
+        rows, failed, skipped = rows + 1, failed + (not r.passed), skipped + r.skipped
+        verdict = "true" if r.passed else "false"
+        if fmt == "json":
+            stream.write(opening + _JSON_ROW.format(
+                r.p, text(r.tag), text(r.case), text(r.lhs), text(r.rhs), text(r.modulus), verdict))
+            opening = ",\n"
+        elif fmt == "csv":
+            writer.writerow((*r[:6], verdict))
+        elif not r.passed:
+            stream.write(f"FAIL p={r.p} {r.tag}/{r.case}: lhs={r.lhs} rhs={r.rhs} "
+                         f"mod {r.modulus}\n")
+    if fmt == "json":
+        stream.write("\n]\n" if rows else "[]\n")
+    return rows - skipped, failed, skipped
 
 
 def run_and_report(cfg: RunConfig, stream=None) -> int:
     """Sweep the configured range; returns 0 when every check passed.  The
     report goes to ``stream``, else to ``cfg.out``, else to stdout.
     ``cfg.out`` is opened for appending before the sweep, so that an
-    unwritable path fails at once, and emptied only once the rows are in, so
-    that a failed sweep leaves an existing file as it was."""
-    if stream is None and cfg.out:
-        with open(cfg.out, "a") as fh:
-            results, summary = _sweep(cfg)
-            # A device or a pipe has nothing to empty, and refuses to.
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            return _report(cfg, results, summary, fh)
-    return _report(cfg, *_sweep(cfg), sys.stdout if stream is None else stream)
-
-
-def _report(cfg: RunConfig, results: list[CheckResult], summary: str, stream) -> int:
-    """Write the rows to ``stream``; returns 0 when every row passed."""
+    unwritable path fails at once.  A device or a pipe is written directly;
+    a regular file is written to a sibling that replaces it only once the
+    sweep ends, so that a failed sweep leaves an existing file as it was."""
+    if stream is not None or not cfg.out:
+        return _sweep(cfg, sys.stdout if stream is None else stream)
+    with open(cfg.out, "a") as fh:
+        mode = os.fstat(fh.fileno()).st_mode
+        if not stat.S_ISREG(mode):
+            return _sweep(cfg, fh)
+    path = os.path.realpath(cfg.out)
+    part = f"{path}.{os.getpid()}.part"
     try:
-        write_report(results, cfg.fmt, stream, summary)
+        with open(part, "x") as fh:
+            os.chmod(part, stat.S_IMODE(mode))
+            code = _sweep(cfg, fh)
+        os.replace(part, path)
+        return code
+    finally:
+        if os.path.lexists(part):
+            os.unlink(part)
+
+
+def _sweep(cfg: RunConfig, stream) -> int:
+    """Check the configured range prime by prime, each prime's rows written
+    to ``stream`` as they come, then the summary; returns 0 when every row
+    passed."""
+    started = time.perf_counter()
+    primes = enumerate_primes(cfg.pmin, cfg.pmax)
+    # Every worker is forked at once: no more than primes or cores, and
+    # none where the platform cannot fork.
+    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    sweep = (_forked_sweep(primes, cfg, workers) if workers > 1
+             else (check_prime(p, cfg) for p in primes))
+    try:
+        checked, failed, skipped = write_report(
+            (r for rows in sweep for r in rows), cfg.fmt, stream)
+        summary = (f"{len(primes)} primes in [{cfg.pmin}, {cfg.pmax}]: {checked} checks, "
+                   f"{checked - failed} passed, {failed} failed, {skipped} skipped "
+                   f"({time.perf_counter() - started:.1f}s)")
+        if cfg.fmt == "text":
+            stream.write(summary + "\n")
         stream.flush()
     except BrokenPipeError:
         # The reader left early (as `| head` does).  Point stdout at
@@ -383,7 +380,10 @@ def _report(cfg: RunConfig, results: list[CheckResult], summary: str, stream) ->
         if stream is sys.stdout:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        # Kills and reaps every worker when the sweep ends early.
+        sweep.close()
     # A text report on stdout already ends with the summary.
     if cfg.fmt != "text" or stream is not sys.stdout:
         print(summary, file=sys.stderr)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if failed == 0 else 1

@@ -113,6 +113,14 @@ def test_internal_errors_become_failures(monkeypatch):
     assert len(results) == 1
     assert not results[0].passed
     assert "synthetic breakage" in results[0].lhs
+    # the report's running counts see the failed row, and so does the exit
+    buf = io.StringIO()
+    assert run_and_report(RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1", "thm2"])),
+                          stream=buf) == 1
+    lines = buf.getvalue().splitlines()
+    assert lines[:2] == ["FAIL p=7 thm1/error: lhs=error: synthetic breakage rhs= mod ",
+                         "FAIL p=11 thm1/error: lhs=error: synthetic breakage rhs= mod "]
+    assert "14 checks, 12 passed, 2 failed, 1 skipped" in lines[2]
 
 
 def test_report_formats():
@@ -173,16 +181,28 @@ def test_csv_quotes_error_messages():
 
 
 def test_report_to_file(tmp_path):
-    # a longer file already at the path is replaced whole
+    # a longer file already at the path is replaced whole and keeps its
+    # mode, a new one gets the mode open(path, "w") gives, and no part file
+    # is left beside them
     out = tmp_path / "report.json"
     out.write_text("x" * 10**5)
+    out.chmod(0o640)
     cfg = RunConfig(pmin=7, pmax=13, checks=frozenset(["psi"]), fmt="json", out=str(out))
     assert run_and_report(cfg) == 0
     buf = io.StringIO()
     assert run_and_report(cfg, stream=buf) == 0
     assert out.read_text() == buf.getvalue()
+    assert out.stat().st_mode & 0o777 == 0o640
     rows = json.loads(out.read_text())
     assert all(row["pass"] for row in rows)
+    new = tmp_path / "new.json"
+    assert run_and_report(RunConfig(pmin=7, pmax=13, checks=frozenset(["psi"]), fmt="json",
+                                    out=str(new))) == 0
+    assert new.read_text() == buf.getvalue()
+    with open(tmp_path / "made", "w"):
+        pass
+    assert new.stat().st_mode == (tmp_path / "made").stat().st_mode
+    assert sorted(os.listdir(tmp_path)) == ["made", "new.json", "report.json"]
 
 
 def test_empty_range_passes():
@@ -245,6 +265,48 @@ def test_broken_pipe_exits_1_quietly(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_reader_leaving_early_stops_a_forked_sweep(monkeypatch, capsys):
+    # the reader is gone at the first row: each worker, asleep a second per
+    # prime over seven primes, is killed and reaped rather than waited for
+    def slow(p, cfg):
+        time.sleep(1)
+        return [CheckResult(p, "psi", "slow", "1", "1", "7", passed=True)]
+
+    monkeypatch.setattr(harness, "check_prime", slow)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = RunConfig(pmin=7, pmax=60, checks=frozenset(["psi"]), jobs=2, fmt="json")
+    started = time.monotonic()
+    assert run_and_report(cfg, stream=_ClosedPipe()) == 1
+    assert time.monotonic() - started < 4
+    assert "Traceback" not in capsys.readouterr().err
+    _no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_memory_follows_the_workers_not_the_primes(jobs, monkeypatch):
+    # 50 rows of about 2 KB per prime: a sweep that held its rows would hold
+    # over 20 MB at 193 primes, where a streamed one holds a prime's rows at
+    # a time, at 50 primes and at 193 alike
+    def fat(p, cfg):
+        return [CheckResult(p, "psi", f"row-{i}", f"{p}.{i}".ljust(2000, "7"), "1", "7",
+                            passed=True) for i in range(50)]
+
+    monkeypatch.setattr(harness, "check_prime", fat)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    peaks = []
+    for pmax in (250, 1200):
+        cfg = RunConfig(pmin=7, pmax=pmax, checks=frozenset(["psi"]), jobs=jobs, fmt="json")
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                assert run_and_report(cfg, stream=sink) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert max(peaks) < 2 * 2**20, peaks
+    _no_child_left()
+
+
 def test_enumerate_primes_memory_follows_window():
     lo, hi = 10**9 - 1000, 10**9
     tracemalloc.start()
@@ -270,12 +332,13 @@ def test_enumerate_primes_stops_at_primality_bound():
 
 def test_jobs_clamped_to_primes_and_cores(monkeypatch):
     # every worker is forked at once, so the count is clamped to the primes
-    # and the cores; the fork seam records it and sweeps in-process
+    # and the cores; the fork seam records it and yields each prime's rows
+    # in-process
     created = []
 
     def serial_fork(primes, cfg, workers):
         created.append(workers)
-        return [r for p in primes for r in check_prime(p, cfg)]
+        return (check_prime(p, cfg) for p in primes)
 
     monkeypatch.setattr(harness, "_forked_sweep", serial_fork)
     base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "psi"]), fmt="json")
@@ -306,9 +369,9 @@ def test_forked_sweep_warns_nothing(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["exit", "truncated"])
 def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
-    # a worker that dies at p = 31, or whose blob is cut short, ends the
+    # a worker that dies at p = 31, or whose frames are cut short, ends the
     # sweep with exit 2 and one error line, leaves an existing report as it
-    # was and leaves no child behind
+    # was, no part file beside it and no child behind
     if fault == "exit":
         direct = harness.check_prime
 
@@ -319,8 +382,12 @@ def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
 
         monkeypatch.setattr(harness, "check_prime", dying)
     else:
+        # each frame's rows lose their last 5 bytes, and its length says so
+        def cut(value):
+            return marshal.dumps(value)[:-5] if isinstance(value, list) else marshal.dumps(value)
+
         monkeypatch.setattr(harness, "marshal", types.SimpleNamespace(
-            dumps=lambda rows: marshal.dumps(rows)[:-5], loads=marshal.loads))
+            dumps=cut, load=marshal.load, loads=marshal.loads))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     out = tmp_path / "report.json"
     out.write_text("kept\n")
@@ -330,8 +397,9 @@ def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: worker "), err
-    # the report is emptied only once the rows are in
+    # the report is replaced only once the sweep ends
     assert out.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["report.json"]
     _no_child_left()
 
 
