@@ -52,9 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("omega", help="print the factorial expansion coefficients")
     o.add_argument("--p", type=int, required=True)
-    o.add_argument("--thm", type=int, choices=range(1, len(MIN_P) + 1), required=True,
-                   help="; ".join(f"{n}: omega_1..omega_{depth} (p>={MIN_P[depth]})"
-                                  for n, depth in enumerate(sorted(MIN_P), 1)))
+    o.add_argument("--depth", type=int, choices=sorted(MIN_P), required=True,
+                   help="; ".join(f"{d}: omega_0..omega_{d} (p>={p})" for d, p in MIN_P.items()))
     return parser
 
 
@@ -87,7 +86,7 @@ def _cmd_wilson(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    omega = omega_vector(args.p, divided_set(args.p), depth=sorted(MIN_P)[args.thm - 1])
+    omega = omega_vector(args.p, divided_set(args.p), args.depth)
     for nu, w in enumerate(omega.omegas):
         print(
             f"omega[{nu}] mod p^{w.precision} = {w.value}"

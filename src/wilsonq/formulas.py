@@ -381,7 +381,9 @@ def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = No
         raise ValueError(f"need 1 <= r <= {len(PTILDE)}, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
-    sums = sums or qtilde_sums(p, r)
+    sums = qtilde_sums(p, r) if sums is None else sums
+    if len(sums) < r:
+        raise ValueError(f"need {r} power sums, got {len(sums)}")
     if sums[0].p != p:
         raise ValueError(f"power sums taken at p={sums[0].p}, read at p={p}")
     xs = [x.reduce_to(r).value for x in sums[:r]]
@@ -460,21 +462,17 @@ def zero_expressions(p: int, bset: DividedSet) -> list[tuple[str, Residue]]:
 
 # -- first-order (mod p) forms of the expansion coefficients -------------------
 
-#: nu -> omega_nu mod p; omega_5's depth-5 display is stated mod p already.
+#: nu -> omega_nu mod p; omega_0 is -1, and each top display is stated mod p.
 _OMEGA_MOD_P: dict[int, _Display] = {
     1: lambda t: -t.b(1),
     2: lambda t: t.F(-1, 2) * t.b(1) ** 2,
     3: lambda t: t.F(-1, 6) * t.b(1) ** 3 - t.F(1, 3) * t.b2(1),
     4: lambda t: t.F(-1, 24) * t.b(1) ** 4 - t.F(1, 3) * t.b(1) * t.b2(1),
-    5: _OMEGA[5][5],
 }
 
 
 def omega_mod_p_rhs(nu: int, p: int, bset: DividedSet) -> Residue:
-    """The single-digit (mod p) closed form of omega_nu, 0 <= nu <= 5.  The
-    depth-6 omega_6 is stated mod p already, so it has no separate form."""
-    if nu == 0:
-        return Residue(-1, make_modulus(p, 1))
+    """The single-digit (mod p) closed form of omega_nu, 1 <= nu <= 4."""
     if nu not in _OMEGA_MOD_P:
         raise ValueError(f"no mod-p form for index {nu}")
     return _residue(_OMEGA_MOD_P[nu](_Acc(p, bset, 1)), p, 1)

@@ -151,13 +151,13 @@ def _check_zero_exprs(run: PrimeRun) -> list[Row]:
 
 
 def _check_table3(run: PrimeRun) -> list[Row]:
-    # omega_0 is the constant -1, and the top coefficient of each ladder is
-    # stated mod p by the very expression of its mod-p form, so none of
-    # those rows could fail.
+    # nu = 1..4: omega_0 is the constant -1, each ladder's top coefficient is
+    # stated mod p by its own display, and the depth-6 omega_5 mod p is thm2's
+    # reduces-to-depth5-w5 row, which the omega5-reduction rows split by group.
     rows = []
     for depth in run.levels:
         rows += [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
-                  formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, depth)]
+                  formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, 5)]
         rows += [(f"omega{depth - 1}-reduction-{name}", group, image) for name, group, image
                  in formulas.omega_reduction_rows(run.p, run.bset, depth)]
     return rows
@@ -330,22 +330,25 @@ def write_report(results: Iterable[CheckResult], fmt: str, stream) -> tuple[int,
 
 def run_and_report(cfg: RunConfig, stream=None) -> int:
     """Sweep the configured range; returns 0 when every check passed.  The
-    report goes to ``stream``, else to ``cfg.out``, else to stdout.
-    ``cfg.out`` is opened for appending before the sweep, so that an
-    unwritable path fails at once.  A device or a pipe is written directly;
-    a regular file is written to a sibling that replaces it only once the
-    sweep ends, so that a failed sweep leaves an existing file as it was."""
+    report goes to ``stream``, else to ``cfg.out``, else to stdout.  A device
+    or a pipe is written directly; a file is written to a sibling made before
+    the sweep (so a bad path fails at once) that replaces it once the sweep
+    ends, so a failed sweep leaves an existing file as it was and makes none."""
     if stream is not None or not cfg.out:
         return _sweep(cfg, sys.stdout if stream is None else stream)
-    with open(cfg.out, "a") as fh:
-        mode = os.fstat(fh.fileno()).st_mode
-        if not stat.S_ISREG(mode):
-            return _sweep(cfg, fh)
+    try:  # without O_CREAT: a missing path is made only by os.replace
+        with open(cfg.out, "a", opener=lambda f, flags: os.open(f, flags & ~os.O_CREAT)) as fh:
+            mode = os.fstat(fh.fileno()).st_mode
+            if not stat.S_ISREG(mode):
+                return _sweep(cfg, fh)
+    except FileNotFoundError:
+        mode = None
     path = os.path.realpath(cfg.out)
     part = f"{path}.{os.getpid()}.part"
     try:
         with open(part, "x") as fh:
-            os.chmod(part, stat.S_IMODE(mode))
+            if mode is not None:  # a new report keeps the mode "x" gives it
+                os.chmod(part, stat.S_IMODE(mode))
             code = _sweep(cfg, fh)
         os.replace(part, path)
         return code

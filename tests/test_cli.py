@@ -23,17 +23,21 @@ def test_bernoulli_subcommand(capsys):
 
 
 def test_omega_subcommand(capsys):
-    assert main(["omega", "--p", "11", "--thm", "2"]) == 0
+    assert main(["omega", "--p", "11", "--depth", "6"]) == 0
     out = capsys.readouterr().out
     assert out.count("omega[") == 7
     assert f"{11**7 - 1}" in out  # omega[0] = -1 at full precision
-    # --thm N is the N-th depth of MIN_P: --thm 1 is depth 5
-    assert main(["omega", "--p", "11", "--thm", "1"]) == 0
+    # --depth R prints omega_0..omega_R, for the depths of MIN_P alone
+    assert main(["omega", "--p", "11", "--depth", "5"]) == 0
     assert capsys.readouterr().out.count("omega[") == 6
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "--p", "11", "--depth", "7"])
+    assert exc.value.code == 2
+    assert "invalid choice: 7" in capsys.readouterr().err
 
 
 def test_omega_rejects_out_of_range_prime(capsys):
-    assert main(["omega", "--p", "7", "--thm", "2"]) == 2
+    assert main(["omega", "--p", "7", "--depth", "6"]) == 2
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -60,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "365599853d374fffa11811b3156c2bd79ac5f0a19da71685576123605ddaaa98")
+        "8739f510ae4b388949403fdbd40fb33acc495697a8d3866c00715d8cbf2b863e")
 
 
 def test_verify_usage_errors():
@@ -112,9 +116,9 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     (["verify", "--pmin", "7", "--pmax", "11", "--out", "{missing}"], 2),
     (["wilson", "--p", "2", "--prec", "2"], 2),
     (["bernoulli", "--p", "7", "--m", "10", "--prec", "0"], 2),
-    (["omega", "--p", "7", "--thm", "2"], 2),
+    (["omega", "--p", "7", "--depth", "6"], 2),
     (["verify", "--pmin", "7", "--pmax", "11", "--checks", ","], 2),
-    (["omega", "--p", "9", "--thm", "1"], 2),
+    (["omega", "--p", "9", "--depth", "5"], 2),
     (["bernoulli", "--p", "9", "--m", "4", "--prec", "1"], 2),
     (["bernoulli", "--p", "7", "--m", "6", "--prec", "6"], 2),
     (["bernoulli", "--p", "7", "--m", "0", "--prec", "2"], 2),
@@ -166,7 +170,7 @@ def test_prime_window_holds_for_single_prime_commands():
     from wilsonq.residues import PRIME_BOUND
 
     for args in (["bernoulli", "--p", str(PRIME_BOUND), "--m", "4", "--prec", "1"],
-                 ["omega", "--p", str(PRIME_BOUND), "--thm", "1"],
+                 ["omega", "--p", str(PRIME_BOUND), "--depth", "5"],
                  ["wilson", "--p", str(PRIME_BOUND), "--prec", "1"]):
         done = _run_capped(args, timeout=30)
         assert done.returncode == 2, (args, done.stderr[-300:])
@@ -220,7 +224,7 @@ def test_size_bound_refuses_before_any_table(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "power_table", no_table)
     p = next(n for n in range(P_LIMIT + 1, 2 * P_LIMIT) if is_prime(n))
     for args in (["bernoulli", "--p", str(p), "--m", "4", "--prec", "1"],
-                 ["omega", "--p", str(p), "--thm", "2"],
+                 ["omega", "--p", str(p), "--depth", "6"],
                  ["wilson", "--p", str(p), "--prec", "2"],
                  ["verify", "--pmin", "7", "--pmax", str(p)],
                  ["verify", "--pmin", str(p), "--pmax", str(p)]):

@@ -207,16 +207,22 @@ def test_zero_expressions_vanish():
 
 
 def test_mod_p_coefficient_forms():
+    # omega_1..omega_4 at each depth; omega_0 is -1 in every ladder
     for p in (7, 11, 13):
         bs = divided_set(p)
         w5 = omega_vector(p, bs, 5)
-        for nu in range(0, 6):
+        assert w5.omegas[0].reduce_to(1).value == p - 1
+        for nu in range(1, 5):
             assert w5.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, nu)
     for p in (11, 13):
         bs = divided_set(p)
         w6 = omega_vector(p, bs, 6)
-        for nu in range(0, 6):
+        assert w6.omegas[0].reduce_to(1).value == p - 1
+        for nu in range(1, 5):
             assert w6.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, nu)
+    for nu in (0, 5):
+        with pytest.raises(ValueError, match=f"no mod-p form for index {nu}"):
+            omega_mod_p_rhs(nu, 11, divided_set(11))
 
 
 def test_omega5_reduction_rows():
@@ -249,13 +255,13 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
 def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
     # omega_5 is transcribed once, as term groups: a depth-5 group off by 1
     # (not set to a value: b4(1) is 0 mod 37) must fail the depth-5
-    # factorial, the depth-6 omega_5 against both depth-5 forms, and the
+    # factorial, the depth-6 omega_5 against the depth-5 omega_5, and the
     # group's own reduction row, at every prime
     from wilsonq.harness import RunConfig, check_prime, enumerate_primes
 
     cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1", "thm2", "table3"]))
     watched = {("thm1", "factorial-mod-p^6"), ("thm2", "reduces-to-depth5-w5"),
-               ("table3", "depth6-omega5-mod-p"), ("table3", f"omega5-reduction-{name}")}
+               ("table3", f"omega5-reduction-{name}")}
     primes = enumerate_primes(11, 43)
     for p in primes:
         rows = {(r.tag, r.case): r.passed for r in check_prime(p, cfg)}
@@ -430,3 +436,7 @@ def test_power_sum_display_covers_the_top_precision():
     for r in (0, len(PTILDE) + 1):
         with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {r}$"):
             wilson_from_power_sums(13, r)
+    # fewer sums than r are refused; only None means "not given"
+    for sums in (qtilde_sums(13, 3)[:1], ()):
+        with pytest.raises(ValueError, match=rf"^need 2 power sums, got {len(sums)}$"):
+            wilson_from_power_sums(13, 2, sums)

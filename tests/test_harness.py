@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import marshal
 import os
@@ -371,7 +372,7 @@ def test_forked_sweep_warns_nothing(monkeypatch):
 def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
     # a worker that dies at p = 31, or whose frames are cut short, ends the
     # sweep with exit 2 and one error line, leaves an existing report as it
-    # was, no part file beside it and no child behind
+    # was, no new report at a fresh path, no part file and no child behind
     if fault == "exit":
         direct = harness.check_prime
 
@@ -391,16 +392,17 @@ def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     out = tmp_path / "report.json"
     out.write_text("kept\n")
-    argv = ["verify", "--pmin", "7", "--pmax", "60", "--checks", "psi", "--jobs", "2",
-            "--format", "json", "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1 and err.startswith("error: worker "), err
-    # the report is replaced only once the sweep ends
-    assert out.read_text() == "kept\n"
-    assert os.listdir(tmp_path) == ["report.json"]
-    _no_child_left()
+    for path in (out, tmp_path / "fresh.json"):
+        argv = ["verify", "--pmin", "7", "--pmax", "60", "--checks", "psi", "--jobs", "2",
+                "--format", "json", "--out", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: worker "), err
+        # the report is written only once the sweep ends
+        assert out.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+        _no_child_left()
 
 
 def test_failed_sweep_kills_every_worker(monkeypatch):
@@ -469,11 +471,15 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
 
 def test_every_divided_set_row_can_fail():
     # with random divided values in place of the true ones, every row whose
-    # closed form is built on the divided set must fail for some draw
+    # closed form is built on the divided set must fail for some draw, and
+    # no two rows may be one computation: the rows that agree on every draw
+    # are exactly the pairs named below
     rng = random.Random(2510)
     bset_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
+    failed: dict[int, dict[tuple[str, str], bool]] = {}
+    drawn: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
     for p in (11, 13):
-        failed: dict[tuple[str, str], bool] = {}
+        failed[p] = {}
         # drawn family by family, n ascending
         spec = sorted(set_spec(6).items(), key=lambda item: item[0][::-1])
         for _ in range(4):
@@ -483,9 +489,24 @@ def test_every_divided_set_row_can_fail():
             for tag, _, runner in CHECKS:
                 if tag in bset_tags:
                     for case, lhs, rhs in runner(run):
-                        failed[(tag, case)] = failed.get((tag, case), False) or lhs != rhs
-        assert len(failed) == 69
-        assert [key for key, ever in failed.items() if not ever] == [], p
+                        failed[p][(tag, case)] = failed[p].get((tag, case), False) or lhs != rhs
+                        drawn.setdefault((tag, case), []).append(
+                            (lhs.value, getattr(rhs, "value", rhs), lhs.modulus.value))
+    rows_by_draws: dict[tuple, list[tuple[str, str]]] = {}
+    for key, draws in drawn.items():
+        rows_by_draws.setdefault(tuple(draws), []).append(key)
+    agreeing = {pair for keys in rows_by_draws.values()
+                for pair in itertools.combinations(sorted(keys), 2)}
+    # each power sum's two printed displays, which expand to one polynomial
+    # (thm3's compact n=5 form mod p^5 leads with -1, props' with p-1), and
+    # the (p-1)-lead lemma form, which is props' n=5 form mod p^5
+    same_polynomial = {(("props", f"n={n}-mod-p^{level}"), ("thm3", f"n={n}-mod-p^{level}"))
+                       for level in (5, 6) for n in range(1, level)}
+    assert agreeing == same_polynomial | {
+        (("lemmas", "n=5-mod-p^5-unreduced-lead"), ("props", "n=5-mod-p^5"))}
+    for p, ever in failed.items():
+        assert len(ever) == 68
+        assert [key for key, fails in ever.items() if not fails] == [], p
 
 
 def test_divided_set_rows_start_where_the_set_does(monkeypatch):
