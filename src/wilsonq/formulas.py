@@ -160,12 +160,6 @@ class OmegaVector(NamedTuple):
         """sum omega_nu p^nu, an exact class modulo p^(depth+1)."""
         return _lift(enumerate(w.value for w in self.omegas), self.p, self.depth + 1)
 
-    def wilson_form(self, r: int) -> Residue:
-        """sum_{nu=1..r} omega_nu p^(nu-1) modulo p^r."""
-        if not 1 <= r <= self.depth:
-            raise ValueError(f"need 1 <= r <= {self.depth}")
-        return _lift(enumerate(w.value for w in self.omegas[1:r + 1]), self.p, r)
-
 
 def omega_vector(p: int, bset: DividedSet, depth: int) -> OmegaVector:
     """The coefficient ladder at a depth of ``_OMEGA``, for p from

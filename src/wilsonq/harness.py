@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
                         kummer_differences)
-from .residues import Residue, check_size, check_window, is_prime
+from .residues import Residue, check_size, check_window, is_prime, split_p
 
 #: Even indices sampled by the kummer check (the windows reach a bit higher).
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
@@ -64,10 +64,11 @@ class PrimeRun:
     """Everything one prime's checks share, built on first use: the Bernoulli
     engine every Bernoulli value of the prime comes from, the divided set and
     omega ladders built on it, Q~_1..Q~_top mod p^top (``sums``), read by
-    ``thm3``, ``props``, ``lemmas`` and ``psi``, and W_p mod p^top with (p-1)!
-    mod p^(top+1) (``wilson``), read by ``thm1``, ``thm2`` and ``psi``.  ``top``
-    = min(6, p-1) is the one precision rule; ``levels`` are the power-sum
-    precisions (and ladder depths) the prime supports."""
+    ``thm3``, ``props``, ``lemmas`` and ``psi``, and (p-1)! mod p^(top+1)
+    with W_p mod p^top (``wilson``), read by ``thm1`` and ``thm2``
+    (``.factorial``) and ``psi`` (``.quotient``).  ``top`` = min(6, p-1) is
+    the one precision rule; ``levels`` are the power-sum precisions (and
+    ladder depths) the prime supports."""
 
     def __init__(self, p: int):
         self.p = p
@@ -99,15 +100,12 @@ class PrimeRun:
 
 
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
-    """Factorial expansion at the given depth versus the direct factorial,
-    plus the per-coefficient prefix ladder against the Wilson quotient and,
-    where the prime supports the depth below, each shared coefficient against
-    that ladder's."""
+    """Factorial expansion at the given depth versus the direct factorial
+    (which fixes W_p mod p^depth) and, where the prime supports the depth
+    below, each shared coefficient against that ladder's."""
     omega = run.omega(depth)
     rows = [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
              omega.factorial_form())]
-    rows += [(f"wilson-prefix-{r}", run.wilson.quotient.reduce_to(r), omega.wilson_form(r))
-             for r in range(1, depth + 1)]
     if depth - 1 in run.levels:
         lower = run.omega(depth - 1)
         rows += [(f"reduces-to-depth{depth - 1}-w{nu}", omega.omegas[nu].reduce_to(depth - nu),
@@ -130,13 +128,10 @@ def _check_lemmas(run: PrimeRun) -> list[Row]:
 
 
 def _check_psi(run: PrimeRun) -> list[Row]:
-    """W_p from the power sums, evaluated once at the top precision: each
-    lower row's right side is that value mod p^r, as reduction is a ring map
-    and every PTILDE[nu] monomial carries weight nu-1, so the terms past
-    nu = r vanish mod p^r."""
-    rhs = formulas.wilson_from_power_sums(run.p, run.top, run.sums)
-    return [(f"wilson-r={r}", run.wilson.quotient.reduce_to(r), rhs.reduce_to(r))
-            for r in range(1, run.top + 1)]
+    """W_p from the power sums at the top precision, which implies each lower
+    one: every PTILDE[nu] monomial carries weight nu-1."""
+    return [(f"wilson-r={run.top}", run.wilson.quotient,
+             formulas.wilson_from_power_sums(run.p, run.top, run.sums))]
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:
@@ -305,7 +300,7 @@ def write_report(results: Iterable[CheckResult], fmt: str, stream) -> tuple[int,
     """Write each row as it comes; returns the counts of checked, failed and
     skipped rows.  JSON is byte-identical to json.dump(rows, indent=1) plus
     "\n"; csv quotes a field only when it holds a comma, quote or newline, as
-    an error message may; text lists the failed rows."""
+    an error message may; text lists the failed rows, with v_p(lhs - rhs)."""
     text = encode_basestring_ascii
     writer = csv.writer(stream, lineterminator="\n")
     if fmt == "csv":
@@ -321,8 +316,10 @@ def write_report(results: Iterable[CheckResult], fmt: str, stream) -> tuple[int,
         elif fmt == "csv":
             writer.writerow((*r[:6], verdict))
         elif not r.passed:
+            diff = int(r.lhs) - int(r.rhs) if r.modulus else 0  # 0 for an error row
+            agrees = f" (agrees mod p^{split_p(diff, r.p)[0]})" if diff else ""
             stream.write(f"FAIL p={r.p} {r.tag}/{r.case}: lhs={r.lhs} rhs={r.rhs} "
-                         f"mod {r.modulus}\n")
+                         f"mod {r.modulus}{agrees}\n")
     if fmt == "json":
         stream.write("\n]\n" if rows else "[]\n")
     return rows - skipped, failed, skipped
@@ -352,6 +349,10 @@ def run_and_report(cfg: RunConfig, stream=None) -> int:
             code = _sweep(cfg, fh)
         os.replace(part, path)
         return code
+    except OSError as exc:
+        if exc.filename == part:  # name the path given, not its part file
+            exc.filename = cfg.out
+        raise
     finally:
         if os.path.lexists(part):
             os.unlink(part)

@@ -107,14 +107,12 @@ def test_wilson_through_power_sum_polynomials(wide_sweep):
     rows = _tag(wide_sweep, "psi")
     failures = [r for r in rows if not r.passed]
     assert failures == []
-    by_prime = {}
-    for r in rows:
-        by_prime.setdefault(r.p, []).append(r)
-    for p in enumerate_primes(3, 500):
-        assert len(by_prime[p]) == min(6, p - 1), p
+    # one row per prime, at the top precision, which implies the lower ones
+    assert [(r.p, r.case) for r in rows] == [
+        (p, f"wilson-r={min(6, p - 1)}") for p in enumerate_primes(3, 500)]
     assert ptilde_mismatches(PTILDE) == {}
     print(f"PASS Wilson quotient through power-sum polynomials: {len(rows)} cases "
-          f"(r = 1..6, odd p in 3..500) plus the exact p-adic log expansion")
+          f"(r = min(6, p-1), odd p in 3..500) plus the exact p-adic log expansion")
 
 
 def test_kummer_congruence_suite():

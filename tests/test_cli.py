@@ -64,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "8739f510ae4b388949403fdbd40fb33acc495697a8d3866c00715d8cbf2b863e")
+        "b9740ee3ed10ece039a36413907ab2c15a6771e2ae6f1d14dce2e3a6d5f882fc")
 
 
 def test_verify_usage_errors():
@@ -107,7 +107,9 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "check_prime", no_sweep)
     out = tmp_path / "missing" / "r.json"
     assert main(["verify", "--pmin", "7", "--pmax", "20", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    # the error names the path given, not the part file written beside it
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and ".part" not in err, err
     assert not out.parent.exists()
 
 

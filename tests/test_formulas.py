@@ -48,14 +48,6 @@ def test_factorial_expansion_examples():
     assert omega_vector(11, bs11, 6).factorial_form().value == factorial(10) % 11**7
 
 
-def test_wilson_form_matches_quotient():
-    for p, depth in ((7, 5), (13, 6)):
-        bs = divided_set(p)
-        omega = omega_vector(p, bs, depth)
-        for r in range(1, depth + 1):
-            assert omega.wilson_form(r) == wilson_quotient(p, r).quotient, (p, r)
-
-
 def test_first_coefficient_mod_p():
     bs = divided_set(7)
     omega = omega_vector(7, bs, 5)

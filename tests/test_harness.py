@@ -83,7 +83,7 @@ def test_levels_follow_the_depth_table():
 def test_check_prime_thm1_shape():
     cfg = RunConfig(pmin=7, pmax=7, checks=frozenset(["thm1"]))
     results = check_prime(7, cfg)
-    assert len(results) == 6  # factorial end-to-end plus five prefixes
+    assert len(results) == 1  # the factorial end to end; p = 7 has no depth 4
     assert all(r.passed and not r.skipped for r in results)
     cases = {r.case for r in results}
     assert "factorial-mod-p^6" in cases
@@ -121,7 +121,7 @@ def test_internal_errors_become_failures(monkeypatch):
     lines = buf.getvalue().splitlines()
     assert lines[:2] == ["FAIL p=7 thm1/error: lhs=error: synthetic breakage rhs= mod ",
                          "FAIL p=11 thm1/error: lhs=error: synthetic breakage rhs= mod "]
-    assert "14 checks, 12 passed, 2 failed, 1 skipped" in lines[2]
+    assert "8 checks, 6 passed, 2 failed, 1 skipped" in lines[2]
 
 
 def test_report_formats():
@@ -137,14 +137,14 @@ def test_report_formats():
     run_and_report(cfg_csv, stream=buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "p,tag,case,lhs,rhs,modulus,pass"
-    assert len(lines) == 13  # header + 6 rows per prime
+    assert len(lines) == 3  # header + 1 row per prime
 
     buf = io.StringIO()
     cfg_text = RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1"]), fmt="text")
     run_and_report(cfg_text, stream=buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 1  # no failures: just the summary
-    assert "12 checks, 12 passed, 0 failed" in lines[0]
+    assert "2 checks, 2 passed, 0 failed" in lines[0]
 
 
 def test_json_report_matches_json_dumps():
@@ -162,6 +162,29 @@ def test_json_report_matches_json_dumps():
         expected = [dict(zip(keys, r)) for r in rows]
         assert buf.getvalue() == json.dumps(expected, indent=1) + "\n"
     assert buf.getvalue() == "[]\n"
+
+
+def test_failed_text_row_names_the_first_differing_digit():
+    # a failed row whose values differ shows the power of p its sides agree
+    # to; an error row, and equal values at different precisions, do not
+    rows = [
+        CheckResult(7, "thm1", "factorial-mod-p^6", "720", str(720 + 3 * 7**3), "117649",
+                    passed=False),
+        CheckResult(11, "psi", "wilson-r=6", "5", "6", "1771561", passed=False),
+        CheckResult(13, "kummer", "r=3-n=4", str(5 * 13**2), "0", "2197", passed=False),
+        CheckResult(13, "thm3", "error", "error: synthetic breakage", "", "", passed=False),
+        CheckResult(11, "thm2", "reduces-to-depth5-w1", "3", "3", "1331", passed=False),
+        CheckResult(11, "thm2", "factorial-mod-p^7", "1", "1", "19487171", passed=True),
+    ]
+    buf = io.StringIO()
+    assert write_report(rows, "text", buf) == (6, 5, 0)
+    assert buf.getvalue().splitlines() == [
+        "FAIL p=7 thm1/factorial-mod-p^6: lhs=720 rhs=1749 mod 117649 (agrees mod p^3)",
+        "FAIL p=11 psi/wilson-r=6: lhs=5 rhs=6 mod 1771561 (agrees mod p^0)",
+        "FAIL p=13 kummer/r=3-n=4: lhs=845 rhs=0 mod 2197 (agrees mod p^2)",
+        "FAIL p=13 thm3/error: lhs=error: synthetic breakage rhs= mod ",
+        "FAIL p=11 thm2/reduces-to-depth5-w1: lhs=3 rhs=3 mod 1331",
+    ]
 
 
 def test_csv_quotes_error_messages():
@@ -245,14 +268,14 @@ def test_text_summary_printed_once(capsys):
     cfg = RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1"]), fmt="text")
     assert run_and_report(cfg) == 0
     captured = capsys.readouterr()
-    assert (captured.out + captured.err).count("12 checks, 12 passed") == 1
-    assert "12 checks, 12 passed" in captured.out
+    assert (captured.out + captured.err).count("2 checks, 2 passed") == 1
+    assert "2 checks, 2 passed" in captured.out
 
     cfg_json = RunConfig(pmin=7, pmax=11, checks=frozenset(["thm1"]), fmt="json")
     assert run_and_report(cfg_json) == 0
     captured = capsys.readouterr()
-    assert "12 checks, 12 passed" not in captured.out
-    assert captured.err.count("12 checks, 12 passed") == 1
+    assert "2 checks, 2 passed" not in captured.out
+    assert captured.err.count("2 checks, 2 passed") == 1
 
 
 class _ClosedPipe(io.StringIO):
@@ -445,8 +468,8 @@ def test_failed_fork_reaps_the_forked(monkeypatch, capsys):
 
 
 def test_psi_evaluates_the_power_sums_once(monkeypatch):
-    # one evaluation at the top precision; each row's right side is that
-    # value reduced, and equals the evaluation at the row's own precision
+    # one evaluation, at the top precision, for the one row; the evaluation
+    # at each lower precision is that value reduced, so no lower row is needed
     calls = []
     direct = formulas.wilson_from_power_sums
 
@@ -463,19 +486,20 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
         top = min(6, p - 1)
         assert run.top == top and len(run.sums) == top, p
         assert calls == [(p, top)], p
-        want = [direct(p, r, run.sums) for r in range(1, top + 1)]
-        assert [(rhs.value, rhs.precision) for _, _, rhs in rows] == \
-            [(w.value, w.precision) for w in want]
+        [(case, _, rhs)] = rows
+        assert case == f"wilson-r={top}" and rhs == direct(p, top, run.sums), p
+        assert all(direct(p, r, run.sums) == rhs.reduce_to(r) for r in range(1, top)), p
         assert all(r.passed for r in check_prime(p, cfg))
 
 
 def test_every_divided_set_row_can_fail():
-    # with random divided values in place of the true ones, every row whose
-    # closed form is built on the divided set must fail for some draw, and
-    # no two rows may be one computation: the rows that agree on every draw
-    # are exactly the pairs named below
+    # with random divided values and power sums in place of the true ones,
+    # every row whose closed form is built on either must fail for some draw,
+    # and no row may be a reduction of another: the pairs where one row's
+    # (lhs, rhs) is the other's mod the smaller modulus on every draw are
+    # exactly the pairs named below
     rng = random.Random(2510)
-    bset_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
+    drawn_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "psi", "zero-exprs", "table3"}
     failed: dict[int, dict[tuple[str, str], bool]] = {}
     drawn: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
     for p in (11, 13):
@@ -486,26 +510,41 @@ def test_every_divided_set_row_can_fail():
             bset = {key: Residue(rng.randrange(p**r), make_modulus(p, r)) for key, r in spec}
             run = PrimeRun(p)
             run.__dict__["bset"] = bset
+            run.__dict__["sums"] = tuple(Residue(rng.randrange(p**run.top),
+                                                 make_modulus(p, run.top)) for _ in range(run.top))
             for tag, _, runner in CHECKS:
-                if tag in bset_tags:
+                if tag in drawn_tags:
                     for case, lhs, rhs in runner(run):
                         failed[p][(tag, case)] = failed[p].get((tag, case), False) or lhs != rhs
                         drawn.setdefault((tag, case), []).append(
                             (lhs.value, getattr(rhs, "value", rhs), lhs.modulus.value))
-    rows_by_draws: dict[tuple, list[tuple[str, str]]] = {}
-    for key, draws in drawn.items():
-        rows_by_draws.setdefault(tuple(draws), []).append(key)
-    agreeing = {pair for keys in rows_by_draws.values()
-                for pair in itertools.combinations(sorted(keys), 2)}
+
+    def reduces(draws, other_draws):
+        # on every draw, both sides agree mod the smaller of the two moduli
+        return all(a % m == b % m and x % m == y % m
+                   for (a, x, m_a), (b, y, m_b) in zip(draws, other_draws)
+                   for m in [min(m_a, m_b)])
+
+    flagged = {(key, other) for (key, draws), (other, other_draws)
+               in itertools.combinations(sorted(drawn.items()), 2)
+               if reduces(draws, other_draws)}
     # each power sum's two printed displays, which expand to one polynomial
     # (thm3's compact n=5 form mod p^5 leads with -1, props' with p-1), and
     # the (p-1)-lead lemma form, which is props' n=5 form mod p^5
     same_polynomial = {(("props", f"n={n}-mod-p^{level}"), ("thm3", f"n={n}-mod-p^{level}"))
                        for level in (5, 6) for n in range(1, level)}
-    assert agreeing == same_polynomial | {
+    # The n=1 form mod p^6 is the form mod p^5 plus one p^5 block, so each
+    # display's n=1 row mod p^5 is a reduction of both n=1 rows mod p^6.
+    # Those rows stay: at p = 7 the p^5 row is the only n=1 check, and
+    # dropping it from p = 11 on would add a branch to _power_sums.
+    n1 = {(("props", "n=1-mod-p^5"), ("props", "n=1-mod-p^6")),
+          (("props", "n=1-mod-p^5"), ("thm3", "n=1-mod-p^6")),
+          (("props", "n=1-mod-p^6"), ("thm3", "n=1-mod-p^5")),
+          (("thm3", "n=1-mod-p^5"), ("thm3", "n=1-mod-p^6"))}
+    assert flagged == same_polynomial | n1 | {
         (("lemmas", "n=5-mod-p^5-unreduced-lead"), ("props", "n=5-mod-p^5"))}
     for p, ever in failed.items():
-        assert len(ever) == 68
+        assert len(ever) == 58  # 57 rows on the divided set and psi's one
         assert [key for key, fails in ever.items() if not fails] == [], p
 
 
