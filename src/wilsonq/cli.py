@@ -15,7 +15,7 @@ from .bernoulli import MIN_P, bnpd, divided_set
 from .formulas import omega_vector
 from .harness import CHECK_TAGS, RunConfig, run_and_report
 from .oracles import wilson_quotient
-from .residues import make_modulus
+from .residues import P_LIMIT, make_modulus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="sweep a prime range and verify all selected checks")
     v.add_argument("--pmin", type=int, required=True, help="lower end of the prime range")
-    v.add_argument("--pmax", type=int, required=True, help="upper end of the prime range")
+    v.add_argument("--pmax", type=int, required=True,
+                   help=f"upper end of the prime range, at most {P_LIMIT}")
     v.add_argument(
         "--checks",
         default="all",

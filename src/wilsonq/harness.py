@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
                         kummer_differences)
-from .residues import Residue, check_size, check_window, is_prime, split_p
+from .residues import Residue, check_window, is_prime, split_p
 
 #: Even indices sampled by the kummer check (the windows reach a bit higher).
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
@@ -183,7 +183,6 @@ class RunConfig:
     def __init__(self, pmin: int, pmax: int, checks: frozenset[str] = CHECK_TAGS,
                  jobs: int = 1, fmt: str = "text", out: str | None = None):
         check_window(pmin, pmax)
-        check_size(pmax)
         if not checks:
             raise ValueError("no checks selected")
         unknown = checks - CHECK_TAGS
@@ -198,8 +197,8 @@ class RunConfig:
 
 
 def enumerate_primes(pmin: int, pmax: int) -> list[int]:
-    """Ascending primes in [pmin, pmax] by deterministic Miller-Rabin, so
-    memory follows the window rather than pmax."""
+    """Ascending primes in [pmin, pmax] by trial division, so memory follows
+    the window rather than pmax."""
     check_window(pmin, pmax)
     return [n for n in range(pmin, pmax + 1) if is_prime(n)]
 

@@ -12,14 +12,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-#: The least strong pseudoprime to all of ``_MR_BASES``: below it the test is exact.
-PRIME_BOUND = 318665857834031151167461
-#: The size bound on p for every command.  One prime's state is its
-#: Bernoulli engine's packed block and columns plus the divided set built on
-#: them: at depth 6 its tracemalloc peak is 750 B per v = 1..p-1 at
-#: p = 40009 and 802 B at p = 100003, growing with log p.  At this bound
-#: that is about 220 MB per worker process.
+#: The top of the prime window, the size bound on p for every command.  One
+#: prime's state is its Bernoulli engine's packed block and columns plus the
+#: divided set built on them: at depth 6 its tracemalloc peak is 750 B per
+#: v = 1..p-1 at p = 40009 and 802 B at p = 100003, growing with log p.  At
+#: this bound that is about 220 MB per worker process.
 P_LIMIT = 2**18
 #: The bound on the precision exponent r of every modulus p^r, checked before
 #: p^r is formed.  ``verify`` builds at most p^7, ``wilson --prec r`` builds
@@ -32,47 +29,24 @@ P_LIMIT = 2**18
 R_LIMIT = 12
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def check_window(pmin: int, pmax: int) -> None:
-    """Refuse a prime window outside 2 <= pmin <= pmax < PRIME_BOUND, the
-    range where :func:`is_prime` is exact."""
+    """Refuse a prime window outside 2 <= pmin <= pmax <= P_LIMIT."""
     if pmin < 2:
         raise ValueError(f"primes start at 2, got {pmin}")
     if pmin > pmax:
         raise ValueError(f"empty range: pmin={pmin} > pmax={pmax}")
-    if pmax >= PRIME_BOUND:
-        raise ValueError(f"p must be below {PRIME_BOUND}, where primality tests stay exact; "
-                         f"got {pmax}")
-
-
-def check_size(p: int) -> None:
-    """Refuse p above P_LIMIT, before any table of p-1 entries is built."""
-    if p > P_LIMIT:
+    if pmax > P_LIMIT:
         raise ValueError(f"p must be at most {P_LIMIT}, the size bound on one prime's "
-                         f"tables; got {p}")
+                         f"tables; got {pmax}")
+
+
+def is_prime(n: int) -> bool:
+    """Exact trial division up to isqrt(n), at most 511 divisors on the
+    window; False below 2, and n above P_LIMIT is refused."""
+    if n < 2:
+        return False
+    check_window(n, n)
+    return all(n % q for q in range(2, isqrt(n) + 1))
 
 
 def power_table(p: int, e: int, mod: int) -> list[int]:
@@ -98,7 +72,7 @@ def power_table(p: int, e: int, mod: int) -> list[int]:
 class Modulus:
     """A prime power p^r with p >= 3 prime and 1 <= r <= R_LIMIT.  Every
     command builds one before its tables, so p passes the prime window rule
-    and the size bound here, and r the precision bound."""
+    here, and r the precision bound."""
 
     __slots__ = ("p", "r", "value")
 
@@ -108,7 +82,6 @@ class Modulus:
         if r > R_LIMIT:
             raise ValueError(f"precision exponent must be at most {R_LIMIT}, got {r}")
         check_window(p, p)
-        check_size(p)
         if p < 3 or not is_prime(p):
             raise ValueError(f"modulus base must be an odd prime, got {p}")
         self.p = p

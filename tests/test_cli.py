@@ -167,16 +167,15 @@ def _run_capped(args, timeout):
 
 
 def test_prime_window_holds_for_single_prime_commands():
-    # PRIME_BOUND is a composite that every Miller-Rabin base passes: each
-    # command refuses it at once, here under a 512 MiB address-space cap
-    from wilsonq.residues import PRIME_BOUND
-
-    for args in (["bernoulli", "--p", str(PRIME_BOUND), "--m", "4", "--prec", "1"],
-                 ["omega", "--p", str(PRIME_BOUND), "--depth", "5"],
-                 ["wilson", "--p", str(PRIME_BOUND), "--prec", "1"]):
+    # a p far above the window is refused at once by each command, here
+    # under a 512 MiB address-space cap
+    p = str(10**30)
+    for args in (["bernoulli", "--p", p, "--m", "4", "--prec", "1"],
+                 ["omega", "--p", p, "--depth", "5"],
+                 ["wilson", "--p", p, "--prec", "1"]):
         done = _run_capped(args, timeout=30)
         assert done.returncode == 2, (args, done.stderr[-300:])
-        assert done.stderr.startswith("error: p must be below"), done.stderr
+        assert done.stderr.startswith("error: p must be at most"), done.stderr
 
 
 def test_precision_bound_refuses_at_once():
@@ -217,14 +216,14 @@ def test_precision_refusal_names_the_typed_precision(args, working, monkeypatch,
 
 def test_size_bound_refuses_before_any_table(monkeypatch, capsys):
     from wilsonq import bernoulli, oracles
-    from wilsonq.residues import P_LIMIT, is_prime
+    from wilsonq.residues import P_LIMIT
 
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(bernoulli, "power_table", no_table)
     monkeypatch.setattr(oracles, "power_table", no_table)
-    p = next(n for n in range(P_LIMIT + 1, 2 * P_LIMIT) if is_prime(n))
+    p = 262147  # the least prime above P_LIMIT
     for args in (["bernoulli", "--p", str(p), "--m", "4", "--prec", "1"],
                  ["omega", "--p", str(p), "--depth", "6"],
                  ["wilson", "--p", str(p), "--prec", "2"],

@@ -18,7 +18,7 @@ import pytest
 from wilsonq import bernoulli, formulas, harness, oracles
 from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
 from wilsonq.cli import main
-from wilsonq.residues import PRIME_BOUND, Residue, is_prime, make_modulus
+from wilsonq.residues import P_LIMIT, Residue, is_prime, make_modulus
 from wilsonq.harness import (
     CHECK_TAGS,
     CHECKS,
@@ -55,13 +55,13 @@ def test_runconfig_validation():
 
 def test_runconfig_refuses_the_window_enumerate_primes_refuses():
     # one window rule: a config that could not be swept is refused at once
-    for pmin, pmax in ((7, PRIME_BOUND), (1, 30), (30, 7)):
+    for pmin, pmax in ((7, P_LIMIT + 1), (1, 30), (30, 7)):
         with pytest.raises(ValueError):
             enumerate_primes(pmin, pmax)
         with pytest.raises(ValueError):
             RunConfig(pmin=pmin, pmax=pmax)
-    with pytest.raises(ValueError, match="below"):
-        RunConfig(pmin=7, pmax=PRIME_BOUND)
+    with pytest.raises(ValueError, match="at most"):
+        RunConfig(pmin=7, pmax=P_LIMIT + 1)
 
 
 def test_empty_check_set_is_rejected():
@@ -332,7 +332,7 @@ def test_sweep_memory_follows_the_workers_not_the_primes(jobs, monkeypatch):
 
 
 def test_enumerate_primes_memory_follows_window():
-    lo, hi = 10**9 - 1000, 10**9
+    lo, hi = P_LIMIT - 1000, P_LIMIT
     tracemalloc.start()
     try:
         primes = enumerate_primes(lo, hi)
@@ -340,18 +340,36 @@ def test_enumerate_primes_memory_follows_window():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert len(primes) == 45
+    assert len(primes) == 74
     odd = range(lo + 1, hi + 1, 2)
     assert primes == [n for n in odd if all(n % d for d in range(3, int(n**0.5) + 1, 2))]
 
 
 def test_enumerate_primes_stops_at_primality_bound():
-    # the bound is a composite that all the Miller-Rabin bases pass
-    assert is_prime(PRIME_BOUND) and pow(41, PRIME_BOUND - 1, PRIME_BOUND) != 1
-    assert PRIME_BOUND not in enumerate_primes(PRIME_BOUND - 40, PRIME_BOUND - 1)
-    with pytest.raises(ValueError, match="below"):
-        enumerate_primes(PRIME_BOUND - 10, PRIME_BOUND)
-    assert main(["verify", "--pmin", "7", "--pmax", str(PRIME_BOUND)]) == 2
+    # P_LIMIT is the top of the window: 262139 is the last prime below it
+    assert enumerate_primes(P_LIMIT - 10, P_LIMIT) == [262139]
+    with pytest.raises(ValueError, match=f"at most {P_LIMIT}"):
+        enumerate_primes(P_LIMIT - 10, P_LIMIT + 1)
+    assert main(["verify", "--pmin", "7", "--pmax", str(P_LIMIT + 1)]) == 2
+
+
+@pytest.mark.parametrize("p", [262147, 10**30], ids=["least-prime-above", "10^30"])
+def test_every_entry_refuses_p_above_the_window(p):
+    # 262147 is the least prime above P_LIMIT; each entry that takes p
+    # refuses it, and a p far above, by the window rule and at once
+    entries = {
+        "is_prime": lambda: is_prime(p),
+        "enumerate_primes": lambda: enumerate_primes(p, p),
+        "make_modulus": lambda: make_modulus(p, 1),
+        "BernoulliEngine": lambda: BernoulliEngine(p),
+        "qtilde_sums": lambda: oracles.qtilde_sums(p, 1),
+        "factorial_mod": lambda: oracles.factorial_mod(p, 1),
+    }
+    for name, entry in entries.items():
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {P_LIMIT}"):
+            entry()
+        assert time.perf_counter() - started < 0.5, name
 
 
 def test_jobs_clamped_to_primes_and_cores(monkeypatch):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wilsonq.residues import (Modulus, Residue, divide_exactly, is_prime, make_modulus,
-                              power_table, ratio_mod)
+from wilsonq.residues import (P_LIMIT, Modulus, Residue, divide_exactly, is_prime,
+                              make_modulus, power_table, ratio_mod)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 101, 1999, 32003)
 
@@ -32,8 +32,18 @@ def test_is_prime_small():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(2, 30):
         assert is_prime(n) == (n in known)
-    assert is_prime(2**61 - 1)
-    assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_matches_a_sieve():
+    # exact trial division: equal to a sieve of Eratosthenes at the bottom
+    # and the top of the window, and False below 2
+    sieve = bytearray([1]) * (P_LIMIT + 1)
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(P_LIMIT**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, P_LIMIT + 1, q)))
+    for n in [*range(-3, 10**4 + 1), *range(P_LIMIT - 10**4, P_LIMIT + 1)]:
+        assert is_prime(n) == (n >= 0 and bool(sieve[n])), n
 
 
 def test_power_table_matches_pow():
