@@ -388,16 +388,10 @@ def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = No
 # -- zero expressions ----------------------------------------------------------
 #
 # Combinations of divided Bernoulli values that vanish at the stated power of
-# p; these are the cancellations that compact the raw coefficient collections
-# into the closed forms above.
+# p, the cancellations that compact the raw collections into the closed forms.
+# Products of the differences the kummer rows check would restate those rows.
 
 ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
-    ("second-diff-square", 4,
-     lambda t: t.F(5, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2),
-    ("d1-times-d2", 3,
-     lambda t: -2 * (t.b(1) - t.b(2)) * (t.b(1) - 2 * t.b(2) + t.b(3))),
-    ("w41-compact", 2,
-     lambda t: t.F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1))),
     ("w41-raw", 2,
      lambda t: (t.F(3, 2) * t.b(1) ** 2 - 2 * t.b(1) * t.b(2) - t.F(1, 2) * t.b(2) ** 2
                 + t.b(2) * t.b(3)
@@ -408,16 +402,9 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
     ("d1-times-d4", 5,
      lambda t: (t.b(1) - t.b(2)) * (t.b(1) - 4 * t.b(2) + 6 * t.b(3)
                                     - 4 * t.b(4) + t.b(5))),
-    ("d2sq-plus-d1d3", 4,
-     lambda t: (-((t.b(1) - 2 * t.b(2) + t.b(3)) ** 2)
-                - 2 * (t.b(1) - t.b(2)) * (t.b(1) - 3 * t.b(2) + 3 * t.b(3) - t.b(4)))),
     ("w31-raw", 4,
      lambda t: (t.b(1) * (4 * t.b(1) - 16 * t.b(2) + 14 * t.b(3) - 6 * t.b(4) + t.b(5))
                 + t.b(2) * (10 * t.b(2) - 10 * t.b(3) + 2 * t.b(4)) + t.b(3) ** 2)),
-    ("cubic-combination", 3,
-     lambda t: (t.F(1, 2) * (t.b(1) - 2 * t.b(2) + t.b(3)) ** 2
-                - t.F(1, 2) * (t.b(1) - t.b(2)) ** 3
-                - 3 * (t.b(1) - t.b(2)) * (t.b(1) - 2 * t.b(2) + t.b(3)) * (1 + t.b(1)))),
     ("w41-raw-deep", 3,
      lambda t: (t.b(1) * (t.F(5, 2) * t.b(1) - 6 * t.b(2) + 2 * t.b(3))
                 + t.b(1) ** 2 * (t.F(9, 2) * t.b(1) - t.F(27, 2) * t.b(2) + 6 * t.b(3) - t.b(4))
@@ -433,9 +420,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b(1) ** 2 * (t.F(1, 2) * t.b(1) + 3 * t.b(2) - 3 * t.b(3) + t.F(1, 2) * t.b(4))
                 + t.b(1) ** 3 * (t.F(3, 2) * t.b(1) - 3 * t.b(2) + t.F(1, 2) * t.b(3))
                 + t.b(3) * (-t.b(1) + 2 * t.b(2) + 3 * t.b(1) * t.b(2)))),
-    ("w51-compact", 2,
-     lambda t: (t.F(1, 2) * (t.b(1) - t.b(2)) ** 2
-                * (4 + 5 * t.b(1) + 2 * t.b(1) ** 2 + t.b(2)))),
     ("w52-raw", 2,
      lambda t: (t.b2(1) * (t.F(17, 6) * t.b(1) - 12 * t.b(2) + t.F(56, 3) * t.b(3)
                            - 11 * t.b(4) + t.F(11, 6) * t.b(5))
@@ -444,8 +428,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b2(3) * (2 * t.b(1) - 5 * t.b(2) + t.F(10, 3) * t.b(3)))),
     ("w52-compact", 2,
      lambda t: 2 * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
-    ("bnd-d1-square", 2,
-     lambda t: (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2)) ** 2),
 )
 
 

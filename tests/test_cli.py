@@ -64,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b9740ee3ed10ece039a36413907ab2c15a6771e2ae6f1d14dce2e3a6d5f882fc")
+        "b1b7682c4511dc566cf2bae329d91b9ac025326f321012472a215709de3194e7")
 
 
 def test_verify_usage_errors():

@@ -1,17 +1,23 @@
 import ast
+import functools
+import inspect
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 from reference_routes import binom_diff_mod_p
 from wilsonq import formulas
-from wilsonq.bernoulli import MIN_P, divided_set
+from wilsonq.bernoulli import MIN_P, divided_set, set_spec
 from wilsonq.formulas import (
     COEFF_TABLES,
     PTILDE,
     QTILDE_L5_N5_UNREDUCED,
+    _OMEGA,
+    _OMEGA5_TERMS,
+    _OMEGA_MOD_P,
     _QTILDE_MAIN,
     omega_mod_p_rhs,
     omega_reduction_rows,
@@ -196,6 +202,124 @@ def test_zero_expressions_vanish():
     for p in (7, 11, 13):
         for name, value in zero_expressions(p, divided_set(p)):
             assert value.value == 0, (p, name, value)
+
+
+# -- every printed constant matters -------------------------------------------
+#
+# A display whose constant can be changed without changing its value checks
+# nothing about that constant.  The draws satisfy exactly the kummer grid rows'
+# claims on b (the r-fold differences from b(k), k, r = 1..3, vanish mod p^r)
+# and nothing on b2 or b4, so a zero expression that those rows already imply
+# vanishes on every draw whatever its constants are.
+
+#: Primes at which every t.F denominator stays a unit when raised by 1.
+_GUARD_PRIMES = (17, 23, 29)
+
+
+def _grid_draws():
+    """Eight (p, divided set) per prime at the depth-6 spec: the Newton
+    coefficients D^i b(1) are p^min(i, 3) times random integers, so b(j) is
+    sum_{i<j} C(j-1, i) D^i b(1); b2 and b4 are random."""
+    rng = random.Random(2525)
+    for p in _GUARD_PRIMES:
+        for _ in range(8):
+            newton = [p ** min(i, 3) * rng.randrange(p**6) for i in range(6)]
+            yield p, {(n, d): Residue(sum(comb(n - 1, i) * newton[i] for i in range(n))
+                                      if d == 0 else rng.randrange(p**r), make_modulus(p, r))
+                      for (n, d), r in set_spec(6).items()}
+
+
+@functools.cache
+def _lambdas_by_line(path):
+    lambdas: dict[int, list[ast.Lambda]] = {}
+    for node in ast.walk(ast.parse(Path(path).read_text())):
+        if isinstance(node, ast.Lambda):
+            lambdas.setdefault(node.lineno, []).append(node)
+    return lambdas
+
+
+def _constants(node):
+    """The integer constants of a display's AST: the coefficients, the t.F
+    arguments and the exponents, but not the indices of t.b, t.b2 and t.b4
+    or of a table."""
+    indices = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
+                and sub.func.attr in ("b", "b2", "b4"):
+            indices.update(id(leaf) for arg in sub.args for leaf in ast.walk(arg))
+        elif isinstance(sub, ast.Subscript):
+            indices.update(id(leaf) for leaf in ast.walk(sub.slice))
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+            and type(sub.value) is int and id(sub) not in indices]
+
+
+def _bumped(display):
+    """(line, constant, variant) for each constant of the lambda ``display``,
+    the variant being the display with that one constant raised by 1."""
+    path = inspect.getsourcefile(display)
+    [node] = _lambdas_by_line(path)[display.__code__.co_firstlineno]
+    for const in _constants(node):
+        const.value += 1
+        try:
+            code = compile(ast.Expression(node), path, "eval")
+        finally:
+            const.value -= 1
+        yield const.lineno, const.value, eval(code, display.__globals__)
+
+
+def _surviving_constants(displays):
+    """(name, line, constant) for each constant of each (name, precision,
+    display) that can be raised by 1 with the value mod p^precision unchanged
+    on every grid draw."""
+    draws = list(_grid_draws())
+    survivors = []
+    for name, prec, display in displays:
+        accessors = [formulas._Acc(p, bset, prec) for p, bset in draws]
+        values = [display(t) % t.mod for t in accessors]
+        survivors += [(name, line, const) for line, const, variant in _bumped(display)
+                      if all(variant(t) % t.mod == v for t, v in zip(accessors, values))]
+    return survivors
+
+
+def test_every_constant_of_a_zero_expression_matters():
+    # a product of the differences the kummer rows check vanishes for any
+    # constants, so it restates those rows and is not listed
+    assert _surviving_constants(formulas.ZERO_EXPRESSIONS) == []
+
+
+def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
+    # w41-compact, (3/2) (D b(1))^2 (1 + b(1)), carries p^2 by the kummer row
+    # r=1-n=(p-1) alone, so none of its four constants matters
+    restated = ("w41-compact", 2,
+                lambda t: t.F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1)))
+    monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (*formulas.ZERO_EXPRESSIONS, restated))
+    survivors = _surviving_constants(formulas.ZERO_EXPRESSIONS)
+    assert sorted((name, const) for name, _, const in survivors) == [
+        ("w41-compact", 1), ("w41-compact", 2), ("w41-compact", 2), ("w41-compact", 3)]
+
+
+def test_every_constant_of_a_divided_set_display_matters():
+    displays = [(f"_OMEGA[{depth}][{nu}]", depth + 1 - nu, display)
+                for depth, ladder in _OMEGA.items() for nu, display in ladder.items()]
+    displays += [(f"_OMEGA5_TERMS[{depth}][{name}]", depth - 4, display)
+                 for depth, groups in _OMEGA5_TERMS.items() for name, display in groups.items()]
+    displays += [(f"_OMEGA_MOD_P[{nu}]", 1, display) for nu, display in _OMEGA_MOD_P.items()]
+    displays += [(f"_QTILDE_MAIN[{level}][{n}] p^{t_pow}", level - t_pow, display)
+                 for level, forms in _QTILDE_MAIN.items() for n, blocks in forms.items()
+                 for t_pow, display in blocks]
+    assert _surviving_constants(displays) == []
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 1009])
+def test_kummer_rows_take_the_grid_the_constant_guard_assumes(p):
+    # the grid draws above stand for exactly these rows
+    from wilsonq.harness import PrimeRun, _check_kummer
+
+    rows = {case: lhs for case, lhs, _ in _check_kummer(PrimeRun(p))}
+    for r in (1, 2, 3):
+        for k in (1, 2, 3):
+            lhs = rows[f"r={r}-n={k * (p - 1)}"]
+            assert lhs.value == 0 and lhs.precision == r, (r, k)
 
 
 def test_mod_p_coefficient_forms():
