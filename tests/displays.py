@@ -1,0 +1,48 @@
+"""The one list of the displays transcribed in ``wilsonq.formulas``.
+
+Every guard over the displays reads this list, and
+``tests/test_formulas.py::test_every_lambda_is_a_listed_display`` holds that
+each lambda of the module is the code of some entry (the two blocks that
+``qtilde_via_coefficients`` builds per call from the printed vectors aside).
+A display in a table this list does not read fails that test instead of
+escaping every guard.
+
+Each entry is (name, precision, display): the display is read at the
+precision its evaluator states, so a value mod p^precision is all it claims.
+"""
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+from wilsonq import formulas
+
+Entry = tuple[str, int, Callable[..., int]]
+
+
+def divided_set_displays() -> Iterator[Entry]:
+    """Every display over a divided set: the omega ladders and their term
+    groups, the mod-p forms, each block of the power-sum forms and the zero
+    expressions."""
+    for depth, ladder in formulas._OMEGA.items():
+        for nu, display in ladder.items():
+            yield f"_OMEGA[{depth}][{nu}]", depth + 1 - nu, display
+    for depth, groups in formulas._OMEGA5_TERMS.items():
+        for name, display in groups.items():
+            yield f"_OMEGA5_TERMS[{depth}][{name}]", depth - 4, display
+    for nu, display in formulas._OMEGA_MOD_P.items():
+        yield f"_OMEGA_MOD_P[{nu}]", 1, display
+    # a block the p^6 forms share with the p^5 forms is an entry at each level
+    for level, forms in formulas._QTILDE_MAIN.items():
+        for n, blocks in forms.items():
+            for t_pow, display in blocks:
+                yield f"_QTILDE_MAIN[{level}][{n}] p^{t_pow}", level - t_pow, display
+    for name, r, display in formulas.ZERO_EXPRESSIONS:
+        yield f"ZERO_EXPRESSIONS[{name}]", r, display
+
+
+def displays() -> Iterator[Entry]:
+    """Every display: those over a divided set, then the members of
+    ``PTILDE``, which read the scaled power sums at len(PTILDE) digits."""
+    yield from divided_set_displays()
+    for nu, display in formulas.PTILDE.items():
+        yield f"PTILDE[{nu}]", len(formulas.PTILDE), display

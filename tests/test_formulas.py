@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from displays import displays, divided_set_displays
 from reference_routes import binom_diff_mod_p
 from wilsonq import formulas
 from wilsonq.bernoulli import MIN_P, divided_set, set_spec
@@ -15,9 +16,6 @@ from wilsonq.formulas import (
     COEFF_TABLES,
     PTILDE,
     QTILDE_L5_N5_UNREDUCED,
-    _OMEGA,
-    _OMEGA5_TERMS,
-    _OMEGA_MOD_P,
     _QTILDE_MAIN,
     omega_mod_p_rhs,
     omega_reduction_rows,
@@ -238,6 +236,13 @@ def _lambdas_by_line(path):
     return lambdas
 
 
+def _lambda_node(display):
+    """The AST of the lambda ``display``, found by its first line, which
+    holds no other lambda."""
+    [node] = _lambdas_by_line(inspect.getsourcefile(display))[display.__code__.co_firstlineno]
+    return node
+
+
 def _constants(node):
     """The integer constants of a display's AST: the coefficients, the t.F
     arguments and the exponents, but not the indices of t.b, t.b2 and t.b4
@@ -256,24 +261,23 @@ def _constants(node):
 def _bumped(display):
     """(line, constant, variant) for each constant of the lambda ``display``,
     the variant being the display with that one constant raised by 1."""
-    path = inspect.getsourcefile(display)
-    [node] = _lambdas_by_line(path)[display.__code__.co_firstlineno]
+    node = _lambda_node(display)
     for const in _constants(node):
         const.value += 1
         try:
-            code = compile(ast.Expression(node), path, "eval")
+            code = compile(ast.Expression(node), inspect.getsourcefile(display), "eval")
         finally:
             const.value -= 1
         yield const.lineno, const.value, eval(code, display.__globals__)
 
 
-def _surviving_constants(displays):
+def _surviving_constants(entries):
     """(name, line, constant) for each constant of each (name, precision,
     display) that can be raised by 1 with the value mod p^precision unchanged
     on every grid draw."""
     draws = list(_grid_draws())
     survivors = []
-    for name, prec, display in displays:
+    for name, prec, display in entries:
         accessors = [formulas._Acc(p, bset, prec) for p, bset in draws]
         values = [display(t) % t.mod for t in accessors]
         survivors += [(name, line, const) for line, const, variant in _bumped(display)
@@ -281,10 +285,21 @@ def _surviving_constants(displays):
     return survivors
 
 
+def _is_zero_expression(entry):
+    return entry[0].startswith("ZERO_EXPRESSIONS[")
+
+
+def test_every_constant_of_a_divided_set_display_matters():
+    assert _surviving_constants(
+        [e for e in divided_set_displays() if not _is_zero_expression(e)]) == []
+
+
 def test_every_constant_of_a_zero_expression_matters():
     # a product of the differences the kummer rows check vanishes for any
     # constants, so it restates those rows and is not listed
-    assert _surviving_constants(formulas.ZERO_EXPRESSIONS) == []
+    zero = [e for e in divided_set_displays() if _is_zero_expression(e)]
+    assert len(zero) == len(formulas.ZERO_EXPRESSIONS)
+    assert _surviving_constants(zero) == []
 
 
 def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
@@ -293,21 +308,43 @@ def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
     restated = ("w41-compact", 2,
                 lambda t: t.F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1)))
     monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (*formulas.ZERO_EXPRESSIONS, restated))
-    survivors = _surviving_constants(formulas.ZERO_EXPRESSIONS)
+    survivors = _surviving_constants(divided_set_displays())
     assert sorted((name, const) for name, _, const in survivors) == [
-        ("w41-compact", 1), ("w41-compact", 2), ("w41-compact", 2), ("w41-compact", 3)]
+        ("ZERO_EXPRESSIONS[w41-compact]", const) for const in (1, 2, 2, 3)]
 
 
-def test_every_constant_of_a_divided_set_display_matters():
-    displays = [(f"_OMEGA[{depth}][{nu}]", depth + 1 - nu, display)
-                for depth, ladder in _OMEGA.items() for nu, display in ladder.items()]
-    displays += [(f"_OMEGA5_TERMS[{depth}][{name}]", depth - 4, display)
-                 for depth, groups in _OMEGA5_TERMS.items() for name, display in groups.items()]
-    displays += [(f"_OMEGA_MOD_P[{nu}]", 1, display) for nu, display in _OMEGA_MOD_P.items()]
-    displays += [(f"_QTILDE_MAIN[{level}][{n}] p^{t_pow}", level - t_pow, display)
-                 for level, forms in _QTILDE_MAIN.items() for n, blocks in forms.items()
-                 for t_pow, display in blocks]
-    assert _surviving_constants(displays) == []
+def _surviving_vector_entries(monkeypatch):
+    """(level, vector name, n) for each entry of ``COEFF_TABLES`` that can be
+    raised by 1 with qtilde_via_coefficients(n, p, level, .) unchanged on
+    every grid draw."""
+    draws = list(_grid_draws())
+    survivors = []
+    for level, vectors in COEFF_TABLES.items():
+        values = {n: [qtilde_via_coefficients(n, p, level, bset) for p, bset in draws]
+                  for n in range(1, level + 1)}
+        for name, vector in list(vectors.items()):
+            for n in range(1, level + 1):
+                monkeypatch.setitem(vectors, name, (*vector[:n - 1], vector[n - 1] + 1, *vector[n:]))
+                if all(qtilde_via_coefficients(n, p, level, bset) == want
+                       for (p, bset), want in zip(draws, values[n])):
+                    survivors.append((level, name, n))
+            monkeypatch.setitem(vectors, name, vector)
+    return survivors
+
+
+def test_every_printed_coefficient_vector_entry_matters(monkeypatch):
+    # all 113 entries, zeros included: 7 vectors of 5 at level 5 and 13 of 6
+    # at level 6
+    assert sum(map(len, COEFF_TABLES[5].values())) == 35
+    assert sum(map(len, COEFF_TABLES[6].values())) == 78
+    assert _surviving_vector_entries(monkeypatch) == []
+
+
+def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
+    # without eta in the p^5 block of level 6, nothing reads its six entries
+    row = formulas._VEC_BLOCKS[6][5]
+    monkeypatch.setitem(formulas._VEC_BLOCKS[6], 5, tuple(e for e in row if e[0] != "eta"))
+    assert _surviving_vector_entries(monkeypatch) == [(6, "eta", n) for n in range(1, 7)]
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 1009])
@@ -480,28 +517,25 @@ def test_block_counts_only_mod_its_precision(monkeypatch):
             assert qtilde_rhs(1, p, level, bs) == base.value + shift, (t_pow, e)
 
 
+def test_every_lambda_is_a_listed_display():
+    # a display in a table that tests/displays.py does not read would escape
+    # every guard; the only other lambdas are the two blocks
+    # qtilde_via_coefficients builds per call from the printed vectors
+    source, start = inspect.getsourcelines(qtilde_via_coefficients)
+    per_call = range(start, start + len(source))
+    lambdas = [node for nodes in _lambdas_by_line(inspect.getsourcefile(formulas)).values()
+               for node in nodes]
+    assert len([node for node in lambdas if node.lineno in per_call]) == 2
+    assert {node for node in lambdas if node.lineno not in per_call} \
+        == {_lambda_node(display) for _, _, display in displays()}
+
+
 def test_displays_stay_on_the_integer_path():
-    # every display lambda (any lambda in a module-level table) and the
-    # blocks qtilde_via_coefficients builds from the printed vectors take
-    # rationals from t.F, never from the module-level Fraction
-    tree = ast.parse(Path(formulas.__file__).read_text())
-    # (a table filled in more than one statement, such as _QTILDE_MAIN[6],
-    # is named by the table it fills)
-    scanned, tables = [], set()
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            lambdas = [n for n in ast.walk(node) if isinstance(n, ast.Lambda)]
-            if lambdas:
-                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
-                while isinstance(target, ast.Subscript):
-                    target = target.value
-                tables.add(target.id)
-                scanned += lambdas
-        elif isinstance(node, ast.FunctionDef) and node.name == "qtilde_via_coefficients":
-            scanned.append(node)
-    assert len([n for n in scanned if isinstance(n, ast.FunctionDef)]) == 1
-    assert {"_OMEGA", "_QTILDE_MAIN", "ZERO_EXPRESSIONS",
-            "_OMEGA_MOD_P", "_OMEGA5_TERMS", "PTILDE"} <= tables
+    # every display and the blocks qtilde_via_coefficients builds from the
+    # printed vectors take rationals from t.F, never from the module-level
+    # Fraction
+    builder = ast.parse(inspect.getsource(qtilde_via_coefficients))
+    scanned = [builder, *(_lambda_node(display) for _, _, display in displays())]
     offenders = [
         (call.lineno, call.func.id)
         for node in scanned for call in ast.walk(node)
@@ -523,16 +557,16 @@ def test_each_block_is_written_once():
 
 def test_no_two_lambdas_share_a_body():
     # one pair is two displays that happen to coincide: omega_5's depth-5
-    # bnd4 group and the p^4 block of the compact n=5 form mod p^5
-    tree = ast.parse(Path(formulas.__file__).read_text())
-    lines_by_body: dict[str, list[int]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Lambda):
-            lines_by_body.setdefault(ast.dump(node.body), []).append(node.lineno)
-    repeated = [sorted(lines) for lines in lines_by_body.values() if len(lines) > 1]
-    allowed = sorted(f.__code__.co_firstlineno for f in (
-        formulas._OMEGA5_TERMS[5]["bnd4-terms"], _QTILDE_MAIN[5][5][2][1]))
-    assert repeated == [allowed]
+    # bnd4 group and the p^4 block of the compact n=5 form mod p^5 (a block
+    # the p^6 forms share with the p^5 forms is one lambda, read once here)
+    first: dict = {}
+    for name, _, display in displays():
+        first.setdefault(display, name)
+    names_by_body: dict[str, list[str]] = {}
+    for display, name in first.items():
+        names_by_body.setdefault(ast.dump(_lambda_node(display).body), []).append(name)
+    repeated = [names for names in names_by_body.values() if len(names) > 1]
+    assert repeated == [["_OMEGA5_TERMS[5][bnd4-terms]", "_QTILDE_MAIN[5][5] p^4"]]
 
 
 def test_state_for_another_prime_is_refused():

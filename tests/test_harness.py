@@ -670,10 +670,13 @@ def test_kummer_differences_evaluate_each_index_once(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["none", "top", "every", 3, 4, 5])
 def test_shared_power_table_fault_is_seen(fault, monkeypatch):
-    # q_power_sums and the engine share residues.power_table; a fault at
+    # qtilde_sums and the engine share residues.power_table; a fault at
     # v = 6 that both sides see must still fail every thm3 and props row:
     # p^5 added at e = p-1 only or at every e, or the entry lifted to
-    # (6 + p^k)^e
+    # (6 + p^k)^e.  The 220 failed rows rest on the engine taking
+    # w = v^(p-1), v^(p-7) and v^(p-3) from three separate power_table calls,
+    # as test_divided_set_builds_few_tables pins, and on the oracle taking
+    # its one table at e = p-1, as test_qtilde_sums_builds_one_table pins
     direct = bernoulli.power_table
 
     def faulted(p, e, mod):

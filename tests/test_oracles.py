@@ -1,6 +1,7 @@
 import pytest
 
 from reference_routes import q_power_sum, sh_mod
+from wilsonq import oracles
 from wilsonq.bernoulli import divided_set
 from wilsonq.harness import enumerate_primes
 from wilsonq.oracles import (
@@ -93,6 +94,22 @@ def test_one_pass_power_sums():
     for p, r in ((3, 3), (5, 5), (7, 8)):
         with pytest.raises(ValueError, match=rf"^need r < p, .* got p={p}, r={r}$"):
             qtilde_sums(p, r)
+
+
+@pytest.mark.parametrize("p, r", [(7, 5), (11, 6), (101, 6)])
+def test_qtilde_sums_builds_one_table(p, r, monkeypatch):
+    # the Fermat quotients of every sum come from one table of v^(p-1) mod
+    # p^(r+1), the one digit above the sums' precision that (x - 1) / p drops
+    calls = []
+    direct = oracles.power_table
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(oracles, "power_table", counted)
+    qtilde_sums(p, r)
+    assert calls == [(p, p - 1, p ** (r + 1))]
 
 
 def test_qtilde_needs_a_unit_power():
