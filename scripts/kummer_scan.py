@@ -4,8 +4,9 @@
 For each prime and difference order r, walks every admissible even index up
 to a bound and confirms the r-fold forward difference (step p-1) vanishes
 modulo p^r.  Denser than the sampled harness check; useful for poking at
-larger index ranges.  Input the engine refuses (a non-prime, or an index
-whose working precision reaches p) exits 2 with one ``error:`` line.
+larger index ranges.  Input that checks nothing (an order below 1, or no
+even index from 2 to --nmax) or that the engine refuses (a non-prime, or an
+index whose working precision reaches p) exits 2 with one ``error:`` line.
 
     python scripts/kummer_scan.py --primes 7 11 13 17 19 --nmax 400 --rmax 3
 """
@@ -25,13 +26,16 @@ def main() -> int:
     parser.add_argument("--nmax", type=int, default=200)
     parser.add_argument("--rmax", type=int, default=3)
     args = parser.parse_args()
+    if args.rmax < 1 or args.nmax < 2:
+        print("error: need --rmax >= 1 and --nmax >= 2, or nothing is checked", file=sys.stderr)
+        return 2
 
     failures = 0
     started = time.perf_counter()
     try:
         for p in args.primes:
-            found = kummer_differences(p, BernoulliEngine(p), range(2, args.nmax + 1, 2),
-                                       args.rmax)
+            found = kummer_differences(p, BernoulliEngine(p),
+                                       ((n, args.rmax) for n in range(2, args.nmax + 1, 2)))
             for r, n, diff in found:
                 if diff.value:
                     failures += 1

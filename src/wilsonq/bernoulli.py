@@ -209,28 +209,27 @@ def forward_difference(f: Callable[[int], int], h: int, n: int, start: int = 0) 
     return sum((-1) ** (n - v) * comb(n, v) * f(start + v * h) for v in range(n + 1))
 
 
-def kummer_differences(p: int, engine: BernoulliEngine, starts: Iterable[int],
-                       max_order: int) -> list[tuple[int, int, Residue]]:
-    """(r, n, value) for r = 1..max_order and each admissible start n (first
-    occurrence only, in the given order): the r-fold difference with step
-    p-1 of the divided values from index n, taken mod p^r, which Kummer's
-    congruences claim is 0.  Each distinct index is evaluated once, at the
-    highest order that reads it (the orders are walked from the top down),
-    and held as an integer representative.  Each difference is taken on
-    those integers and reduced once, into its row's residue."""
+def kummer_differences(p: int, engine: BernoulliEngine,
+                       windows: Iterable[tuple[int, int]]) -> list[tuple[int, int, Residue]]:
+    """(r, n, value) for each window (n, top) and admissible r = 1..top, once
+    per (r, n), by r and then in the windows' order: the r-fold difference
+    with step p-1 of the divided values from index n, taken mod p^r, which
+    Kummer's congruences claim is 0.  Each distinct index is evaluated once,
+    at the highest order that reads it (the orders are walked from the top
+    down), and held as an integer representative.  Each difference is taken
+    on those integers and reduced once, into its row's residue."""
     h = p - 1
-    starts = list(dict.fromkeys(starts))
-    windows = [(r, n) for r in range(max_order, 0, -1) for n in starts
-               if kummer_admissible(p, r, n)]
+    cases = sorted(dict.fromkeys((r, n) for n, top in windows for r in range(1, top + 1)
+                                 if kummer_admissible(p, r, n)), key=lambda case: -case[0])
     held: dict[int, int] = {}
-    for r, n in windows:
+    for r, n in cases:
         modulus = make_modulus(p, r)
         for index in range(n, n + r * h + 1, h):
             if index not in held:
                 held[index] = bnpd(index, modulus, engine).value
     return [(r, n, Residue(forward_difference(held.__getitem__, h, r, start=n),
                            make_modulus(p, r)))
-            for r, n in sorted(windows, key=lambda window: window[0])]
+            for r, n in sorted(cases, key=lambda case: case[0])]
 
 
 #: Depth R -> the smallest prime whose expansion of (p-1)! mod p^(R+1) the
@@ -241,7 +240,8 @@ MIN_P = {5: 7, 6: 11}
 #: Rows w_v^0 .. w_v^(BLOCK_ROWS-1) an engine's block holds.  The divided set
 #: of the deepest depth R reads the columns p-1-d for d = 2, 4, .. at rows
 #: 0..R-1 and the column 0 at rows 1..R, which the v^2 fold of the column
-#: p-3 holds; so do the kummer check's top windows (start 3(p-1), order 3).
+#: p-3 holds; so does the kummer check's top window (start p-1, order 5),
+#: which reads up to 6(p-1).
 BLOCK_ROWS = max(MIN_P)
 
 

@@ -397,8 +397,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b(2) * t.b(3)
                 + t.b(1) * (t.F(5, 2) * t.b(1) ** 2 - 5 * t.b(1) * t.b(2)
                             + t.b(1) * t.b(3) + t.F(3, 2) * t.b(2) ** 2))),
-    ("bnd-d1-product", 2,
-     lambda t: t.F(-1, 3) * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
     ("d1-times-d4", 5,
      lambda t: (t.b(1) - t.b(2)) * (t.b(1) - 4 * t.b(2) + 6 * t.b(3)
                                     - 4 * t.b(4) + t.b(5))),
@@ -411,9 +409,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b(2) * (t.b(2) + 2 * t.b(3) - t.b(4) - 3 * t.b(1) * t.b(3))
                 + t.b(2) ** 2 * (t.F(15, 2) * t.b(1) - t.F(1, 2) * t.b(2))
                 - t.F(1, 2) * t.b(3) ** 2)),
-    ("bnd-second-diff", 3,
-     lambda t: ((3 * (t.b(1) - 2 * t.b(2) + t.b(3)) - (t.b(1) - t.b(2)))
-                * (t.b2(1) - 2 * t.b2(2) + t.b2(3)))),
     ("w51-raw", 2,
      lambda t: (t.b(1) * (t.b(1) - t.F(9, 2) * t.b(2) ** 2 + t.b(1) * t.b(2) ** 2)
                 + t.b(2) * (-2 * t.b(2) + t.F(1, 2) * t.b(2) ** 2)
@@ -426,8 +421,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b2(2) * (-5 * t.b(1) + t.F(49, 3) * t.b(2) - t.F(55, 3) * t.b(3)
                              + t.F(19, 3) * t.b(4))
                 + t.b2(3) * (2 * t.b(1) - 5 * t.b(2) + t.F(10, 3) * t.b(3)))),
-    ("w52-compact", 2,
-     lambda t: 2 * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2))),
 )
 
 

@@ -32,10 +32,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
-                        kummer_differences)
+                        kummer_differences, set_spec)
 from .residues import Residue, check_window, is_prime, split_p
 
-#: Even indices sampled by the kummer check (the windows reach a bit higher).
+#: Even starts the kummer check samples at orders 1..KUMMER_MAX_ORDER, besides
+#: the divided set's own families.
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
 KUMMER_MAX_ORDER = 3
 
@@ -135,10 +136,12 @@ def _check_psi(run: PrimeRun) -> list[Row]:
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:
-    """Sampled higher-order congruences of the divided values."""
-    starts = KUMMER_SAMPLE + tuple(k * (run.p - 1) for k in (1, 2, 3))
+    """Kummer's congruences at the sampled starts, and on each family of the
+    divided set, n(p-1) - d for n = 1, 2, .., up to the top order it holds."""
+    families = [(run.p - 1 - d, r - 1) for (n, d), r in set_spec(run.levels[-1]).items() if n == 1]
+    windows = [(n, KUMMER_MAX_ORDER) for n in KUMMER_SAMPLE] + families
     return [(f"r={r}-n={n}", value, 0)
-            for r, n, value in kummer_differences(run.p, run.engine, starts, KUMMER_MAX_ORDER)]
+            for r, n, value in kummer_differences(run.p, run.engine, windows)]
 
 
 def _check_zero_exprs(run: PrimeRun) -> list[Row]:
@@ -159,8 +162,8 @@ def _check_table3(run: PrimeRun) -> list[Row]:
 
 
 #: (tag, smallest prime, runner) in canonical run order.  A runner that reads
-#: the divided set starts where the set does, at MIN_P[5], or at the depth it
-#: expands.
+#: the divided set or its spec starts where the set does, at MIN_P[5], or at
+#: the depth it expands.
 CHECKS = (
     ("thm1", MIN_P[5], lambda run: _expansion(run, 5)),
     ("thm2", MIN_P[6], lambda run: _expansion(run, 6)),
@@ -168,7 +171,7 @@ CHECKS = (
     ("props", MIN_P[5], lambda run: _power_sums(run, formulas.qtilde_via_coefficients)),
     ("lemmas", MIN_P[5], _check_lemmas),
     ("psi", 3, _check_psi),
-    ("kummer", 7, _check_kummer),
+    ("kummer", MIN_P[5], _check_kummer),
     ("zero-exprs", MIN_P[5], _check_zero_exprs),
     ("table3", MIN_P[5], _check_table3),
 )

@@ -266,7 +266,7 @@ def test_kummer_admissible_bounds():
     ]
     for p, r, n, want in cases:
         assert kummer_admissible(p, r, n) is want, (p, r, n)
-    found = bernoulli.kummer_differences(7, BernoulliEngine(7), [0, -6, 6], 3)
+    found = bernoulli.kummer_differences(7, BernoulliEngine(7), [(0, 3), (-6, 3), (6, 3)])
     assert [(r, n) for r, n, _ in found] == [(1, 6), (2, 6), (3, 6)]
 
 

@@ -64,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b1b7682c4511dc566cf2bae329d91b9ac025326f321012472a215709de3194e7")
+        "ddd21f841367fc84e50e69a30875e800034db16e4f1511a4fca1e23510a79d79")
 
 
 def test_verify_usage_errors():

@@ -11,7 +11,7 @@ import pytest
 from displays import displays, divided_set_displays
 from reference_routes import binom_diff_mod_p
 from wilsonq import formulas
-from wilsonq.bernoulli import MIN_P, divided_set, set_spec
+from wilsonq.bernoulli import MIN_P, depths, divided_set, kummer_admissible, set_spec
 from wilsonq.formulas import (
     COEFF_TABLES,
     PTILDE,
@@ -205,26 +205,28 @@ def test_zero_expressions_vanish():
 # -- every printed constant matters -------------------------------------------
 #
 # A display whose constant can be changed without changing its value checks
-# nothing about that constant.  The draws satisfy exactly the kummer grid rows'
-# claims on b (the r-fold differences from b(k), k, r = 1..3, vanish mod p^r)
-# and nothing on b2 or b4, so a zero expression that those rows already imply
-# vanishes on every draw whatever its constants are.
+# nothing about that constant.  The draws satisfy exactly the kummer rows'
+# claims on the divided set (on each family b, b2 and b4, the i-fold
+# differences from its first index vanish mod p^i for i below its length), so
+# a zero expression that those rows already imply vanishes on every draw
+# whatever its constants are.
 
 #: Primes at which every t.F denominator stays a unit when raised by 1.
 _GUARD_PRIMES = (17, 23, 29)
 
 
-def _grid_draws():
-    """Eight (p, divided set) per prime at the depth-6 spec: the Newton
-    coefficients D^i b(1) are p^min(i, 3) times random integers, so b(j) is
-    sum_{i<j} C(j-1, i) D^i b(1); b2 and b4 are random."""
+def _kummer_draws():
+    """Eight (p, divided set) per prime at the depth-6 spec: on each family
+    d, the Newton coefficients D^i b_d(1) are p^i times random integers for i
+    below the family's length, so b_d(j) is sum_{i<j} C(j-1, i) D^i b_d(1)."""
     rng = random.Random(2525)
+    spec = set_spec(6)
     for p in _GUARD_PRIMES:
         for _ in range(8):
-            newton = [p ** min(i, 3) * rng.randrange(p**6) for i in range(6)]
-            yield p, {(n, d): Residue(sum(comb(n - 1, i) * newton[i] for i in range(n))
-                                      if d == 0 else rng.randrange(p**r), make_modulus(p, r))
-                      for (n, d), r in set_spec(6).items()}
+            newton = {d: [p**i * rng.randrange(p**6) for i in range(r)]
+                      for (n, d), r in spec.items() if n == 1}
+            yield p, {(n, d): Residue(sum(comb(n - 1, i) * newton[d][i] for i in range(n)),
+                                      make_modulus(p, r)) for (n, d), r in spec.items()}
 
 
 @functools.cache
@@ -274,8 +276,8 @@ def _bumped(display):
 def _surviving_constants(entries):
     """(name, line, constant) for each constant of each (name, precision,
     display) that can be raised by 1 with the value mod p^precision unchanged
-    on every grid draw."""
-    draws = list(_grid_draws())
+    on every draw."""
+    draws = list(_kummer_draws())
     survivors = []
     for name, prec, display in entries:
         accessors = [formulas._Acc(p, bset, prec) for p, bset in draws]
@@ -313,11 +315,22 @@ def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
         ("ZERO_EXPRESSIONS[w41-compact]", const) for const in (1, 2, 2, 3)]
 
 
+def test_constant_guard_names_a_restated_family_product(monkeypatch):
+    # bnd-d1-product, -(1/3) D b2(1) D b(1), carries p^2 by the kummer rows
+    # r=1-n=(p-3) and r=1-n=(p-1), so neither of its two constants matters
+    restated = ("bnd-d1-product", 2,
+                lambda t: t.F(-1, 3) * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2)))
+    monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (*formulas.ZERO_EXPRESSIONS, restated))
+    survivors = _surviving_constants(divided_set_displays())
+    assert sorted((name, const) for name, _, const in survivors) == [
+        ("ZERO_EXPRESSIONS[bnd-d1-product]", const) for const in (1, 3)]
+
+
 def _surviving_vector_entries(monkeypatch):
     """(level, vector name, n) for each entry of ``COEFF_TABLES`` that can be
     raised by 1 with qtilde_via_coefficients(n, p, level, .) unchanged on
-    every grid draw."""
-    draws = list(_grid_draws())
+    every draw."""
+    draws = list(_kummer_draws())
     survivors = []
     for level, vectors in COEFF_TABLES.items():
         values = {n: [qtilde_via_coefficients(n, p, level, bset) for p, bset in draws]
@@ -348,15 +361,20 @@ def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 1009])
-def test_kummer_rows_take_the_grid_the_constant_guard_assumes(p):
-    # the grid draws above stand for exactly these rows
-    from wilsonq.harness import PrimeRun, _check_kummer
+def test_kummer_rows_take_the_windows_the_constant_guard_assumes(p):
+    # the draws above stand for exactly the rows on the set's families: the
+    # i-fold difference from b_d(1), index p-1-d, mod p^i for i below the
+    # family's length; every other row is a sampled start
+    from wilsonq.harness import KUMMER_MAX_ORDER, KUMMER_SAMPLE, PrimeRun, _check_kummer
 
     rows = {case: lhs for case, lhs, _ in _check_kummer(PrimeRun(p))}
-    for r in (1, 2, 3):
-        for k in (1, 2, 3):
-            lhs = rows[f"r={r}-n={k * (p - 1)}"]
-            assert lhs.value == 0 and lhs.precision == r, (r, k)
+    families = {f"r={i}-n={p - 1 - d}": i for (n, d), r in set_spec(depths(p)[-1]).items()
+                if n == 1 for i in range(1, r)}
+    sampled = {f"r={r}-n={n}" for n in KUMMER_SAMPLE for r in range(1, KUMMER_MAX_ORDER + 1)
+               if kummer_admissible(p, r, n)}
+    assert set(rows) == set(families) | sampled
+    for case, i in families.items():
+        assert rows[case].value == 0 and rows[case].precision == i, case
 
 
 def test_mod_p_coefficient_forms():

@@ -562,7 +562,7 @@ def test_every_divided_set_row_can_fail():
     assert flagged == same_polynomial | n1 | {
         (("lemmas", "n=5-mod-p^5-unreduced-lead"), ("props", "n=5-mod-p^5"))}
     for p, ever in failed.items():
-        assert len(ever) == 51  # 50 rows on the divided set and psi's one
+        assert len(ever) == 48  # 47 rows on the divided set and psi's one
         assert [key for key, fails in ever.items() if not fails] == [], p
 
 
@@ -615,11 +615,15 @@ def test_one_factorial_per_prime(monkeypatch):
 
 def test_kummer_sums_each_index_once(monkeypatch):
     # every index the windows read costs one power sum, and the column
-    # passes fill them: at p = 101 the kummer check alone makes one pass per
-    # sampled column pair (the start's column two below, whose v^2 fold
-    # holds the start's own), one at the column 0 of the grid windows and
-    # one above the block, each on a column table of its own next to the
-    # v^(p-1) table of the block
+    # passes fill them: at p = 101 the kummer check alone makes one pass at
+    # the column p-5 of the b4 family, whose v^2 fold holds the b2 family's
+    # column p-3, one at the column 0 of the b family (its fold holds the
+    # column 2), one above the block for 6(p-1), and one per sampled start
+    # whose column is not yet held (the column two below, whose fold holds
+    # the start's own, or the start's own where the column below is held),
+    # each on a column table of its own next to the v^(p-1) table of the
+    # block.  The b window of order 5 reads 5(p-1) and 6(p-1) at g = 6, so
+    # their recursions reach 496 and 596 too.
     calls, tables, passes = [], [], []
     direct_sum, direct_pass = BernoulliEngine.power_sum, BernoulliEngine._column_pass
     direct_table = bernoulli.power_table
@@ -641,9 +645,9 @@ def test_kummer_sums_each_index_once(monkeypatch):
     monkeypatch.setattr(bernoulli, "power_table", counted_table)
     rows = check_prime(101, RunConfig(pmin=101, pmax=101, checks=frozenset(["kummer"])))
     assert rows and all(r.passed for r in rows)
-    assert len(calls) == len(set(calls)) == 85
-    assert passes == [2, 8, 14, 20, 32, 48, 96, 124, 154, 176, 200, 600]
-    assert tables == [100, 2, 8, 14, 20, 32, 48, 96, 24, 54, 76, 0, 600]
+    assert len(calls) == len(set(calls)) == 87
+    assert passes == [96, 100, 600, 4, 8, 14, 20, 32, 48, 124, 154, 176]
+    assert tables == [100, 96, 0, 600, 4, 8, 14, 20, 32, 48, 24, 54, 76]
 
 
 def test_kummer_differences_evaluate_each_index_once(monkeypatch):
@@ -657,15 +661,27 @@ def test_kummer_differences_evaluate_each_index_once(monkeypatch):
 
     monkeypatch.setattr(bernoulli, "bnpd", counted)
     p, h = 101, 100
-    starts = harness.KUMMER_SAMPLE + (h, 2 * h, 3 * h)
-    found = bernoulli.kummer_differences(p, BernoulliEngine(p), starts, 3)
+    # the sampled windows, and the families from b(1), b2(1), b4(1) at depth 6
+    windows = [(n, 3) for n in harness.KUMMER_SAMPLE] + [(h, 5), (h - 2, 3), (h - 4, 1)]
+    found = bernoulli.kummer_differences(p, BernoulliEngine(p), windows)
     reads = {}
     for r, n, value in found:
         assert value.value == 0 and value.precision == r, (r, n)
         for index in range(n, n + r * h + 1, h):
             reads[index] = max(reads.get(index, 0), r)
-    assert len(calls) == len(reads) == 46
+    assert len(calls) == len(reads) == 48
     assert dict(calls) == reads
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 101, 103])
+def test_kummer_rows_are_each_one_case(p):
+    # at each of these primes a sampled start is also the first index of a
+    # family of the divided set, and the window they share is one row per r
+    run = PrimeRun(p)
+    firsts = {p - 1 - d for (n, d) in set_spec(run.levels[-1]) if n == 1}
+    assert firsts & set(harness.KUMMER_SAMPLE), p
+    cases = [case for case, _, _ in harness._check_kummer(run)]
+    assert len(cases) == len(set(cases)), p
 
 
 @pytest.mark.parametrize("fault", ["none", "top", "every", 3, 4, 5])
@@ -712,7 +728,12 @@ def test_kummer_scan_script_runs_clean():
     # index 686 = 2 * 7^3 needs the working precision g = 7, not below p
     ("--primes", "7", "--nmax", "700", "--rmax", "3"),
     ("--primes", "5", "--nmax", "20", "--rmax", "5"),
-], ids=["not-prime", "index-686", "order-5-at-p-5"])
+    # each of these would check nothing and still report zero failures
+    ("--rmax", "0"),
+    ("--rmax", "-2"),
+    ("--nmax", "1"),
+], ids=["not-prime", "index-686", "order-5-at-p-5", "order-0", "order-negative",
+        "no-even-index"])
 def test_kummer_scan_script_refuses_bad_input(args):
     root = Path(__file__).resolve().parent.parent
     done = subprocess.run([sys.executable, "scripts/kummer_scan.py", *args],
