@@ -16,7 +16,9 @@ modulus.
 One display reads no divided set: ``PTILDE``, the Wilson quotient through
 the scaled Fermat-quotient power sums Q~_n = (p^(n-1)/n) Q_p(n), whose
 builders take the sums as integer representatives after ``t`` (there ``t``
-only supplies ``t.p`` and ``t.F``).
+only supplies ``t.p`` and ``t.F``); the caller hands in the sums, and this
+module imports nothing from ``oracles``.  The coefficient-vector route,
+:func:`qtilde_via_coefficients`, evaluates the printed vectors directly.
 
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
@@ -29,7 +31,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bernoulli import MIN_P, DividedSet, forward_difference
-from .oracles import qtilde_sums
 from .residues import Residue, make_modulus, ratio_mod
 
 F = Fraction
@@ -324,15 +325,13 @@ def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Res
     vector's n-th entry against b2(j) or b4(j), as ``_VEC_BLOCKS[level]``
     places it (zero entries read nothing)."""
     _check_level(n, p, level)
-    vectors = COEFF_TABLES[level]
-    blocks: list[tuple[int, _Display]] = [
-        (0, lambda t: (t.p - 1) * forward_difference(t.b, 1, n - 1, start=1))]
+    terms = [(0, (p - 1) * forward_difference(_Acc(p, bset, level).b, 1, n - 1, start=1))]
     for t_pow, row in _VEC_BLOCKS[level].items():
-        terms = [(c, d, j) for name, d, j in row if (c := vectors[name][n - 1])]
-        blocks.append((t_pow, lambda t, terms=terms: t.F(1, n) * sum(
+        t = _Acc(p, bset, level - t_pow)
+        terms.append((t_pow, t.F(1, n) * sum(
             t.F(c.numerator, c.denominator) * (t.b2(j) if d == 2 else t.b4(j))
-            for c, d, j in terms)))
-    return _eval_blocks(blocks, p, bset, level)
+            for name, d, j in row if (c := COEFF_TABLES[level][name][n - 1]))))
+    return _lift(terms, p, level)
 
 
 # -- Wilson quotient through power sums ---------------------------------------
@@ -367,15 +366,14 @@ PTILDE: dict[int, Callable[..., int]] = {
 }
 
 
-def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...] | None = None) -> Residue:
+def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...]) -> Residue:
     """W_p mod p^r as the sum of the ``PTILDE`` members evaluated at the
     directly computed scaled power sums ``sums``, Q~_1.. mod p^R for some
-    R >= r; needs odd p > r.  Without ``sums`` they are taken once, here."""
+    R >= r, which the caller takes from the oracle; needs odd p > r."""
     if not 1 <= r <= len(PTILDE):
         raise ValueError(f"need 1 <= r <= {len(PTILDE)}, got {r}")
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
-    sums = qtilde_sums(p, r) if sums is None else sums
     if len(sums) < r:
         raise ValueError(f"need {r} power sums, got {len(sums)}")
     if sums[0].p != p:

@@ -2,10 +2,8 @@
 
 Every guard over the displays reads this list, and
 ``tests/test_formulas.py::test_every_lambda_is_a_listed_display`` holds that
-each lambda of the module is the code of some entry (the two blocks that
-``qtilde_via_coefficients`` builds per call from the printed vectors aside).
-A display in a table this list does not read fails that test instead of
-escaping every guard.
+each lambda of the module is the code of some entry.  A display in a table
+this list does not read fails that test instead of escaping every guard.
 
 Each entry is (name, precision, display): the display is read at the
 precision its evaluator states, so a value mod p^precision is all it claims.

@@ -171,29 +171,12 @@ def test_wilson_from_power_sums_examples():
     from reference_routes import q_power_sum
 
     for p in (5, 7, 11):
-        assert wilson_from_power_sums(p, 1) == q_power_sum(1, p, 1)
-        assert wilson_from_power_sums(p, 1) == wilson_quotient(p, 1).quotient
-    assert wilson_from_power_sums(7, 5) == wilson_quotient(7, 5).quotient
-    assert wilson_from_power_sums(11, 6) == wilson_quotient(11, 6).quotient
-    with pytest.raises(ValueError):
-        wilson_from_power_sums(5, 5)
-
-
-def test_wilson_from_power_sums_reads_the_sums_once(monkeypatch):
-    # without sums, Q~_1..Q~_r is one pass, not one per expansion polynomial
-    from wilsonq import oracles
-
-    calls = []
-    real = oracles.qtilde_sums
-
-    def counting(p, r):
-        calls.append((p, r))
-        return real(p, r)
-
-    monkeypatch.setattr(oracles, "qtilde_sums", counting)
-    monkeypatch.setattr(formulas, "qtilde_sums", counting, raising=False)
-    assert wilson_from_power_sums(11, 6) == wilson_quotient(11, 6).quotient
-    assert calls == [(11, 6)]
+        assert wilson_from_power_sums(p, 1, qtilde_sums(p, 1)) == q_power_sum(1, p, 1)
+        assert wilson_from_power_sums(p, 1, qtilde_sums(p, 1)) == wilson_quotient(p, 1).quotient
+    assert wilson_from_power_sums(7, 5, qtilde_sums(7, 5)) == wilson_quotient(7, 5).quotient
+    assert wilson_from_power_sums(11, 6, qtilde_sums(11, 6)) == wilson_quotient(11, 6).quotient
+    with pytest.raises(ValueError, match=r"^need odd p > r, got p=5, r=5$"):
+        wilson_from_power_sums(5, 5, ())
 
 
 def test_zero_expressions_vanish():
@@ -537,20 +520,15 @@ def test_block_counts_only_mod_its_precision(monkeypatch):
 
 def test_every_lambda_is_a_listed_display():
     # a display in a table that tests/displays.py does not read would escape
-    # every guard; the only other lambdas are the two blocks
-    # qtilde_via_coefficients builds per call from the printed vectors
-    source, start = inspect.getsourcelines(qtilde_via_coefficients)
-    per_call = range(start, start + len(source))
-    lambdas = [node for nodes in _lambdas_by_line(inspect.getsourcefile(formulas)).values()
-               for node in nodes]
-    assert len([node for node in lambdas if node.lineno in per_call]) == 2
-    assert {node for node in lambdas if node.lineno not in per_call} \
-        == {_lambda_node(display) for _, _, display in displays()}
+    # every guard, and no evaluator builds a display per call
+    lambdas = {node for nodes in _lambdas_by_line(inspect.getsourcefile(formulas)).values()
+               for node in nodes}
+    assert lambdas == {_lambda_node(display) for _, _, display in displays()}
 
 
 def test_displays_stay_on_the_integer_path():
-    # every display and the blocks qtilde_via_coefficients builds from the
-    # printed vectors take rationals from t.F, never from the module-level
+    # every display, and qtilde_via_coefficients, which evaluates the printed
+    # vectors directly, take rationals from t.F, never from the module-level
     # Fraction
     builder = ast.parse(inspect.getsource(qtilde_via_coefficients))
     scanned = [builder, *(_lambda_node(display) for _, _, display in displays())]
@@ -598,13 +576,38 @@ def test_state_for_another_prime_is_refused():
             call()
 
 
+def _package_imports(module):
+    """The modules of the package that ``module`` imports, which the package
+    always does relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_the_two_sides_meet_only_in_the_harness():
+    # the brute-force side (oracles) and the closed forms (formulas, over the
+    # Bernoulli engine) read nothing of each other: the harness hands the
+    # oracle's sums to wilson_from_power_sums.  Both share residues, whose
+    # power_table test_shared_power_table_fault_is_seen covers
+    from wilsonq import bernoulli, oracles
+
+    assert {module.__name__: _package_imports(module)
+            for module in (oracles, bernoulli, formulas)} == {
+        "wilsonq.oracles": {"residues"},
+        "wilsonq.bernoulli": {"residues"},
+        "wilsonq.formulas": {"bernoulli", "residues"},
+    }
+
+
 def test_power_sum_display_covers_the_top_precision():
     # PrimeRun.top is at most max(MIN_P), and psi evaluates PTILDE at run.top
     assert len(PTILDE) == max(MIN_P)
     for r in (0, len(PTILDE) + 1):
         with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {r}$"):
-            wilson_from_power_sums(13, r)
-    # fewer sums than r are refused; only None means "not given"
+            wilson_from_power_sums(13, r, qtilde_sums(13, 6))
+    # fewer sums than r are refused
     for sums in (qtilde_sums(13, 3)[:1], ()):
         with pytest.raises(ValueError, match=rf"^need 2 power sums, got {len(sums)}$"):
             wilson_from_power_sums(13, 2, sums)

@@ -256,6 +256,22 @@ def test_worker_count_independence(monkeypatch):
     _no_child_left()
 
 
+def test_tag_selection_changes_no_row():
+    # each tag alone gives exactly its rows of the all-tag run, and so do two
+    # tags together, in CHECKS order; kummer asks the engine for fewer digits
+    # than the divided set that table3 and zero-exprs then build, so with
+    # these pairs the engine's precision rises in the middle of a prime
+    primes = enumerate_primes(2, 120)
+
+    def rows(tags):
+        cfg = RunConfig(2, 120, frozenset(tags))
+        return [row._replace(elapsed=0.0) for p in primes for row in check_prime(p, cfg)]
+
+    every = rows(CHECK_TAGS)
+    for tags in (*([tag] for tag in CHECK_TAGS), ["kummer", "table3"], ["kummer", "zero-exprs"]):
+        assert rows(tags) == [row for row in every if row.tag in tags], tags
+
+
 def test_repeat_run_byte_identical():
     cfg = RunConfig(pmin=7, pmax=40, checks=frozenset(["thm1", "table3"]), fmt="csv")
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -491,7 +507,7 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
     calls = []
     direct = formulas.wilson_from_power_sums
 
-    def counted(p, r, sums=None):
+    def counted(p, r, sums):
         calls.append((p, r))
         return direct(p, r, sums)
 
