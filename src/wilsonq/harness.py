@@ -101,17 +101,12 @@ class PrimeRun:
 
 
 def _expansion(run: PrimeRun, depth: int) -> list[Row]:
-    """Factorial expansion at the given depth versus the direct factorial
-    (which fixes W_p mod p^depth) and, where the prime supports the depth
-    below, each shared coefficient against that ladder's."""
-    omega = run.omega(depth)
-    rows = [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
-             omega.factorial_form())]
-    if depth - 1 in run.levels:
-        lower = run.omega(depth - 1)
-        rows += [(f"reduces-to-depth{depth - 1}-w{nu}", omega.omegas[nu].reduce_to(depth - nu),
-                  lower.omegas[nu]) for nu in range(1, depth)]
-    return rows
+    """Factorial expansion at the given depth versus the direct factorial,
+    which fixes W_p mod p^depth.  That each coefficient the ladder shares
+    with the depth below agrees with it follows from the kummer rows, as
+    the tests certify, so it has no row."""
+    return [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
+             run.omega(depth).factorial_form())]
 
 
 def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
@@ -150,8 +145,8 @@ def _check_zero_exprs(run: PrimeRun) -> list[Row]:
 
 def _check_table3(run: PrimeRun) -> list[Row]:
     # nu = 1..4: omega_0 is the constant -1, each ladder's top coefficient is
-    # stated mod p by its own display, and the depth-6 omega_5 mod p is thm2's
-    # reduces-to-depth5-w5 row, which the omega5-reduction rows split by group.
+    # stated mod p by its own display, and the depth-6 omega_5 mod p is the
+    # sum of the groups the omega5-reduction rows compare with depth 5's.
     rows = []
     for depth in run.levels:
         rows += [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),

@@ -38,6 +38,36 @@ def divided_set_displays() -> Iterator[Entry]:
         yield f"ZERO_EXPRESSIONS[{name}]", r, display
 
 
+#: (name, depth, precision, lhs, rhs): lhs - rhs, or lhs alone where rhs is
+#: None, vanishes mod p^precision at every prime of that depth and above.
+Relation = tuple[str, int, int, Callable[..., int], Callable[..., int] | None]
+
+
+def kummer_relations() -> Iterator[Relation]:
+    """Every relation among the divided-set displays that follows from the
+    Kummer congruences on the set's families alone, at the lower of its
+    sides' stated precisions: each zero expression against 0 at the depth-5
+    set, each depth-6 omega_nu against the depth-5 one, each ladder's
+    omega_1..omega_4 against its mod-p form, and each depth-6 term group of
+    omega_5 against the depth-5 group of its name."""
+    entries = {name: (prec, display) for name, prec, display in divided_set_displays()}
+
+    def pair(lhs: str, rhs: str, depth: int) -> Relation:
+        (lhs_prec, lhs_display), (rhs_prec, rhs_display) = entries[lhs], entries[rhs]
+        return f"{lhs} - {rhs}", depth, min(lhs_prec, rhs_prec), lhs_display, rhs_display
+
+    for name, (prec, display) in entries.items():
+        if name.startswith("ZERO_EXPRESSIONS["):
+            yield name, 5, prec, display, None
+    for nu in range(1, 6):
+        yield pair(f"_OMEGA[6][{nu}]", f"_OMEGA[5][{nu}]", 6)
+    for depth in (5, 6):
+        for nu in formulas._OMEGA_MOD_P:
+            yield pair(f"_OMEGA[{depth}][{nu}]", f"_OMEGA_MOD_P[{nu}]", depth)
+    for group in formulas._OMEGA5_TERMS[6]:
+        yield pair(f"_OMEGA5_TERMS[6][{group}]", f"_OMEGA5_TERMS[5][{group}]", 6)
+
+
 def displays() -> Iterator[Entry]:
     """Every display: those over a divided set, then the members of
     ``PTILDE``, which read the scaled power sums at len(PTILDE) digits."""

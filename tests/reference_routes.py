@@ -8,10 +8,14 @@
   by direct summation, the reference for the Bernoulli engine's tables;
 * :func:`binom_diff_mod_p` and :func:`q_power_sum_via_differences` - the
   operator form of the Fermat-quotient power sums, by forward differences;
-* :class:`MultiPoly` - exact polynomials in p and x_1..x_6, and
-  :func:`symbolic`, which reads a display builder as one;
+* :class:`MultiPoly` - exact polynomials in p and named variables, and
+  :func:`symbolic`, which reads a display builder as one in the scaled power
+  sums x_k;
 * :func:`generated_ptilde` - the PTILDE display derived afresh from the
-  p-adic log, and :func:`ptilde_mismatches` against a transcription.
+  p-adic log, and :func:`ptilde_mismatches` against a transcription;
+* :func:`kummer_certificate` - which reads divided-set displays as
+  polynomials in the Newton coefficients of their families, and holds that
+  the Kummer congruences on those families imply a relation between them.
 """
 from __future__ import annotations
 
@@ -112,13 +116,25 @@ def q_power_sum_via_differences(n: int, p: int, r: int) -> Residue:
     return Residue(divide_exactly(diff, p, n - 1), make_modulus(p, r))
 
 
+#: The scaled power sums x_1..x_NVARS that PTILDE reads.
 NVARS = 6
 
-# term key: (exponent of p, (e1, ..., e6)).
-Key = tuple[int, tuple[int, ...]]
+# term key: (exponent of p, ((name, exponent), ...)), the names sorted and
+# each exponent positive, so a monomial lists only the variables it holds.
+Monomial = tuple[tuple[str, int], ...]
+Key = tuple[int, Monomial]
+
+
+def _times(a: Monomial, b: Monomial) -> Monomial:
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 class MultiPoly:
+    """Exact polynomials in p and sparse named variables."""
+
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Key, Fraction] | None = None):
@@ -126,19 +142,22 @@ class MultiPoly:
 
     @classmethod
     def const(cls, q) -> "MultiPoly":
-        return cls({(0, (0,) * NVARS): Fraction(q)})
+        return cls({(0, ()): Fraction(q)})
+
+    @classmethod
+    def named(cls, name: str) -> "MultiPoly":
+        return cls({(0, ((name, 1),)): Fraction(1)})
 
     @classmethod
     def var(cls, i: int) -> "MultiPoly":
+        """The scaled power sum x_i, named ``x<i>``."""
         if not 1 <= i <= NVARS:
             raise ValueError(f"variable index out of range: {i}")
-        exps = [0] * NVARS
-        exps[i - 1] = 1
-        return cls({(0, tuple(exps)): Fraction(1)})
+        return cls.named(f"x{i}")
 
     @classmethod
     def p_var(cls) -> "MultiPoly":
-        return cls({(1, (0,) * NVARS): Fraction(1)})
+        return cls({(1, ()): Fraction(1)})
 
     def _coerce(self, other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
@@ -177,7 +196,7 @@ class MultiPoly:
         out: dict[Key, Fraction] = {}
         for (pa, ea), va in self.terms.items():
             for (pb, eb), vb in other.terms.items():
-                key = (pa + pb, tuple(x + y for x, y in zip(ea, eb)))
+                key = (pa + pb, _times(ea, eb))
                 out[key] = out.get(key, Fraction(0)) + va * vb
         return MultiPoly(out)
 
@@ -206,7 +225,7 @@ class MultiPoly:
         bits = []
         for (pe, exps), coeff in sorted(self.terms.items()):
             mono = [f"p^{pe}"] if pe else []
-            mono += [f"x{i + 1}^{e}" for i, e in enumerate(exps) if e]
+            mono += [f"{name}^{e}" for name, e in exps]
             bits.append(f"{coeff}*" + "*".join(mono) if mono else f"{coeff}")
         return "MultiPoly(" + " + ".join(bits) + ")"
 
@@ -226,10 +245,77 @@ def symbolic(display: Callable[..., int]) -> MultiPoly:
     return display(_Symbols, *(MultiPoly.var(k) for k in range(1, nargs + 1)))
 
 
+def _newton(d: int, j: int) -> MultiPoly:
+    """b_d(j), the divided value at index j(p-1) - d, in Newton form
+    sum_{i<j} C(j-1, i) p^i y_{d,i}: p^i y_{d,i} is the i-fold forward
+    difference (step p-1) of the family from b_d(1), named ``y<d>_<i>``."""
+    return MultiPoly({(i, ((f"y{d}_{i}", 1),)): Fraction(comb(j - 1, i)) for i in range(j)})
+
+
+class _Newton:
+    """The accessor a divided-set display reads in :func:`kummer_certificate`,
+    which reads it as a polynomial in p and the y_{d,i}."""
+
+    p = MultiPoly.p_var()
+    F = Fraction
+
+    @staticmethod
+    def b(n: int) -> MultiPoly:
+        return _newton(0, n)
+
+    @staticmethod
+    def b2(n: int) -> MultiPoly:
+        return _newton(2, n)
+
+    @staticmethod
+    def b4(n: int) -> MultiPoly:
+        return _newton(4, n)
+
+
+def _is_unit_from_7(q: Fraction) -> bool:
+    """Whether q's denominator has no prime factor >= 7, so q is p-integral
+    at every prime from 7."""
+    den = q.denominator
+    for small in (2, 3, 5):
+        while den % small == 0:
+            den //= small
+    return den == 1
+
+
+def kummer_certificate(relations, windows: dict[int, set[tuple[int, int]]]) -> dict[str, str]:
+    """name -> the first reason, for each relation (name, depth, precision,
+    lhs, rhs) that the Kummer congruences on the families do not imply.
+    With each family in Newton form (:func:`_newton`), lhs - rhs (rhs None
+    for 0) must carry p^precision in every monomial, have coefficients
+    p-integral from p = 7, and read y_{d,i} only for (d, i) in
+    ``windows[depth]``: i = 0, where y_{d,0} is the value b_d(1), or an
+    order whose difference the kummer rows claim vanishes mod p^i at that
+    depth.  Then lhs == rhs mod p^precision at every prime whose kummer rows
+    pass, since each y_{d,i} it reads is p-integral there.  Empty when every
+    relation is implied."""
+    failures = {}
+    for name, depth, precision, lhs, rhs in relations:
+        diff = lhs(_Newton) - (rhs(_Newton) if rhs else 0)
+        for (pe, exps), coeff in sorted(diff.terms.items()):
+            monomial = MultiPoly({(pe, exps): coeff})
+            outside = [v for v, _ in exps
+                       if tuple(map(int, v[1:].split("_"))) not in windows[depth]]
+            if pe < precision:
+                failures[name] = f"{monomial} lies below p^{precision}"
+            elif not _is_unit_from_7(coeff):
+                failures[name] = f"{monomial} is not p-integral at every prime from 7"
+            elif outside:
+                failures[name] = f"{monomial} reads {outside} outside the kummer windows"
+            else:
+                continue
+            break
+    return failures
+
+
 def _weight(key) -> int:
     """A monomial's weight: p counts 1, x_k counts k-1."""
     pe, exps = key
-    return pe + sum(k * e for k, e in enumerate(exps))
+    return pe + sum((int(name[1:]) - 1) * e for name, e in exps)
 
 
 def generated_ptilde() -> dict[int, MultiPoly]:

@@ -64,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ddd21f841367fc84e50e69a30875e800034db16e4f1511a4fca1e23510a79d79")
+        "16d82e1f1dd5f242fd89e69820a5344699e39f3d368df3d5c95d9fff13c54ca8")
 
 
 def test_verify_usage_errors():

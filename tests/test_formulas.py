@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from displays import displays, divided_set_displays
-from reference_routes import binom_diff_mod_p
+from displays import displays, divided_set_displays, kummer_relations
+from reference_routes import binom_diff_mod_p, kummer_certificate
 from wilsonq import formulas
 from wilsonq.bernoulli import MIN_P, depths, divided_set, kummer_admissible, set_spec
 from wilsonq.formulas import (
@@ -360,6 +360,71 @@ def test_kummer_rows_take_the_windows_the_constant_guard_assumes(p):
         assert rows[case].value == 0 and rows[case].precision == i, case
 
 
+# -- the relations Kummer's congruences imply ----------------------------------
+#
+# Written in Newton form b_d(j) = sum_{i<j} C(j-1, i) p^i y_{d,i}, a relation
+# between displays with no monomial below its precision holds at every prime
+# whose kummer rows pass, so it needs no row of its own.
+
+
+def _kummer_windows(depth):
+    """(d, i) for each family d of the depth's set and each i below its
+    length that is 0 or an order whose row r=i-n=(p-1-d) the kummer check
+    takes, at the smallest prime of the depth (whose top depth it is)."""
+    from wilsonq.harness import PrimeRun, _check_kummer
+
+    p = MIN_P[depth]
+    cases = {case for case, _, _ in _check_kummer(PrimeRun(p))}
+    return {(d, i) for (n, d), r in set_spec(depth).items() if n == 1 for i in range(r)
+            if i == 0 or f"r={i}-n={p - 1 - d}" in cases}
+
+
+def _certificate():
+    return kummer_certificate(kummer_relations(), {depth: _kummer_windows(depth) for depth in MIN_P})
+
+
+def test_kummer_rows_imply_every_listed_relation():
+    # 6 zero expressions, 5 omega_nu across depths, 8 mod-p forms and 3
+    # term-group pairs; no row compares an omega_nu across depths, so this
+    # certificate is where the two ladders are held to each other
+    relations = list(kummer_relations())
+    assert len(relations) == 22
+    assert len({name for name, *_ in relations}) == 22
+    assert _certificate() == {}
+
+
+def test_certificate_needs_each_window_and_unit_denominators():
+    # without the order-5 row on b, only the relations that read b(6) fail;
+    # a 7 in a denominator is no unit at p = 7
+    windows = {depth: _kummer_windows(depth) for depth in MIN_P}
+    narrowed = {**windows, 6: windows[6] - {(0, 5)}}
+    assert sorted(kummer_certificate(kummer_relations(), narrowed)) == [
+        "_OMEGA[6][1] - _OMEGA[5][1]", "_OMEGA[6][1] - _OMEGA_MOD_P[1]"]
+    sevenths = ("sevenths", 5, 1, lambda t: t.F(1, 7) * t.p * t.b(1), None)
+    assert list(kummer_certificate([sevenths], windows)) == ["sevenths"]
+
+
+def test_certificate_names_a_perturbed_ladder_coefficient(monkeypatch):
+    # b(1) b(2) = y_{0,0}^2 + p y_{0,0} y_{0,1} has a monomial without p, so
+    # both relations that read the depth-6 omega_2 fail, and no other
+    display = formulas._OMEGA[6][2]
+    monkeypatch.setitem(formulas._OMEGA[6], 2, lambda t: display(t) + t.b(1) * t.b(2))
+    assert sorted(_certificate()) == ["_OMEGA[6][2] - _OMEGA[5][2]",
+                                      "_OMEGA[6][2] - _OMEGA_MOD_P[2]"]
+
+
+def test_certificate_names_a_raised_zero_expression_constant(monkeypatch):
+    # each constant of w31-raw, raised by 1 alone, fails that relation alone
+    entries = formulas.ZERO_EXPRESSIONS
+    [(at, (name, r, display))] = [(k, e) for k, e in enumerate(entries) if e[0] == "w31-raw"]
+    variants = list(_bumped(display))
+    assert variants
+    for line, const, variant in variants:
+        monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS",
+                            (*entries[:at], (name, r, variant), *entries[at + 1:]))
+        assert list(_certificate()) == ["ZERO_EXPRESSIONS[w31-raw]"], (line, const)
+
+
 def test_mod_p_coefficient_forms():
     # omega_1..omega_4 at each depth; omega_0 is -1 in every ladder
     for p in (7, 11, 13):
@@ -409,13 +474,12 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
 def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
     # omega_5 is transcribed once, as term groups: a depth-5 group off by 1
     # (not set to a value: b4(1) is 0 mod 37) must fail the depth-5
-    # factorial, the depth-6 omega_5 against the depth-5 omega_5, and the
-    # group's own reduction row, at every prime
+    # factorial and the group's own reduction row at every prime, and the
+    # certificate's relation between the group's two depths
     from wilsonq.harness import RunConfig, check_prime, enumerate_primes
 
-    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1", "thm2", "table3"]))
-    watched = {("thm1", "factorial-mod-p^6"), ("thm2", "reduces-to-depth5-w5"),
-               ("table3", f"omega5-reduction-{name}")}
+    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1", "table3"]))
+    watched = {("thm1", "factorial-mod-p^6"), ("table3", f"omega5-reduction-{name}")}
     primes = enumerate_primes(11, 43)
     for p in primes:
         rows = {(r.tag, r.case): r.passed for r in check_prime(p, cfg)}
@@ -425,6 +489,7 @@ def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
     for p in primes:
         failed = {(r.tag, r.case) for r in check_prime(p, cfg) if not r.passed}
         assert watched <= failed, (p, watched - failed)
+    assert f"_OMEGA5_TERMS[6][{name}] - _OMEGA5_TERMS[5][{name}]" in _certificate()
 
 
 def test_corrupted_unreduced_lead_is_detected(monkeypatch):

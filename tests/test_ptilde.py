@@ -16,7 +16,10 @@ def test_multipoly_algebra():
     assert (x1 - x1) == MultiPoly()
     assert (F(1, 2) * x1 + F(1, 2) * x1) == x1
     p = MultiPoly.p_var()
-    assert (p * x1).terms == {(1, (1, 0, 0, 0, 0, 0)): F(1)}
+    assert (p * x1).terms == {(1, (("x1", 1),)): F(1)}
+    # a monomial lists only its variables, by name
+    y = MultiPoly.named("y0_1")
+    assert (y * x1 * p * y).terms == {(1, (("x1", 1), ("y0_1", 2))): F(1)}
 
 
 def test_second_family_matches_manual_form():
@@ -41,7 +44,7 @@ def test_log_expansion_names_a_corrupted_coefficient():
     # the check names nu = 3 and that monomial, and nothing else
     family = dict(PTILDE)
     family[3] = lambda t, x1, x2, x3: PTILDE[3](t, x1, x2, x3) + t.p * x1 * x2
-    assert ptilde_mismatches(family) == {3: MultiPoly({(1, (1, 1, 0, 0, 0, 0)): F(1)})}
+    assert ptilde_mismatches(family) == {3: MultiPoly({(1, (("x1", 1), ("x2", 1))): F(1)})}
 
 
 def test_every_ptilde_coefficient_matters(monkeypatch):
@@ -60,7 +63,7 @@ def test_every_ptilde_coefficient_matters(monkeypatch):
     for nu, build in list(PTILDE.items()):
         for pe, exps in symbolic(build).terms:
             def mutant(t, *xs, build=build, pe=pe, exps=exps):
-                return build(t, *xs) + t.p**pe * prod(x**e for x, e in zip(xs, exps))
+                return build(t, *xs) + t.p**pe * prod(xs[int(x[1:]) - 1] ** e for x, e in exps)
             monkeypatch.setitem(formulas.PTILDE, nu, mutant)
             if not failed():
                 survivors.append((nu, pe, exps))
