@@ -3,10 +3,11 @@
 
 For each prime and difference order r, walks every admissible even index up
 to a bound and confirms the r-fold forward difference (step p-1) vanishes
-modulo p^r.  Denser than the sampled harness check; useful for poking at
-larger index ranges.  Input that checks nothing (an order below 1, or no
-even index from 2 to --nmax) or that the engine refuses (a non-prime, or an
-index whose working precision reaches p) exits 2 with one ``error:`` line.
+modulo p^r.  The harness check takes only the divided set's own families;
+this reaches every start, for poking at larger index ranges.  Input that
+checks nothing (an order below 1, or no even index from 2 to --nmax) or that
+the engine refuses (a non-prime, or an index whose working precision reaches
+p) exits 2 with one ``error:`` line.
 
     python scripts/kummer_scan.py --primes 7 11 13 17 19 --nmax 400 --rmax 3
 """

@@ -395,9 +395,6 @@ ZERO_EXPRESSIONS: tuple[tuple[str, int, _Display], ...] = (
                 + t.b(2) * t.b(3)
                 + t.b(1) * (t.F(5, 2) * t.b(1) ** 2 - 5 * t.b(1) * t.b(2)
                             + t.b(1) * t.b(3) + t.F(3, 2) * t.b(2) ** 2))),
-    ("d1-times-d4", 5,
-     lambda t: (t.b(1) - t.b(2)) * (t.b(1) - 4 * t.b(2) + 6 * t.b(3)
-                                    - 4 * t.b(4) + t.b(5))),
     ("w31-raw", 4,
      lambda t: (t.b(1) * (4 * t.b(1) - 16 * t.b(2) + 14 * t.b(3) - 6 * t.b(4) + t.b(5))
                 + t.b(2) * (10 * t.b(2) - 10 * t.b(3) + 2 * t.b(4)) + t.b(3) ** 2)),
@@ -444,14 +441,3 @@ def omega_mod_p_rhs(nu: int, p: int, bset: DividedSet) -> Residue:
         raise ValueError(f"no mod-p form for index {nu}")
     return _residue(_OMEGA_MOD_P[nu](_Acc(p, bset, 1)), p, 1)
 
-
-def omega_reduction_rows(p: int, bset: DividedSet,
-                         depth: int) -> list[tuple[str, Residue, Residue]]:
-    """The term groups of omega_5 at ``depth`` next to the groups of the same
-    names one depth below, both mod p; none unless ``_OMEGA5_TERMS`` holds
-    both depths."""
-    if depth - 1 not in _OMEGA5_TERMS:
-        return []
-    t, lower = _Acc(p, bset, 1), _OMEGA5_TERMS[depth - 1]
-    return [(name, _residue(group(t), p, 1), _residue(lower[name](t), p, 1))
-            for name, group in _OMEGA5_TERMS[depth].items()]

@@ -35,11 +35,6 @@ from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
                         kummer_differences, set_spec)
 from .residues import Residue, check_window, is_prime, split_p
 
-#: Even starts the kummer check samples at orders 1..KUMMER_MAX_ORDER, besides
-#: the divided set's own families.
-KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
-KUMMER_MAX_ORDER = 3
-
 #: What a check runner returns per case: (case, lhs, rhs), rhs 0 for a
 #: vanishing claim.
 Row = tuple[str, Residue, Residue | int]
@@ -131,12 +126,12 @@ def _check_psi(run: PrimeRun) -> list[Row]:
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:
-    """Kummer's congruences at the sampled starts, and on each family of the
-    divided set, n(p-1) - d for n = 1, 2, .., up to the top order it holds."""
+    """Kummer's congruences on each family of the divided set, n(p-1) - d for
+    n = 1, 2, .., up to the top order it holds: the premise of the relations
+    among the set's displays that the tests certify in place of rows."""
     families = [(run.p - 1 - d, r - 1) for (n, d), r in set_spec(run.levels[-1]).items() if n == 1]
-    windows = [(n, KUMMER_MAX_ORDER) for n in KUMMER_SAMPLE] + families
     return [(f"r={r}-n={n}", value, 0)
-            for r, n, value in kummer_differences(run.p, run.engine, windows)]
+            for r, n, value in kummer_differences(run.p, run.engine, families)]
 
 
 def _check_zero_exprs(run: PrimeRun) -> list[Row]:
@@ -144,16 +139,13 @@ def _check_zero_exprs(run: PrimeRun) -> list[Row]:
 
 
 def _check_table3(run: PrimeRun) -> list[Row]:
-    # nu = 1..4: omega_0 is the constant -1, each ladder's top coefficient is
-    # stated mod p by its own display, and the depth-6 omega_5 mod p is the
-    # sum of the groups the omega5-reduction rows compare with depth 5's.
-    rows = []
-    for depth in run.levels:
-        rows += [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
-                  formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, 5)]
-        rows += [(f"omega{depth - 1}-reduction-{name}", group, image) for name, group, image
-                 in formulas.omega_reduction_rows(run.p, run.bset, depth)]
-    return rows
+    # nu = 1..4: omega_0 is the constant -1, and each ladder's top coefficient
+    # is stated mod p by its own display.  That the depth-6 term groups of
+    # omega_5 agree mod p with depth 5's follows from the kummer rows, as the
+    # tests certify, so they have no row.
+    return [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
+             formulas.omega_mod_p_rhs(nu, run.p, run.bset))
+            for depth in run.levels for nu in range(1, 5)]
 
 
 #: (tag, smallest prime, runner) in canonical run order.  A runner that reads

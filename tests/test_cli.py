@@ -64,7 +64,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "16d82e1f1dd5f242fd89e69820a5344699e39f3d368df3d5c95d9fff13c54ca8")
+        "52ee8600a98fc1ae023a339899738de2f84636455423153838db57b4818a9911")
 
 
 def test_verify_usage_errors():

@@ -11,14 +11,13 @@ import pytest
 from displays import displays, divided_set_displays, kummer_relations
 from reference_routes import binom_diff_mod_p, kummer_certificate
 from wilsonq import formulas
-from wilsonq.bernoulli import MIN_P, depths, divided_set, kummer_admissible, set_spec
+from wilsonq.bernoulli import MIN_P, depths, divided_set, set_spec
 from wilsonq.formulas import (
     COEFF_TABLES,
     PTILDE,
     QTILDE_L5_N5_UNREDUCED,
     _QTILDE_MAIN,
     omega_mod_p_rhs,
-    omega_reduction_rows,
     omega_vector,
     qtilde_l5_n5_unreduced,
     qtilde_rhs,
@@ -343,21 +342,19 @@ def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
     assert _surviving_vector_entries(monkeypatch) == [(6, "eta", n) for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("p", [7, 11, 101, 1009])
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 101, 103, 1009])
 def test_kummer_rows_take_the_windows_the_constant_guard_assumes(p):
     # the draws above stand for exactly the rows on the set's families: the
     # i-fold difference from b_d(1), index p-1-d, mod p^i for i below the
-    # family's length; every other row is a sampled start
-    from wilsonq.harness import KUMMER_MAX_ORDER, KUMMER_SAMPLE, PrimeRun, _check_kummer
+    # family's length, each one row and no other
+    from wilsonq.harness import PrimeRun, _check_kummer
 
-    rows = {case: lhs for case, lhs, _ in _check_kummer(PrimeRun(p))}
+    rows = _check_kummer(PrimeRun(p))
     families = {f"r={i}-n={p - 1 - d}": i for (n, d), r in set_spec(depths(p)[-1]).items()
                 if n == 1 for i in range(1, r)}
-    sampled = {f"r={r}-n={n}" for n in KUMMER_SAMPLE for r in range(1, KUMMER_MAX_ORDER + 1)
-               if kummer_admissible(p, r, n)}
-    assert set(rows) == set(families) | sampled
-    for case, i in families.items():
-        assert rows[case].value == 0 and rows[case].precision == i, case
+    assert sorted(case for case, _, _ in rows) == sorted(families)
+    for case, lhs, _ in rows:
+        assert lhs.value == 0 and lhs.precision == families[case], case
 
 
 # -- the relations Kummer's congruences imply ----------------------------------
@@ -384,12 +381,13 @@ def _certificate():
 
 
 def test_kummer_rows_imply_every_listed_relation():
-    # 6 zero expressions, 5 omega_nu across depths, 8 mod-p forms and 3
-    # term-group pairs; no row compares an omega_nu across depths, so this
-    # certificate is where the two ladders are held to each other
+    # 5 zero expressions, 5 omega_nu across depths, 8 mod-p forms and 3
+    # term-group pairs; no row compares an omega_nu or a term group of
+    # omega_5 across depths, so this certificate is where the two ladders are
+    # held to each other
     relations = list(kummer_relations())
-    assert len(relations) == 22
-    assert len({name for name, *_ in relations}) == 22
+    assert len(relations) == 21
+    assert len({name for name, *_ in relations}) == 21
     assert _certificate() == {}
 
 
@@ -444,16 +442,6 @@ def test_mod_p_coefficient_forms():
             omega_mod_p_rhs(nu, 11, divided_set(11))
 
 
-def test_omega5_reduction_rows():
-    # the term groups of the depth-6 omega_5; depth 5 has none
-    for p in (11, 13, 17):
-        rows = omega_reduction_rows(p, divided_set(p), 6)
-        assert len(rows) == 3
-        for name, lhs, rhs in rows:
-            assert lhs == rhs, (p, name)
-        assert omega_reduction_rows(p, divided_set(p), 5) == []
-
-
 def test_corrupted_coefficient_is_detected(monkeypatch):
     # the verification must be able to fail: perturb one transcription entry
     # and watch the end-to-end comparison break
@@ -474,12 +462,12 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
 def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
     # omega_5 is transcribed once, as term groups: a depth-5 group off by 1
     # (not set to a value: b4(1) is 0 mod 37) must fail the depth-5
-    # factorial and the group's own reduction row at every prime, and the
-    # certificate's relation between the group's two depths
+    # factorial at every prime, and the certificate's relation between the
+    # group's two depths, which stands in for a row comparing them
     from wilsonq.harness import RunConfig, check_prime, enumerate_primes
 
-    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1", "table3"]))
-    watched = {("thm1", "factorial-mod-p^6"), ("table3", f"omega5-reduction-{name}")}
+    cfg = RunConfig(pmin=11, pmax=43, checks=frozenset(["thm1"]))
+    watched = {("thm1", "factorial-mod-p^6")}
     primes = enumerate_primes(11, 43)
     for p in primes:
         rows = {(r.tag, r.case): r.passed for r in check_prime(p, cfg)}
