@@ -342,7 +342,7 @@ def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
     assert _surviving_vector_entries(monkeypatch) == [(6, "eta", n) for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 101, 103, 1009])
+@pytest.mark.parametrize("p", [7, 11, 101, 1009])
 def test_kummer_rows_take_the_windows_the_constant_guard_assumes(p):
     # the draws above stand for exactly the rows on the set's families: the
     # i-fold difference from b_d(1), index p-1-d, mod p^i for i below the

@@ -698,6 +698,20 @@ def test_kummer_differences_evaluate_each_index_once(monkeypatch):
         assert dict(calls) == reads, p
 
 
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 23, 101, 103])
+def test_kummer_rows_are_each_one_case(p):
+    # at each of these primes a sampled start is also the first index of a
+    # family of the divided set, and the window they share is one row per r,
+    # both from the windows together and from the sweep's own rows
+    run = PrimeRun(p)
+    families = [(p - 1 - d, r - 1) for (n, d), r in set_spec(run.levels[-1]).items() if n == 1]
+    assert {n for n, _ in families} & set(KUMMER_SAMPLE), p
+    found = bernoulli.kummer_differences(p, run.engine, [(n, 3) for n in KUMMER_SAMPLE] + families)
+    assert len(found) == len({(r, n) for r, n, _ in found}), p
+    cases = [case for case, _, _ in harness._check_kummer(run)]
+    assert len(cases) == len(set(cases)), p
+
+
 @pytest.mark.parametrize("fault", ["none", "top", "every", 3, 4, 5])
 def test_shared_power_table_fault_is_seen(fault, monkeypatch):
     # qtilde_sums and the engine share residues.power_table; a fault at
