@@ -5,13 +5,14 @@ Subcommands:
   bernoulli  one divided Bernoulli value modulo p^r
   wilson     factorial, Wilson quotient and base-p digits for one prime
   omega      the expansion-coefficient ladder for one prime
+  kummer     every Kummer difference from the even starts up to a bound (exit 0/1/2)
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .bernoulli import MIN_P, bnpd, divided_set
+from .bernoulli import MIN_P, BernoulliEngine, bnpd, divided_set, kummer_differences
 from .formulas import omega_vector
 from .harness import CHECK_TAGS, RunConfig, run_and_report
 from .oracles import wilson_quotient
@@ -55,6 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--p", type=int, required=True)
     o.add_argument("--depth", type=int, choices=sorted(MIN_P), required=True,
                    help="; ".join(f"{d}: omega_0..omega_{d} (p>={p})" for d, p in MIN_P.items()))
+
+    k = sub.add_parser("kummer", help="check Kummer's congruences from every even start")
+    k.add_argument("--primes", type=int, nargs="+", required=True)
+    k.add_argument("--nmax", type=int, required=True, help="last even start n >= 2")
+    k.add_argument("--rmax", type=int, required=True, help="top difference order r >= 1")
     return parser
 
 
@@ -96,6 +102,22 @@ def _cmd_omega(args) -> int:
     return 0
 
 
+def _cmd_kummer(args) -> int:
+    if args.rmax < 1 or args.nmax < 2:
+        raise ValueError("need --rmax >= 1 and --nmax >= 2, or nothing is checked")
+    failures = 0
+    for p in args.primes:
+        found = kummer_differences(p, BernoulliEngine(p),
+                                   ((n, args.rmax) for n in range(2, args.nmax + 1, 2)))
+        for r, n, diff in found:
+            if diff.value:
+                failures += 1
+                print(f"FAIL p={p} r={r} n={n}: {diff.value} mod {p}^{r}")
+        print(f"p={p}: {len(found)} differences vanish")
+    print(f"{failures} FAILURES" if failures else "zero failures")
+    return 1 if failures else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -103,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         "bernoulli": _cmd_bernoulli,
         "wilson": _cmd_wilson,
         "omega": _cmd_omega,
+        "kummer": _cmd_kummer,
     }
     try:
         return handlers[args.command](args)

@@ -13,7 +13,6 @@ from wilsonq.bernoulli import (
     bnpd,
     depths,
     divided_set,
-    forward_difference,
     kummer_admissible,
     set_spec,
 )
@@ -268,20 +267,6 @@ def test_kummer_admissible_bounds():
         assert kummer_admissible(p, r, n) is want, (p, r, n)
     found = bernoulli.kummer_differences(7, BernoulliEngine(7), [(0, 3), (-6, 3), (6, 3)])
     assert [(r, n) for r, n, _ in found] == [(1, 6), (2, 6), (3, 6)]
-
-
-def test_kummer_congruence_cases():
-    # r-fold differences of the divided values vanish mod p^r:
-    # indices off the (p-1)-grid need n > r; on-grid needs p > r + n/(p-1)
-    for p in (7, 11, 13):
-        h = p - 1
-        for r in (1, 2, 3):
-            modulus = make_modulus(p, r)
-            for n in range(2, 61, 2):
-                if not kummer_admissible(p, r, n):
-                    continue
-                diff = forward_difference(lambda nu: bnpd(nu, modulus).value, h, r, start=n)
-                assert diff % p**r == 0, (p, r, n)
 
 
 def test_power_sum_tables_match_direct():

@@ -36,6 +36,35 @@ def test_omega_subcommand(capsys):
     assert "invalid choice: 7" in capsys.readouterr().err
 
 
+def test_kummer_subcommand_runs_clean(capsys):
+    # every even start up to 400 at orders 1..3, the dense scan of the
+    # congruences whose family windows alone are the sweep's kummer rows
+    argv = ["kummer", "--primes", "7", "11", "13", "17", "19", "--nmax", "400", "--rmax", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "p=7: 412 differences vanish", "p=11: 502 differences vanish",
+        "p=13: 529 differences vanish", "p=17: 565 differences vanish",
+        "p=19: 580 differences vanish", "zero failures"]
+
+
+def test_kummer_subcommand_reports_a_broken_congruence(monkeypatch, capsys):
+    # p*B_12 raised by p^(g-1) still divides exactly as bnpd requires, but
+    # it moves b(12), and b(14) through the recursion, by a unit times
+    # p^(r-1): the order-3 differences reading either index no longer vanish
+    from wilsonq import cli
+    from wilsonq.bernoulli import BernoulliEngine
+
+    class Faulted(BernoulliEngine):
+        def pb_value(self, m, g):
+            return (super().pb_value(m, g) + (m == 12) * self.p ** (g - 1)) % self.p ** g
+
+    monkeypatch.setattr(cli, "BernoulliEngine", Faulted)
+    assert main(["kummer", "--primes", "11", "--nmax", "40", "--rmax", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL p=11 ")]
+    assert failed and lines[-1] == f"{len(failed)} FAILURES", lines
+
+
 def test_omega_rejects_out_of_range_prime(capsys):
     assert main(["omega", "--p", "7", "--depth", "6"]) == 2
 
@@ -125,6 +154,20 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     (["bernoulli", "--p", "7", "--m", "6", "--prec", "6"], 2),
     (["bernoulli", "--p", "7", "--m", "0", "--prec", "2"], 2),
     (["bernoulli", "--p", "7", "--m", "-4", "--prec", "2"], 2),
+    pytest.param(["kummer", "--primes", "9", "--nmax", "200", "--rmax", "3"], 2,
+                 id="kummer-not-prime"),
+    # index 686 = 2 * 7^3 needs the working precision g = 7, not below p
+    pytest.param(["kummer", "--primes", "7", "--nmax", "700", "--rmax", "3"], 2,
+                 id="kummer-index-686"),
+    pytest.param(["kummer", "--primes", "5", "--nmax", "20", "--rmax", "5"], 2,
+                 id="kummer-order-5-at-p-5"),
+    # each of these would check nothing and still report zero failures
+    pytest.param(["kummer", "--primes", "7", "--nmax", "200", "--rmax", "0"], 2,
+                 id="kummer-order-0"),
+    pytest.param(["kummer", "--primes", "7", "--nmax", "200", "--rmax", "-2"], 2,
+                 id="kummer-order-negative"),
+    pytest.param(["kummer", "--primes", "7", "--nmax", "1", "--rmax", "3"], 2,
+                 id="kummer-no-even-index"),
 ])
 def test_bad_input_exits_without_traceback(args, code, tmp_path):
     # each input runs (exit 0) or is refused (exit 2, one error line), never
@@ -138,7 +181,8 @@ def test_bad_input_exits_without_traceback(args, code, tmp_path):
     assert done.returncode == code, done.stderr
     assert "Traceback" not in done.stderr
     if code == 2:
-        assert done.stderr.startswith("error: "), done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_start_up_loads_no_dataclasses_or_inspect():
@@ -227,6 +271,7 @@ def test_size_bound_refuses_before_any_table(monkeypatch, capsys):
     for args in (["bernoulli", "--p", str(p), "--m", "4", "--prec", "1"],
                  ["omega", "--p", str(p), "--depth", "6"],
                  ["wilson", "--p", str(p), "--prec", "2"],
+                 ["kummer", "--primes", str(p), "--nmax", "10", "--rmax", "1"],
                  ["verify", "--pmin", "7", "--pmax", str(p)],
                  ["verify", "--pmin", str(p), "--pmax", str(p)]):
         assert main(args) == 2, args

@@ -5,13 +5,10 @@ import json
 import marshal
 import os
 import random
-import subprocess
-import sys
 import time
 import tracemalloc
 import types
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -666,7 +663,7 @@ def test_kummer_sums_each_index_once(monkeypatch):
 
 #: Even starts off the divided set's families, which no display reads,
 #: taken at orders 1..3 so that the engine is run on indices the sweep's
-#: windows never reach.  scripts/kummer_scan.py scans every even start.
+#: windows never reach.  ``wilsonq kummer`` scans every even start.
 KUMMER_SAMPLE = (4, 10, 16, 22, 34, 50, 98, 124, 156, 178, 200)
 
 
@@ -737,36 +734,3 @@ def test_shared_power_table_fault_is_seen(fault, monkeypatch):
     rows = [row for p in enumerate_primes(11, 43) for row in check_prime(p, cfg)]
     assert len(rows) == 220
     assert sum(not row.passed for row in rows) == (0 if fault == "none" else 220)
-
-
-def test_kummer_scan_script_runs_clean():
-    # the documented command of the dense scan script, the other caller of
-    # kummer_differences
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "scripts/kummer_scan.py", "--primes", "7", "11", "13", "17", "19",
-         "--nmax", "400", "--rmax", "3"],
-        cwd=root, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert "zero failures" in done.stdout
-
-
-@pytest.mark.parametrize("args", [
-    ("--primes", "9"),
-    # index 686 = 2 * 7^3 needs the working precision g = 7, not below p
-    ("--primes", "7", "--nmax", "700", "--rmax", "3"),
-    ("--primes", "5", "--nmax", "20", "--rmax", "5"),
-    # each of these would check nothing and still report zero failures
-    ("--rmax", "0"),
-    ("--rmax", "-2"),
-    ("--nmax", "1"),
-], ids=["not-prime", "index-686", "order-5-at-p-5", "order-0", "order-negative",
-        "no-even-index"])
-def test_kummer_scan_script_refuses_bad_input(args):
-    root = Path(__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "scripts/kummer_scan.py", *args],
-                          cwd=root, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2, done.stderr
-    assert "Traceback" not in done.stderr
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
