@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("kummer", help="check Kummer's congruences from every even start")
     k.add_argument("--primes", type=int, nargs="+", required=True)
-    k.add_argument("--nmax", type=int, required=True, help="last even start n >= 2")
+    k.add_argument("--nmax", type=int, required=True,
+                   help=f"last even start n, 2 <= n <= {P_LIMIT}")
     k.add_argument("--rmax", type=int, required=True, help="top difference order r >= 1")
     return parser
 
@@ -105,6 +106,8 @@ def _cmd_omega(args) -> int:
 def _cmd_kummer(args) -> int:
     if args.rmax < 1 or args.nmax < 2:
         raise ValueError("need --rmax >= 1 and --nmax >= 2, or nothing is checked")
+    if args.nmax > P_LIMIT:
+        raise ValueError(f"--nmax must be at most P_LIMIT = {P_LIMIT}, got {args.nmax}")
     failures = 0
     for p in args.primes:
         found = kummer_differences(p, BernoulliEngine(p),

@@ -16,7 +16,12 @@ from math import isqrt
 #: prime's state is its Bernoulli engine's packed block and columns plus the
 #: divided set built on them: at depth 6 its tracemalloc peak is 750 B per
 #: v = 1..p-1 at p = 40009 and 802 B at p = 100003, growing with log p.  At
-#: this bound that is about 220 MB per worker process.
+#: this bound that is about 220 MB per worker process.  ``kummer`` takes its
+#: ``--nmax`` up to the same bound, and its memory grows with the starts: the
+#: worst accepted ``--rmax`` there at p = 1009 is 10 (at 11 the index 2018
+#: needs g = 13), and ``kummer --primes 1009 --nmax 262144 --rmax 10``
+#: peaks at 336 MB RSS in 27 s, against 142 MB in 16 s at ``--rmax 3``
+#: (2-core Intel Xeon, Python 3.11.7).
 P_LIMIT = 2**18
 #: The bound on the precision exponent r of every modulus p^r, checked before
 #: p^r is formed.  ``verify`` builds at most p^7, ``wilson --prec r`` builds

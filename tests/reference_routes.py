@@ -13,9 +13,9 @@
   sums x_k;
 * :func:`generated_ptilde` - the PTILDE display derived afresh from the
   p-adic log, and :func:`ptilde_mismatches` against a transcription;
-* :func:`kummer_certificate` - which reads divided-set displays as
-  polynomials in the Newton coefficients of their families, and holds that
-  the Kummer congruences on those families imply a relation between them.
+* :class:`Newton`, which reads a divided-set display as a polynomial in the
+  Newton coefficients of its families, and :func:`kummer_certificate`, which
+  holds that the Kummer congruences on them imply a relation between displays.
 """
 from __future__ import annotations
 
@@ -252,9 +252,9 @@ def _newton(d: int, j: int) -> MultiPoly:
     return MultiPoly({(i, ((f"y{d}_{i}", 1),)): Fraction(comb(j - 1, i)) for i in range(j)})
 
 
-class _Newton:
-    """The accessor a divided-set display reads in :func:`kummer_certificate`,
-    which reads it as a polynomial in p and the y_{d,i}."""
+class Newton:
+    """The accessor that reads a divided-set display as a polynomial in p and
+    the y_{d,i}, for :func:`kummer_certificate` and the constant guards."""
 
     p = MultiPoly.p_var()
     F = Fraction
@@ -295,7 +295,7 @@ def kummer_certificate(relations, windows: dict[int, set[tuple[int, int]]]) -> d
     relation is implied."""
     failures = {}
     for name, depth, precision, lhs, rhs in relations:
-        diff = lhs(_Newton) - (rhs(_Newton) if rhs else 0)
+        diff = lhs(Newton) - (rhs(Newton) if rhs else 0)
         for (pe, exps), coeff in sorted(diff.terms.items()):
             monomial = MultiPoly({(pe, exps): coeff})
             outside = [v for v, _ in exps

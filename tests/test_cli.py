@@ -168,6 +168,9 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
                  id="kummer-order-negative"),
     pytest.param(["kummer", "--primes", "7", "--nmax", "1", "--rmax", "3"], 2,
                  id="kummer-no-even-index"),
+    # the starts, the differences and the engine's memo grow with --nmax
+    pytest.param(["kummer", "--primes", "1009", "--nmax", "262146", "--rmax", "3"], 2,
+                 id="kummer-nmax-above-limit"),
 ])
 def test_bad_input_exits_without_traceback(args, code, tmp_path):
     # each input runs (exit 0) or is refused (exit 2, one error line), never

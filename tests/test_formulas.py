@@ -1,15 +1,14 @@
 import ast
 import functools
 import inspect
-import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from displays import displays, divided_set_displays, kummer_relations
-from reference_routes import binom_diff_mod_p, kummer_certificate
+from reference_routes import Newton, binom_diff_mod_p, kummer_certificate
 from wilsonq import formulas
 from wilsonq.bernoulli import MIN_P, depths, divided_set, set_spec
 from wilsonq.formulas import (
@@ -187,28 +186,11 @@ def test_zero_expressions_vanish():
 # -- every printed constant matters -------------------------------------------
 #
 # A display whose constant can be changed without changing its value checks
-# nothing about that constant.  The draws satisfy exactly the kummer rows'
-# claims on the divided set (on each family b, b2 and b4, the i-fold
-# differences from its first index vanish mod p^i for i below its length), so
-# a zero expression that those rows already imply vanishes on every draw
-# whatever its constants are.
-
-#: Primes at which every t.F denominator stays a unit when raised by 1.
-_GUARD_PRIMES = (17, 23, 29)
-
-
-def _kummer_draws():
-    """Eight (p, divided set) per prime at the depth-6 spec: on each family
-    d, the Newton coefficients D^i b_d(1) are p^i times random integers for i
-    below the family's length, so b_d(j) is sum_{i<j} C(j-1, i) D^i b_d(1)."""
-    rng = random.Random(2525)
-    spec = set_spec(6)
-    for p in _GUARD_PRIMES:
-        for _ in range(8):
-            newton = {d: [p**i * rng.randrange(p**6) for i in range(r)]
-                      for (n, d), r in spec.items() if n == 1}
-            yield p, {(n, d): Residue(sum(comb(n - 1, i) * newton[d][i] for i in range(n)),
-                                      make_modulus(p, r)) for (n, d), r in spec.items()}
+# nothing about that constant.  Each display is read in Newton form (see the
+# certificate below), with y_{d,i} free for i below its family's length, as
+# the kummer rows leave it.  A change with no monomial below the display's
+# precision holds wherever those rows pass; one monomial below it changes the
+# value at all but finitely many primes.
 
 
 @functools.cache
@@ -257,15 +239,13 @@ def _bumped(display):
 
 def _surviving_constants(entries):
     """(name, line, constant) for each constant of each (name, precision,
-    display) that can be raised by 1 with the value mod p^precision unchanged
-    on every draw."""
-    draws = list(_kummer_draws())
+    display) that can be raised by 1 with no monomial of the change, in
+    Newton form, below p^precision."""
     survivors = []
     for name, prec, display in entries:
-        accessors = [formulas._Acc(p, bset, prec) for p, bset in draws]
-        values = [display(t) % t.mod for t in accessors]
+        value = display(Newton)
         survivors += [(name, line, const) for line, const, variant in _bumped(display)
-                      if all(variant(t) % t.mod == v for t, v in zip(accessors, values))]
+                      if all(pe >= prec for pe, _ in (variant(Newton) - value).terms)]
     return survivors
 
 
@@ -287,8 +267,8 @@ def test_every_constant_of_a_zero_expression_matters():
 
 
 def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
-    # w41-compact, (3/2) (D b(1))^2 (1 + b(1)), carries p^2 by the kummer row
-    # r=1-n=(p-1) alone, so none of its four constants matters
+    # w41-compact, (3/2) (D b(1))^2 (1 + b(1)) = (3/2) p^2 y_{0,1}^2 (1 + y_{0,0}),
+    # carries p^2 for any y_{0,0} and y_{0,1}, so none of its four constants matters
     restated = ("w41-compact", 2,
                 lambda t: t.F(3, 2) * (t.b(1) - t.b(2)) ** 2 * (1 + t.b(1)))
     monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (*formulas.ZERO_EXPRESSIONS, restated))
@@ -298,8 +278,8 @@ def test_constant_guard_names_a_restated_kummer_product(monkeypatch):
 
 
 def test_constant_guard_names_a_restated_family_product(monkeypatch):
-    # bnd-d1-product, -(1/3) D b2(1) D b(1), carries p^2 by the kummer rows
-    # r=1-n=(p-3) and r=1-n=(p-1), so neither of its two constants matters
+    # bnd-d1-product, -(1/3) D b2(1) D b(1) = -(1/3) p^2 y_{2,1} y_{0,1}, carries
+    # p^2 for any y_{2,1} and y_{0,1}, so neither of its two constants matters
     restated = ("bnd-d1-product", 2,
                 lambda t: t.F(-1, 3) * (t.b2(1) - t.b2(2)) * (t.b(1) - t.b(2)))
     monkeypatch.setattr(formulas, "ZERO_EXPRESSIONS", (*formulas.ZERO_EXPRESSIONS, restated))
@@ -308,20 +288,21 @@ def test_constant_guard_names_a_restated_family_product(monkeypatch):
         ("ZERO_EXPRESSIONS[bnd-d1-product]", const) for const in (1, 3)]
 
 
-def _surviving_vector_entries(monkeypatch):
+def _surviving_vector_entries(monkeypatch, primes=(17, 23)):
     """(level, vector name, n) for each entry of ``COEFF_TABLES`` that can be
-    raised by 1 with qtilde_via_coefficients(n, p, level, .) unchanged on
-    every draw."""
-    draws = list(_kummer_draws())
+    raised by 1 with qtilde_via_coefficients(n, p, level, .) unchanged on the
+    divided set of each prime.  The raise moves the value by p^t b_d(j)/n,
+    and at a regular prime every b2(j) and b4(j) is a unit."""
+    sets = [(p, divided_set(p)) for p in primes]
     survivors = []
     for level, vectors in COEFF_TABLES.items():
-        values = {n: [qtilde_via_coefficients(n, p, level, bset) for p, bset in draws]
+        values = {n: [qtilde_via_coefficients(n, p, level, bset) for p, bset in sets]
                   for n in range(1, level + 1)}
         for name, vector in list(vectors.items()):
             for n in range(1, level + 1):
                 monkeypatch.setitem(vectors, name, (*vector[:n - 1], vector[n - 1] + 1, *vector[n:]))
                 if all(qtilde_via_coefficients(n, p, level, bset) == want
-                       for (p, bset), want in zip(draws, values[n])):
+                       for (p, bset), want in zip(sets, values[n])):
                     survivors.append((level, name, n))
             monkeypatch.setitem(vectors, name, vector)
     return survivors
@@ -342,11 +323,20 @@ def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
     assert _surviving_vector_entries(monkeypatch) == [(6, "eta", n) for n in range(1, 7)]
 
 
+def test_vector_guard_needs_regular_primes(monkeypatch):
+    # 37 divides the numerator of B_32, so b4(1) and b4(2), at indices 32 and
+    # 68, are 0 mod 37: at 37 the set hides exactly the entries read against
+    # b4 mod p, those of delta in the p^4 block of level 5 and of eta in the
+    # p^5 block of level 6
+    assert _surviving_vector_entries(monkeypatch, (37,)) == [
+        *((5, "delta", n) for n in range(1, 6)), *((6, "eta", n) for n in range(1, 7))]
+
+
 @pytest.mark.parametrize("p", [7, 11, 101, 1009])
 def test_kummer_rows_take_the_windows_the_constant_guard_assumes(p):
-    # the draws above stand for exactly the rows on the set's families: the
-    # i-fold difference from b_d(1), index p-1-d, mod p^i for i below the
-    # family's length, each one row and no other
+    # the free y_{d,i} of the constant guard stand for exactly the rows on the
+    # set's families: the i-fold difference from b_d(1), index p-1-d, mod p^i
+    # for i below the family's length, each one row and no other
     from wilsonq.harness import PrimeRun, _check_kummer
 
     rows = _check_kummer(PrimeRun(p))
