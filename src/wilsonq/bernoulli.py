@@ -68,8 +68,8 @@ class BernoulliEngine:
     """
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p < 3 or not is_prime(p):  # the odd-prime rule of Modulus
+            raise ValueError(f"{p} is not prime or is even")
         self.p = p
         self.g = 0
         self._pb: dict[int, tuple[int, int]] = {}

@@ -139,13 +139,13 @@ def _check_zero_exprs(run: PrimeRun) -> list[Row]:
 
 
 def _check_table3(run: PrimeRun) -> list[Row]:
-    # nu = 1..4: omega_0 is the constant -1, and each ladder's top coefficient
-    # is stated mod p by its own display.  That the depth-6 term groups of
-    # omega_5 agree mod p with depth 5's follows from the kummer rows, as the
-    # tests certify, so they have no row.
+    # nu = 1..4 on the deepest ladder: omega_0 is the constant -1, and each
+    # ladder's top coefficient is stated mod p by its own display.  That the
+    # other ladder and the depth-6 term groups of omega_5 agree with it mod p
+    # follow from the kummer rows, as the tests certify, so they have no row.
+    depth = run.levels[-1]
     return [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
-             formulas.omega_mod_p_rhs(nu, run.p, run.bset))
-            for depth in run.levels for nu in range(1, 5)]
+             formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, 5)]
 
 
 #: (tag, smallest prime, runner) in canonical run order.  A runner that reads
@@ -353,9 +353,11 @@ def _sweep(cfg: RunConfig, stream) -> int:
     passed."""
     started = time.perf_counter()
     primes = enumerate_primes(cfg.pmin, cfg.pmax)
-    # Every worker is forked at once: no more than primes or cores, and
-    # none where the platform cannot fork.
-    workers = min(cfg.jobs, len(primes), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    # Every worker is forked at once: no more than primes or the cores this
+    # process may run on, and none where the platform cannot fork.
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(primes), cores) if hasattr(os, "fork") else 1
     sweep = (_forked_sweep(primes, cfg, workers) if workers > 1
              else (check_prime(p, cfg) for p in primes))
     try:

@@ -93,7 +93,7 @@ def test_verify_report_bytes_are_stable(tmp_path):
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--format", "json",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "52ee8600a98fc1ae023a339899738de2f84636455423153838db57b4818a9911")
+        "3bf8c77d278d70ddd073aaaffcd94866446b5b213035ade24705cac63db87642")
 
 
 def test_verify_usage_errors():
@@ -171,6 +171,9 @@ def test_verify_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     # the starts, the differences and the engine's memo grow with --nmax
     pytest.param(["kummer", "--primes", "1009", "--nmax", "262146", "--rmax", "3"], 2,
                  id="kummer-nmax-above-limit"),
+    # step p-1 = 1 puts every start on the grid, so none is admissible
+    pytest.param(["kummer", "--primes", "2", "--nmax", "10", "--rmax", "1"], 2,
+                 id="kummer-prime-2"),
 ])
 def test_bad_input_exits_without_traceback(args, code, tmp_path):
     # each input runs (exit 0) or is refused (exit 2, one error line), never

@@ -381,6 +381,15 @@ def test_kummer_rows_imply_every_listed_relation():
     assert _certificate() == {}
 
 
+def test_certificate_lists_each_ladder_against_table3():
+    # table3 has rows for the deepest ladder a prime supports only, so each
+    # ladder's omega_1..omega_4 is held to its mod-p form here, mod p
+    listed = {name: (depth, precision) for name, depth, precision, _, _ in kummer_relations()}
+    for depth in (5, 6):
+        for nu in range(1, 5):
+            assert listed[f"_OMEGA[{depth}][{nu}] - _OMEGA_MOD_P[{nu}]"] == (depth, 1)
+
+
 def test_certificate_needs_each_window_and_unit_denominators():
     # without the order-5 row on b, only the relations that read b(6) fail;
     # a 7 in a denominator is no unit at p = 7

@@ -74,7 +74,8 @@ def test_levels_follow_the_depth_table():
     assert (min_p["thm1"], min_p["thm2"]) == (7, 11)
     cfg = RunConfig(pmin=7, pmax=11, checks=frozenset(["table3"]))
     kinds = {p: {r.case.split("-")[0] for r in check_prime(p, cfg)} for p in (7, 11)}
-    assert kinds == {7: {"depth5"}, 11: {"depth5", "depth6"}}
+    # table3 reads the deepest ladder the prime supports
+    assert kinds == {7: {"depth5"}, 11: {"depth6"}}
 
 
 def test_check_prime_thm1_shape():
@@ -233,6 +234,11 @@ def test_empty_range_passes():
     assert json.loads(buf.getvalue()) == []
 
 
+def _usable_cores(monkeypatch, n):
+    # the sweep caps its workers at the CPUs this process may run on
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -241,7 +247,7 @@ def _no_child_left():
 def test_worker_count_independence(monkeypatch):
     # 14 primes over 2 workers, and over 3 in shares of 5, 5 and 4, merge
     # back into the serial report
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    _usable_cores(monkeypatch, 3)
     base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "thm3", "psi", "kummer"]),
                 fmt="json")
     serial = io.StringIO()
@@ -310,7 +316,7 @@ def test_reader_leaving_early_stops_a_forked_sweep(monkeypatch, capsys):
         return [CheckResult(p, "psi", "slow", "1", "1", "7", passed=True)]
 
     monkeypatch.setattr(harness, "check_prime", slow)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     cfg = RunConfig(pmin=7, pmax=60, checks=frozenset(["psi"]), jobs=2, fmt="json")
     started = time.monotonic()
     assert run_and_report(cfg, stream=_ClosedPipe()) == 1
@@ -329,7 +335,7 @@ def test_sweep_memory_follows_the_workers_not_the_primes(jobs, monkeypatch):
                             passed=True) for i in range(50)]
 
     monkeypatch.setattr(harness, "check_prime", fat)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     peaks = []
     for pmax in (250, 1200):
         cfg = RunConfig(pmin=7, pmax=pmax, checks=frozenset(["psi"]), jobs=jobs, fmt="json")
@@ -400,20 +406,28 @@ def test_jobs_clamped_to_primes_and_cores(monkeypatch):
     serial = io.StringIO()
     assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0
     assert created == []
-    # 14 primes in [7, 60]
-    for cores, jobs, want in ((4, 100000, 4), (4, 3, 3), (64, 100000, 14), (None, 8, None)):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    # 14 primes in [7, 60]; the cores are the CPUs the process may run on
+    # (of cpu_count, which counts them all), or cpu_count, which may be None,
+    # where the platform has no affinity set (usable None)
+    cases = ((4, 4, 100000, 4), (4, 4, 3, 3), (64, 64, 100000, 14), (2, 8, 8, 2),
+             (None, None, 8, None), (None, 4, 8, 4))
+    for usable, count, jobs, want in cases:
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: count)
+        if usable is None:
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        else:
+            _usable_cores(monkeypatch, usable)
         buf = io.StringIO()
         assert run_and_report(RunConfig(**base, jobs=jobs), stream=buf) == 0
         assert buf.getvalue() == serial.getvalue()
-        assert (created.pop() if created else None) == want, (cores, jobs)
+        assert (created.pop() if created else None) == want, (usable, count, jobs)
 
 
 def test_forked_sweep_warns_nothing(monkeypatch):
     # Python 3.12+ warns when a process with threads forks, and reports the
     # warning even under -W error without raising it; the sweep must fork
     # from a single thread
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         cfg = RunConfig(pmin=7, pmax=30, checks=frozenset(["psi"]), jobs=2)
@@ -443,7 +457,7 @@ def test_dead_worker_is_one_error_line(fault, monkeypatch, capsys, tmp_path):
 
         monkeypatch.setattr(harness, "marshal", types.SimpleNamespace(
             dumps=cut, load=marshal.load, loads=marshal.loads))
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     out = tmp_path / "report.json"
     out.write_text("kept\n")
     for path in (out, tmp_path / "fresh.json"):
@@ -469,7 +483,7 @@ def test_failed_sweep_kills_every_worker(monkeypatch):
         return []
 
     monkeypatch.setattr(harness, "check_prime", check)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(ChildProcessError, match="worker 0 exited with status 3"):
         run_and_report(RunConfig(pmin=7, pmax=13, checks=frozenset(["psi"]), jobs=2),
@@ -491,7 +505,7 @@ def test_failed_fork_reaps_the_forked(monkeypatch, capsys):
         return real_fork()
 
     monkeypatch.setattr(harness.os, "fork", second_fails)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _usable_cores(monkeypatch, 2)
     assert main(["verify", "--pmin", "7", "--pmax", "60", "--jobs", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: [Errno 11] Resource temporarily unavailable\n"
@@ -575,7 +589,7 @@ def test_every_divided_set_row_can_fail():
     assert flagged == same_polynomial | n1 | {
         (("lemmas", "n=5-mod-p^5-unreduced-lead"), ("props", "n=5-mod-p^5"))}
     for p, ever in failed.items():
-        assert len(ever) == 39  # 38 rows on the divided set and psi's one
+        assert len(ever) == 35  # 34 rows on the divided set and psi's one
         assert [key for key, fails in ever.items() if not fails] == [], p
 
 
