@@ -40,7 +40,7 @@ from math import comb
 from operator import lshift, mul, or_
 from operator import mod as imod
 
-from .residues import (R_LIMIT, Modulus, Residue, divide_exactly, is_prime, make_modulus,
+from .residues import (R_LIMIT, Modulus, Residue, divide_exactly, make_modulus,
                        power_table, split_p)
 
 # -- power sums --------------------------------------------------------------
@@ -68,8 +68,7 @@ class BernoulliEngine:
     """
 
     def __init__(self, p: int):
-        if p < 3 or not is_prime(p):  # the odd-prime rule of Modulus
-            raise ValueError(f"{p} is not prime or is even")
+        make_modulus(p, 1)  # refuses p unless an odd prime of the window
         self.p = p
         self.g = 0
         self._pb: dict[int, tuple[int, int]] = {}

@@ -18,7 +18,8 @@ the scaled Fermat-quotient power sums Q~_n = (p^(n-1)/n) Q_p(n), whose
 builders take the sums as integer representatives after ``t`` (there ``t``
 only supplies ``t.p`` and ``t.F``); the caller hands in the sums, and this
 module imports nothing from ``oracles``.  The coefficient-vector route,
-:func:`qtilde_via_coefficients`, evaluates the printed vectors directly.
+:func:`qtilde_via_coefficients`, evaluates the printed vectors as blocks of
+the same shape as the closed forms', through the same evaluator.
 
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
@@ -317,21 +318,32 @@ _VEC_BLOCKS = {
 }
 
 
+def _difference_lead(n: int) -> _Display:
+    return lambda t: (t.p - 1) * forward_difference(t.b, 1, n - 1, start=1)
+
+
+def _vector_block(level: int, t_pow: int, n: int) -> _Display:
+    return lambda t: t.F(1, n) * sum(
+        t.F(c.numerator, c.denominator) * (t.b2(j) if d == 2 else t.b4(j))
+        for name, d, j in _VEC_BLOCKS[level][t_pow] if (c := COEFF_TABLES[level][name][n - 1]))
+
+
+#: Level -> n -> the difference-operator form, in blocks as ``_QTILDE_MAIN``:
+#: (p-1) times the (n-1)-th forward difference of b(1..n), then for each p^t
+#: of ``_VEC_BLOCKS[level]`` 1/n times each vector's n-th entry against
+#: b2(j) or b4(j), zeros read nothing.  A block reads both tables when run.
+_QTILDE_VEC: dict[int, dict[int, _Blocks]] = {
+    level: {n: ((0, _difference_lead(n)), *((t_pow, _vector_block(level, t_pow, n)) for t_pow in rows))
+            for n in range(1, level + 1)}
+    for level, rows in _VEC_BLOCKS.items()}
+
+
 def qtilde_via_coefficients(n: int, p: int, level: int, bset: DividedSet) -> Residue:
     """(p^(n-1)/n) Q_p(n) mod p^level from the difference-operator expansion
-    with the printed coefficient vectors, read from the same divided set as
-    :func:`qtilde_rhs`.  The lead block is (p-1) times the (n-1)-th forward
-    difference of b(1..n); the block of p^t is 1/n times the sum of each
-    vector's n-th entry against b2(j) or b4(j), as ``_VEC_BLOCKS[level]``
-    places it (zero entries read nothing)."""
+    with the printed coefficient vectors (``_QTILDE_VEC``), read from the same
+    divided set as :func:`qtilde_rhs`."""
     _check_level(n, p, level)
-    terms = [(0, (p - 1) * forward_difference(_Acc(p, bset, level).b, 1, n - 1, start=1))]
-    for t_pow, row in _VEC_BLOCKS[level].items():
-        t = _Acc(p, bset, level - t_pow)
-        terms.append((t_pow, t.F(1, n) * sum(
-            t.F(c.numerator, c.denominator) * (t.b2(j) if d == 2 else t.b4(j))
-            for name, d, j in row if (c := COEFF_TABLES[level][name][n - 1]))))
-    return _lift(terms, p, level)
+    return _eval_blocks(_QTILDE_VEC[level][n], p, bset, level)
 
 
 # -- Wilson quotient through power sums ---------------------------------------

@@ -138,11 +138,7 @@ class Residue:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Residue):
-            return (
-                self.p == other.p
-                and self.precision == other.precision
-                and self.value == other.value
-            )
+            return (self.p, self.precision, self.value) == (other.p, other.precision, other.value)
         if isinstance(other, int):
             return self.value == other % self.modulus.value
         return NotImplemented

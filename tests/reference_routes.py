@@ -230,19 +230,12 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-class _Symbols:
-    """The accessor a builder reads, with p as a symbol and t.F exact."""
-
-    p = MultiPoly.p_var()
-    F = Fraction
-
-
 def symbolic(display: Callable[..., int]) -> MultiPoly:
-    """A display builder read as a polynomial: called with ``t.p`` the p
-    symbol, ``t.F`` as ``Fraction`` and x_k (one per argument after ``t``)
-    the k-th symbol."""
+    """A display builder read as a polynomial: called with :class:`Newton`,
+    whose ``t.p`` is the p symbol and ``t.F`` is ``Fraction``, and x_k (one
+    per argument after ``t``) the k-th symbol."""
     nargs = display.__code__.co_argcount - 1
-    return display(_Symbols, *(MultiPoly.var(k) for k in range(1, nargs + 1)))
+    return display(Newton, *(MultiPoly.var(k) for k in range(1, nargs + 1)))
 
 
 def _newton(d: int, j: int) -> MultiPoly:

@@ -44,8 +44,7 @@ def test_factorial_expansion_six_digits(main_sweep):
     rows = _tag(main_sweep, "thm1")
     primes = {r.p for r in rows}
     assert primes == set(enumerate_primes(7, 2000))
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     print(f"\nPASS factorial expansion, six digits: {len(primes)} primes 7..2000, "
           f"{len(rows)} exact equalities")
 
@@ -54,16 +53,14 @@ def test_factorial_expansion_seven_digits(main_sweep):
     rows = _tag(main_sweep, "thm2")
     primes = {r.p for r in rows}
     assert primes == set(enumerate_primes(11, 2000))
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     print(f"PASS factorial expansion, seven digits: {len(primes)} primes 11..2000, "
           f"{len(rows)} exact equalities")
 
 
 def test_power_sum_congruences_both_levels(main_sweep):
     rows = _tag(main_sweep, "thm3")
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     by_prime: dict[int, set[str]] = {}
     for r in rows:
         by_prime.setdefault(r.p, set()).add(r.case)
@@ -88,8 +85,7 @@ def test_coefficient_vector_form_vs_oracle(wide_sweep):
     primes = {r.p for r in rows}
     assert primes == set(enumerate_primes(11, 500))
     assert all(len([r for r in rows if r.p == p]) == 11 for p in primes)
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     print(f"PASS coefficient-vector route vs direct oracle: {len(rows)} cases, "
           f"primes 11..500, both moduli")
 
@@ -98,15 +94,13 @@ def test_unreduced_lead_congruence(wide_sweep):
     rows = _tag(wide_sweep, "lemmas")
     assert [r.p for r in rows] == enumerate_primes(7, 500)
     assert {r.case for r in rows} == {"n=5-mod-p^5-unreduced-lead"}
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     print(f"PASS (p-1)-lead form of the n=5 congruence mod p^5: {len(rows)} primes 7..500")
 
 
 def test_wilson_through_power_sum_polynomials(wide_sweep):
     rows = _tag(wide_sweep, "psi")
-    failures = [r for r in rows if not r.passed]
-    assert failures == []
+    assert [r for r in rows if not r.passed] == []
     # one row per prime, at the top precision, which implies the lower ones
     assert [(r.p, r.case) for r in rows] == [
         (p, f"wilson-r={min(6, p - 1)}") for p in enumerate_primes(3, 500)]
@@ -164,8 +158,7 @@ def test_zero_expressions_and_coefficient_tables(wide_sweep):
     primes = set(enumerate_primes(11, 500))
     assert {r.p for r in zero_rows} == primes
     assert {r.p for r in table_rows} == primes
-    failures = [r for r in zero_rows + table_rows if not r.passed]
-    assert failures == []
+    assert [r for r in zero_rows + table_rows if not r.passed] == []
     # omega_1..omega_4 mod p on the depth-6 ladder alone, and no row for the
     # depth-5 ladder or the term groups of omega_5, whose agreement across
     # depths the kummer rows imply

@@ -17,7 +17,7 @@ from wilsonq.bernoulli import (
     set_spec,
 )
 from wilsonq.formulas import _Acc
-from wilsonq.residues import make_modulus, ratio_mod
+from wilsonq.residues import make_modulus, ratio_mod, split_p
 
 F = Fraction
 
@@ -82,8 +82,9 @@ def test_exact_memo_survives_racing_threads(monkeypatch):
 def test_engine_rejects_small_primes():
     with pytest.raises(ValueError, match="below p = 7"):
         bnpd(10, make_modulus(7, 6))
-    with pytest.raises(ValueError, match="not prime"):
-        BernoulliEngine(9)
+    for p in (9, 2):
+        with pytest.raises(ValueError, match=f"must be an odd prime, got {p}$"):
+            BernoulliEngine(p)
 
 
 def test_engine_serves_one_prime():
@@ -114,17 +115,8 @@ def test_dropped_recursion_terms_vanish():
                 term = comb(m, k - 1) * F(p ** (k - 1), k) * (p * exact_bernoulli(m + 1 - k))
                 if term == 0:
                     continue
-                num = term.numerator
-                val = 0
-                while num % p == 0:
-                    num //= p
-                    val += 1
-                den_val = 0
-                den = term.denominator
-                while den % p == 0:
-                    den //= p
-                    den_val += 1
-                assert val - den_val >= g, (p, g, m, k)
+                val = split_p(abs(term.numerator), p)[0] - split_p(term.denominator, p)[0]
+                assert val >= g, (p, g, m, k)
 
 
 def test_von_staudt_clausen_structure():

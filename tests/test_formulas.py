@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from displays import displays, divided_set_displays, kummer_relations
+from displays import displays, divided_set_displays, form, kummer_relations
 from reference_routes import Newton, binom_diff_mod_p, kummer_certificate
 from wilsonq import formulas
 from wilsonq.bernoulli import MIN_P, depths, divided_set, set_spec
@@ -67,10 +67,9 @@ def test_depth6_reduces_to_depth5():
 
 def test_omega_bounds():
     bs7 = divided_set(7)
-    with pytest.raises(ValueError):
-        omega_vector(7, bs7, depth=6)
-    with pytest.raises(ValueError):
-        omega_vector(7, bs7, depth=4)
+    for depth in (6, 4):
+        with pytest.raises(ValueError):
+            omega_vector(7, bs7, depth=depth)
 
 
 def test_qtilde_rhs_examples():
@@ -97,12 +96,9 @@ def test_qtilde_structural_shape():
 
 def test_qtilde_rhs_bounds():
     bs = divided_set(7)
-    with pytest.raises(ValueError):
-        qtilde_rhs(6, 7, 5, bs)
-    with pytest.raises(ValueError):
-        qtilde_rhs(1, 7, 6, bs)
-    with pytest.raises(ValueError):
-        qtilde_rhs(1, 7, 4, bs)
+    for n, level in ((6, 5), (1, 6), (1, 4)):
+        with pytest.raises(ValueError):
+            qtilde_rhs(n, 7, level, bs)
 
 
 def test_depth_bounds_keep_their_messages():
@@ -121,25 +117,17 @@ def test_depth_bounds_keep_their_messages():
 
 def test_three_way_agreement():
     # headline transcription, coefficient-vector route and direct sums all
-    # produce identical residues
-    for p in (11, 13, 17):
+    # produce identical residues, and so does the n=5 congruence mod p^5
+    # with its leading factor written as p-1 instead of the compact -1
+    for p in (7, 11, 13, 17):
         bs = divided_set(p)
-        for level in (5, 6):
+        for level in depths(p):
             for n in range(1, level + 1):
                 direct = qtilde(n, p, level)
                 main = qtilde_rhs(n, p, level, bs)
                 vectors = qtilde_via_coefficients(n, p, level, bs)
                 assert main == vectors == direct, (p, level, n)
-
-
-def test_unreduced_lead_variant():
-    # the n=5 depth-5 congruence holds with the leading factor written
-    # either as -1 (the compact form) or as p-1
-    for p in (7, 11, 13):
-        bs = divided_set(p)
-        direct = qtilde(5, p, 5)
-        assert qtilde_rhs(5, p, 5, bs) == direct
-        assert qtilde_l5_n5_unreduced(p, bs) == direct
+        assert qtilde_l5_n5_unreduced(p, bs) == qtilde(5, p, 5), p
 
 
 def test_delta_vector_matches_binomial_difference():
@@ -288,21 +276,19 @@ def test_constant_guard_names_a_restated_family_product(monkeypatch):
         ("ZERO_EXPRESSIONS[bnd-d1-product]", const) for const in (1, 3)]
 
 
-def _surviving_vector_entries(monkeypatch, primes=(17, 23)):
+def _surviving_vector_entries(monkeypatch):
     """(level, vector name, n) for each entry of ``COEFF_TABLES`` that can be
-    raised by 1 with qtilde_via_coefficients(n, p, level, .) unchanged on the
-    divided set of each prime.  The raise moves the value by p^t b_d(j)/n,
-    and at a regular prime every b2(j) and b4(j) is a unit."""
-    sets = [(p, divided_set(p)) for p in primes]
+    raised by 1 with no monomial of the change to props' form of Q~_n mod
+    p^level, in Newton form, below p^level.  A block that reads the entry
+    moves by p^t b_d(j)/n, whose monomial p^t y_{d,0} lies below it."""
     survivors = []
     for level, vectors in COEFF_TABLES.items():
-        values = {n: [qtilde_via_coefficients(n, p, level, bset) for p, bset in sets]
-                  for n in range(1, level + 1)}
+        forms = {n: form(blocks) for n, blocks in formulas._QTILDE_VEC[level].items()}
+        values = {n: forms[n](Newton) for n in forms}
         for name, vector in list(vectors.items()):
-            for n in range(1, level + 1):
+            for n in forms:
                 monkeypatch.setitem(vectors, name, (*vector[:n - 1], vector[n - 1] + 1, *vector[n:]))
-                if all(qtilde_via_coefficients(n, p, level, bset) == want
-                       for (p, bset), want in zip(sets, values[n])):
+                if all(pe >= level for pe, _ in (forms[n](Newton) - values[n]).terms):
                     survivors.append((level, name, n))
             monkeypatch.setitem(vectors, name, vector)
     return survivors
@@ -323,13 +309,16 @@ def test_vector_guard_names_a_vector_no_block_reads(monkeypatch):
     assert _surviving_vector_entries(monkeypatch) == [(6, "eta", n) for n in range(1, 7)]
 
 
-def test_vector_guard_needs_regular_primes(monkeypatch):
-    # 37 divides the numerator of B_32, so b4(1) and b4(2), at indices 32 and
-    # 68, are 0 mod 37: at 37 the set hides exactly the entries read against
-    # b4 mod p, those of delta in the p^4 block of level 5 and of eta in the
-    # p^5 block of level 6
-    assert _surviving_vector_entries(monkeypatch, (37,)) == [
-        *((5, "delta", n) for n in range(1, 6)), *((6, "eta", n) for n in range(1, 7))]
+def test_raised_vector_entry_fails_its_sweep_row(monkeypatch):
+    # the guard reads the Newton form; the sweep reads the true set through
+    # the same blocks, and eta's first entry raised by 1 moves the n=1 form
+    # mod p^6 by p^5 b4(1), a unit at the regular prime 17
+    from wilsonq.harness import RunConfig, check_prime
+
+    cfg = RunConfig(pmin=17, pmax=17, checks=frozenset(["props"]))
+    eta = COEFF_TABLES[6]["eta"]
+    monkeypatch.setitem(COEFF_TABLES[6], "eta", (eta[0] + 1, *eta[1:]))
+    assert [r.case for r in check_prime(17, cfg) if not r.passed] == ["n=1-mod-p^6"]
 
 
 @pytest.mark.parametrize("p", [7, 11, 101, 1009])
@@ -371,13 +360,15 @@ def _certificate():
 
 
 def test_kummer_rows_imply_every_listed_relation():
-    # 5 zero expressions, 5 omega_nu across depths, 8 mod-p forms and 3
-    # term-group pairs; no row compares an omega_nu or a term group of
-    # omega_5 across depths, so this certificate is where the two ladders are
-    # held to each other
+    # 5 zero expressions, 5 omega_nu across depths, 8 mod-p forms, 3
+    # term-group pairs, 11 props forms against thm3's, the lemma form
+    # against props' and 4 n=1 pairs across levels; no row compares an
+    # omega_nu or a term group of omega_5 across depths, so this certificate
+    # is where the two ladders are held to each other, and where every props
+    # and lemmas row is held to a thm3 row
     relations = list(kummer_relations())
-    assert len(relations) == 21
-    assert len({name for name, *_ in relations}) == 21
+    assert len(relations) == 37
+    assert len({name for name, *_ in relations}) == 37
     assert _certificate() == {}
 
 
@@ -390,13 +381,25 @@ def test_certificate_lists_each_ladder_against_table3():
             assert listed[f"_OMEGA[{depth}][{nu}] - _OMEGA_MOD_P[{nu}]"] == (depth, 1)
 
 
+def test_certificate_holds_every_props_and_lemmas_row_to_thm3():
+    # each props form against thm3's at its level, and the lemma form against
+    # props' n=5 form, so the kummer rows and a thm3 row imply each such row
+    listed = {name: (depth, precision) for name, depth, precision, _, _ in kummer_relations()}
+    for level in (5, 6):
+        for n in range(1, level + 1):
+            assert listed[f"props n={n}-mod-p^{level} - thm3 n={n}-mod-p^{level}"] == (level, level)
+    assert listed["lemmas n=5-mod-p^5-unreduced-lead - props n=5-mod-p^5"] == (5, 5)
+
+
 def test_certificate_needs_each_window_and_unit_denominators():
-    # without the order-5 row on b, only the relations that read b(6) fail;
+    # without the order-5 row on b, only the relations that read b(6) fail,
+    # props' n=6 form leading with p-1 where thm3's leads with -1;
     # a 7 in a denominator is no unit at p = 7
     windows = {depth: _kummer_windows(depth) for depth in MIN_P}
     narrowed = {**windows, 6: windows[6] - {(0, 5)}}
     assert sorted(kummer_certificate(kummer_relations(), narrowed)) == [
-        "_OMEGA[6][1] - _OMEGA[5][1]", "_OMEGA[6][1] - _OMEGA_MOD_P[1]"]
+        "_OMEGA[6][1] - _OMEGA[5][1]", "_OMEGA[6][1] - _OMEGA_MOD_P[1]",
+        "props n=6-mod-p^6 - thm3 n=6-mod-p^6"]
     sevenths = ("sevenths", 5, 1, lambda t: t.F(1, 7) * t.p * t.b(1), None)
     assert list(kummer_certificate([sevenths], windows)) == ["sevenths"]
 
@@ -426,16 +429,11 @@ def test_mod_p_coefficient_forms():
     # omega_1..omega_4 at each depth; omega_0 is -1 in every ladder
     for p in (7, 11, 13):
         bs = divided_set(p)
-        w5 = omega_vector(p, bs, 5)
-        assert w5.omegas[0].reduce_to(1).value == p - 1
-        for nu in range(1, 5):
-            assert w5.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, nu)
-    for p in (11, 13):
-        bs = divided_set(p)
-        w6 = omega_vector(p, bs, 6)
-        assert w6.omegas[0].reduce_to(1).value == p - 1
-        for nu in range(1, 5):
-            assert w6.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, nu)
+        for depth in depths(p):
+            w = omega_vector(p, bs, depth)
+            assert w.omegas[0].reduce_to(1).value == p - 1
+            for nu in range(1, 5):
+                assert w.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, depth, nu)
     for nu in (0, 5):
         with pytest.raises(ValueError, match=f"no mod-p form for index {nu}"):
             omega_mod_p_rhs(nu, 11, divided_set(11))
@@ -444,8 +442,6 @@ def test_mod_p_coefficient_forms():
 def test_corrupted_coefficient_is_detected(monkeypatch):
     # the verification must be able to fail: perturb one transcription entry
     # and watch the end-to-end comparison break
-    from wilsonq import formulas
-
     bs = divided_set(13)
     good = omega_vector(13, bs, 5).factorial_form()
     assert good == factorial_mod(13, 6)
@@ -482,7 +478,6 @@ def test_omega5_group_perturbation_is_seen_everywhere(monkeypatch, name):
 def test_corrupted_unreduced_lead_is_detected(monkeypatch):
     # the lemmas row must be able to fail: perturb one coefficient of the
     # lead block of the (p-1)-lead form and watch the row break
-    from wilsonq import formulas
     from wilsonq.harness import RunConfig, check_prime
 
     cfg = RunConfig(pmin=7, pmax=13, checks=frozenset(["lemmas"]))
@@ -531,10 +526,9 @@ def test_accessor_fraction_needs_a_unit_denominator():
     t = formulas._Acc(7, divided_set(7), 3)
     assert t.F(1, 2) * 2 % 7**3 == 1
     assert t.F(-5, 24) * 24 % 7**3 == -5 % 7**3
-    with pytest.raises(ValueError, match="not coprime"):
-        t.F(1, 7)
-    with pytest.raises(ValueError, match="not coprime"):
-        t.F(1, 14)
+    for den in (7, 14):
+        with pytest.raises(ValueError, match="not coprime"):
+            t.F(1, den)
 
 
 def test_display_returning_a_fraction_raises(monkeypatch):
@@ -579,14 +573,12 @@ def test_every_lambda_is_a_listed_display():
 
 
 def test_displays_stay_on_the_integer_path():
-    # every display, and qtilde_via_coefficients, which evaluates the printed
-    # vectors directly, take rationals from t.F, never from the module-level
-    # Fraction
-    builder = ast.parse(inspect.getsource(qtilde_via_coefficients))
-    scanned = [builder, *(_lambda_node(display) for _, _, display in displays())]
+    # every display, the printed-vector blocks too, takes rationals from t.F,
+    # never from the module-level Fraction
     offenders = [
         (call.lineno, call.func.id)
-        for node in scanned for call in ast.walk(node)
+        for node in {_lambda_node(display) for _, _, display in displays()}
+        for call in ast.walk(node)
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
         and call.func.id in ("F", "Fraction")
     ]
@@ -606,13 +598,14 @@ def test_each_block_is_written_once():
 def test_no_two_lambdas_share_a_body():
     # one pair is two displays that happen to coincide: omega_5's depth-5
     # bnd4 group and the p^4 block of the compact n=5 form mod p^5 (a block
-    # the p^6 forms share with the p^5 forms is one lambda, read once here)
+    # the p^6 forms share with the p^5 forms, or a printed-vector block for
+    # each n, is one lambda, read once here)
     first: dict = {}
     for name, _, display in displays():
-        first.setdefault(display, name)
+        first.setdefault(_lambda_node(display), name)
     names_by_body: dict[str, list[str]] = {}
-    for display, name in first.items():
-        names_by_body.setdefault(ast.dump(_lambda_node(display).body), []).append(name)
+    for node, name in first.items():
+        names_by_body.setdefault(ast.dump(node.body), []).append(name)
     repeated = [names for names in names_by_body.values() if len(names) > 1]
     assert repeated == [["_OMEGA5_TERMS[5][bnd4-terms]", "_QTILDE_MAIN[5][5] p^4"]]
 

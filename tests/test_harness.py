@@ -12,6 +12,8 @@ import warnings
 
 import pytest
 
+from displays import kummer_relations
+from reference_routes import kummer_certificate
 from wilsonq import bernoulli, formulas, harness, oracles
 from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
 from wilsonq.cli import main
@@ -33,21 +35,16 @@ def test_enumerate_primes_examples():
     assert enumerate_primes(7, 13) == [7, 11, 13]
     assert enumerate_primes(14, 16) == []
     assert len(enumerate_primes(2, 30)) == 10
-    with pytest.raises(ValueError):
-        enumerate_primes(1, 30)
-    with pytest.raises(ValueError):
-        enumerate_primes(30, 7)
+    for pmin, pmax in ((1, 30), (30, 7)):
+        with pytest.raises(ValueError):
+            enumerate_primes(pmin, pmax)
 
 
 def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(pmin=20, pmax=10)
-    with pytest.raises(ValueError):
-        RunConfig(pmin=7, pmax=20, checks=frozenset(["bogus"]))
-    with pytest.raises(ValueError):
-        RunConfig(pmin=7, pmax=20, jobs=0)
-    with pytest.raises(ValueError):
-        RunConfig(pmin=7, pmax=20, fmt="xml")
+    for pmin, pmax, extra in ((20, 10, {}), (7, 20, {"checks": frozenset(["bogus"])}),
+                              (7, 20, {"jobs": 0}), (7, 20, {"fmt": "xml"})):
+        with pytest.raises(ValueError):
+            RunConfig(pmin=pmin, pmax=pmax, **extra)
 
 
 def test_runconfig_refuses_the_window_enumerate_primes_refuses():
@@ -83,8 +80,7 @@ def test_check_prime_thm1_shape():
     results = check_prime(7, cfg)
     assert len(results) == 1  # the factorial end to end; p = 7 has no depth 4
     assert all(r.passed and not r.skipped for r in results)
-    cases = {r.case for r in results}
-    assert "factorial-mod-p^6" in cases
+    assert "factorial-mod-p^6" in {r.case for r in results}
 
 
 def test_skip_semantics_below_bounds():
@@ -573,21 +569,19 @@ def test_every_divided_set_row_can_fail():
     flagged = {(key, other) for (key, draws), (other, other_draws)
                in itertools.combinations(sorted(drawn.items()), 2)
                if reduces(draws, other_draws)}
-    # each power sum's two printed displays, which expand to one polynomial
-    # (thm3's compact n=5 form mod p^5 leads with -1, props' with p-1), and
-    # the (p-1)-lead lemma form, which is props' n=5 form mod p^5
-    same_polynomial = {(("props", f"n={n}-mod-p^{level}"), ("thm3", f"n={n}-mod-p^{level}"))
-                       for level in (5, 6) for n in range(1, level)}
-    # The n=1 form mod p^6 is the form mod p^5 plus one p^5 block, so each
-    # display's n=1 row mod p^5 is a reduction of both n=1 rows mod p^6.
-    # Those rows stay: at p = 7 the p^5 row is the only n=1 check, and
-    # dropping it from p = 11 on would add a branch to _power_sums.
-    n1 = {(("props", "n=1-mod-p^5"), ("props", "n=1-mod-p^6")),
-          (("props", "n=1-mod-p^5"), ("thm3", "n=1-mod-p^6")),
-          (("props", "n=1-mod-p^6"), ("thm3", "n=1-mod-p^5")),
-          (("thm3", "n=1-mod-p^5"), ("thm3", "n=1-mod-p^6"))}
-    assert flagged == same_polynomial | n1 | {
-        (("lemmas", "n=5-mod-p^5-unreduced-lead"), ("props", "n=5-mod-p^5"))}
+    # the certificate's relations between two rows that hold with every
+    # y_{d,i} free, no kummer row assumed: each power sum's two printed
+    # displays for n < level, the (p-1)-lead lemma form against props' n=5
+    # form, and each n=1 form mod p^6 against each mod p^5.  Those n=1 rows
+    # stay: at p = 7 the p^5 row is the only n=1 check, and dropping it from
+    # p = 11 on would add a branch to _power_sums.
+    free = {depth: {(d, 0) for _, d in set_spec(depth)} for depth in MIN_P}
+    relations = list(kummer_relations())
+    unimplied = kummer_certificate(relations, free)
+    pairs = [tuple(sorted(tuple(side.split(" ", 1)) for side in name.split(" - ")))
+             for name, *_ in relations if name not in unimplied]
+    assert len(pairs) == 14 and all(side in drawn for pair in pairs for side in pair)
+    assert flagged == set(pairs)
     for p, ever in failed.items():
         assert len(ever) == 35  # 34 rows on the divided set and psi's one
         assert [key for key, fails in ever.items() if not fails] == [], p

@@ -13,10 +13,7 @@ PRIMES = (3, 5, 7, 11, 13, 17, 101, 1999, 32003)
 def test_make_modulus_powers():
     assert make_modulus(5, 2).value == 25
     # 7^6 by repeated multiplication, independent of **
-    expected = 1
-    for _ in range(6):
-        expected *= 7
-    assert make_modulus(7, 6).value == expected == 117649
+    assert make_modulus(7, 6).value == 7 * 7 * 7 * 7 * 7 * 7 == 117649
 
 
 def test_make_modulus_rejects_bad_input():
