@@ -12,7 +12,7 @@ from .bernoulli import (
 from .formulas import (
     COEFF_TABLES,
     PTILDE,
-    OmegaVector,
+    factorial_form,
     omega_mod_p_rhs,
     omega_vector,
     qtilde_rhs,
@@ -38,7 +38,6 @@ __all__ = [
     "COEFF_TABLES",
     "DividedSet",
     "Modulus",
-    "OmegaVector",
     "PTILDE",
     "Residue",
     "RunConfig",
@@ -47,6 +46,7 @@ __all__ = [
     "check_prime",
     "divided_set",
     "enumerate_primes",
+    "factorial_form",
     "factorial_mod",
     "forward_difference",
     "is_prime",

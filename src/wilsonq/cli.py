@@ -96,8 +96,7 @@ def _cmd_wilson(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    omega = omega_vector(args.p, divided_set(args.p), args.depth)
-    for nu, w in enumerate(omega.omegas):
+    for nu, w in enumerate(omega_vector(args.p, divided_set(args.p), args.depth)):
         print(
             f"omega[{nu}] mod p^{w.precision} = {w.value}"
             f"  (base-{args.p} digits {w.digits()})"

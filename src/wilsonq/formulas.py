@@ -24,12 +24,13 @@ the same shape as the closed forms', through the same evaluator.
 Naming: b(n) is the divided Bernoulli value at index n(p-1) with the pole
 removed, b2(n)/b4(n) the values at indices n(p-1)-2 and n(p-1)-4.  The
 expansion coefficients of (p-1)! in base p are called omega_0..omega_R, with
-omega_nu stated modulo p^(R+1-nu).
+omega_nu stated modulo p^(R+1-nu); a ladder is the plain tuple of them, and
+:func:`factorial_form` lifts it to (p-1)! mod p^(R+1).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bernoulli import MIN_P, DividedSet, forward_difference
 from .residues import Residue, make_modulus, ratio_mod
@@ -147,25 +148,9 @@ _OMEGA: dict[int, dict[int, _Display]] = {
 }
 
 
-class OmegaVector(NamedTuple):
-    """Expansion coefficients omega_0..omega_depth of (p-1)! in powers of p,
-    each at its own stated precision (p^(depth+1-nu) for omega_nu)."""
-
-    p: int
-    omegas: tuple[Residue, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.omegas) - 1
-
-    def factorial_form(self) -> Residue:
-        """sum omega_nu p^nu, an exact class modulo p^(depth+1)."""
-        return _lift(enumerate(w.value for w in self.omegas), self.p, self.depth + 1)
-
-
-def omega_vector(p: int, bset: DividedSet, depth: int) -> OmegaVector:
-    """The coefficient ladder at a depth of ``_OMEGA``, for p from
-    ``MIN_P[depth]``."""
+def omega_vector(p: int, bset: DividedSet, depth: int) -> tuple[Residue, ...]:
+    """The coefficient ladder omega_0..omega_depth at a depth of ``_OMEGA``,
+    omega_nu mod p^(depth+1-nu), for p from ``MIN_P[depth]``."""
     if depth not in _OMEGA:
         raise ValueError(f"unsupported depth {depth}")
     if p < MIN_P[depth]:
@@ -174,7 +159,12 @@ def omega_vector(p: int, bset: DividedSet, depth: int) -> OmegaVector:
     omegas = [Residue(-1, make_modulus(p, top))]
     for nu in range(1, depth + 1):
         omegas.append(_residue(_OMEGA[depth][nu](_Acc(p, bset, top - nu)), p, top - nu))
-    return OmegaVector(p=p, omegas=tuple(omegas))
+    return tuple(omegas)
+
+
+def factorial_form(omegas: Sequence[Residue]) -> Residue:
+    """sum omega_nu p^nu over a ladder, a class mod p^len(omegas)."""
+    return _lift(enumerate(w.value for w in omegas), omegas[0].p, len(omegas))
 
 
 # -- congruences for the scaled power sums (p^(n-1)/n) Q_p(n) ----------------

@@ -70,7 +70,7 @@ class PrimeRun:
         self.p = p
         self.levels = depths(p)
         self.top = min(max(MIN_P), p - 1)
-        self._omegas: dict[int, formulas.OmegaVector] = {}
+        self._omegas: dict[int, tuple[Residue, ...]] = {}
 
     @cached_property
     def engine(self) -> BernoulliEngine:
@@ -88,7 +88,7 @@ class PrimeRun:
     def wilson(self) -> oracles.WilsonRecord:
         return oracles.wilson_quotient(self.p, self.top)
 
-    def omega(self, depth: int) -> formulas.OmegaVector:
+    def omega(self, depth: int) -> tuple[Residue, ...]:
         """The coefficient ladder at ``depth``, built on first use."""
         if depth not in self._omegas:
             self._omegas[depth] = formulas.omega_vector(self.p, self.bset, depth)
@@ -101,7 +101,7 @@ def _expansion(run: PrimeRun, depth: int) -> list[Row]:
     with the depth below agrees with it follows from the kummer rows, as
     the tests certify, so it has no row."""
     return [(f"factorial-mod-p^{depth + 1}", run.wilson.factorial.reduce_to(depth + 1),
-             run.omega(depth).factorial_form())]
+             formulas.factorial_form(run.omega(depth)))]
 
 
 def _power_sums(run: PrimeRun, closed_form) -> list[Row]:
@@ -144,7 +144,7 @@ def _check_table3(run: PrimeRun) -> list[Row]:
     # other ladder and the depth-6 term groups of omega_5 agree with it mod p
     # follow from the kummer rows, as the tests certify, so they have no row.
     depth = run.levels[-1]
-    return [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth).omegas[nu].reduce_to(1),
+    return [(f"depth{depth}-omega{nu}-mod-p", run.omega(depth)[nu].reduce_to(1),
              formulas.omega_mod_p_rhs(nu, run.p, run.bset)) for nu in range(1, 5)]
 
 

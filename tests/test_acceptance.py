@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from reference_routes import binom_diff_mod_p, exact_bernoulli, ptilde_mismatches, q_power_sum
+from wilsonq import harness
 from wilsonq.bernoulli import BernoulliEngine, bnpd, forward_difference, kummer_admissible
 from wilsonq.formulas import PTILDE
 from wilsonq.harness import RunConfig, check_prime, enumerate_primes, run_and_report
@@ -169,13 +170,24 @@ def test_zero_expressions_and_coefficient_tables(wide_sweep):
           f"{len(zero_rows)} + {len(table_rows)} cases, primes 11..500")
 
 
-def test_report_determinism_and_worker_independence():
+def test_report_determinism_and_worker_independence(monkeypatch):
+    # the sweep caps its workers at the CPUs the process may run on; offer it
+    # 8, so that jobs=8 forks and merges 8 workers on any host
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    forked, fork = [], harness._forked_sweep
+
+    def counted_fork(primes, cfg, workers):
+        forked.append(workers)
+        return fork(primes, cfg, workers)
+
+    monkeypatch.setattr(harness, "_forked_sweep", counted_fork)
     base = dict(pmin=7, pmax=150, checks=frozenset(["thm1", "thm3"]), fmt="json")
     outputs = []
     for jobs in (1, 1, 8):
         buf = io.StringIO()
         assert run_and_report(RunConfig(**base, jobs=jobs), stream=buf) == 0
         outputs.append(buf.getvalue())
+    assert forked == [8]
     assert outputs[0] == outputs[1], "repeat runs must be byte-identical"
     assert outputs[0] == outputs[2], "worker count must not affect the report"
     print("PASS determinism: byte-identical reports for repeat runs and jobs in {1, 8}")

@@ -16,6 +16,7 @@ from wilsonq.formulas import (
     PTILDE,
     QTILDE_L5_N5_UNREDUCED,
     _QTILDE_MAIN,
+    factorial_form,
     omega_mod_p_rhs,
     omega_vector,
     qtilde_l5_n5_unreduced,
@@ -33,27 +34,27 @@ F = Fraction
 def test_omega_zeroth_coefficient():
     bs = divided_set(7)
     omega = omega_vector(7, bs, depth=5)
-    assert omega.omegas[0].value == 7**6 - 1
-    assert omega.omegas[0].precision == 6
+    assert omega[0].value == 7**6 - 1
+    assert omega[0].precision == 6
 
 
 def test_omega_precision_ladder():
     bs = divided_set(11)
     omega = omega_vector(11, bs, depth=6)
-    assert [w.precision for w in omega.omegas] == [7, 6, 5, 4, 3, 2, 1]
+    assert [w.precision for w in omega] == [7, 6, 5, 4, 3, 2, 1]
 
 
 def test_factorial_expansion_examples():
     bs7 = divided_set(7)
-    assert omega_vector(7, bs7, 5).factorial_form().value == 720
+    assert factorial_form(omega_vector(7, bs7, 5)).value == 720
     bs11 = divided_set(11)
-    assert omega_vector(11, bs11, 6).factorial_form().value == factorial(10) % 11**7
+    assert factorial_form(omega_vector(11, bs11, 6)).value == factorial(10) % 11**7
 
 
 def test_first_coefficient_mod_p():
     bs = divided_set(7)
     omega = omega_vector(7, bs, 5)
-    assert omega.omegas[1].reduce_to(1) == -bs[(1, 0)].value
+    assert omega[1].reduce_to(1) == -bs[(1, 0)].value
 
 
 def test_depth6_reduces_to_depth5():
@@ -62,7 +63,7 @@ def test_depth6_reduces_to_depth5():
         w5 = omega_vector(p, bs, 5)
         w6 = omega_vector(p, bs, 6)
         for nu in range(1, 6):
-            assert w6.omegas[nu].reduce_to(6 - nu) == w5.omegas[nu], (p, nu)
+            assert w6[nu].reduce_to(6 - nu) == w5[nu], (p, nu)
 
 
 def test_omega_bounds():
@@ -434,9 +435,9 @@ def test_mod_p_coefficient_forms():
         bs = divided_set(p)
         for depth in depths(p):
             w = omega_vector(p, bs, depth)
-            assert w.omegas[0].reduce_to(1).value == p - 1
+            assert w[0].reduce_to(1).value == p - 1
             for nu in range(1, 5):
-                assert w.omegas[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, depth, nu)
+                assert w[nu].reduce_to(1) == omega_mod_p_rhs(nu, p, bs), (p, depth, nu)
     for nu in (0, 5):
         with pytest.raises(ValueError, match=f"no mod-p form for index {nu}"):
             omega_mod_p_rhs(nu, 11, divided_set(11))
@@ -446,13 +447,13 @@ def test_corrupted_coefficient_is_detected(monkeypatch):
     # the verification must be able to fail: perturb one transcription entry
     # and watch the end-to-end comparison break
     bs = divided_set(13)
-    good = omega_vector(13, bs, 5).factorial_form()
+    good = factorial_form(omega_vector(13, bs, 5))
     assert good == factorial_mod(13, 6)
     original = formulas._OMEGA[5][1]
     monkeypatch.setitem(
         formulas._OMEGA[5], 1, lambda t: original(t) + t.b(1)
     )
-    bad = omega_vector(13, bs, 5).factorial_form()
+    bad = factorial_form(omega_vector(13, bs, 5))
     assert bad != factorial_mod(13, 6)
 
 
@@ -500,9 +501,9 @@ def test_corrupted_unreduced_lead_is_detected(monkeypatch):
 def test_factorial_expansion_equals_oracle_sample():
     for p in (7, 11, 13, 17, 19, 23):
         bs = divided_set(p)
-        assert omega_vector(p, bs, 5).factorial_form() == factorial_mod(p, 6), p
+        assert factorial_form(omega_vector(p, bs, 5)) == factorial_mod(p, 6), p
         if p >= 11:
-            assert omega_vector(p, bs, 6).factorial_form() == factorial_mod(p, 7), p
+            assert factorial_form(omega_vector(p, bs, 6)) == factorial_mod(p, 7), p
 
 
 # -- the integer path ----------------------------------------------------------
