@@ -12,7 +12,8 @@ A runner returns (case, lhs, rhs) triples, with rhs either a residue or 0 for
 a vanishing claim; :func:`check_prime` alone turns them, and the skip and
 error markers, into report rows.  Primes are independent units of work, so
 the sweep is embarrassingly parallel: with ``--jobs`` above 1 it forks
-workers that each take every W-th prime and send their rows prime by prime.
+workers that each start on a usable CPU of their own, take every W-th prime
+and send their rows prime by prime.
 Either way one loop writes each prime's rows as they come, in prime order,
 so reports are byte-identical for any worker count and the parent holds one
 prime's rows at a time.
@@ -217,13 +218,22 @@ def check_prime(p: int, cfg: RunConfig) -> list[CheckResult]:
     return results
 
 
-def _run_share(primes: list[int], cfg: RunConfig, write_fd: int) -> None:
+def _run_share(primes: list[int], cfg: RunConfig, write_fd: int, worker: int) -> None:
     """A forked worker's whole life: per prime of ``primes``, one frame on
     ``write_fd`` as soon as it is made (the marshalled rows' length, then the
     rows, so the parent loads each frame whole rather than field by field),
-    then ``os._exit``, so no parent state is flushed or run twice."""
+    then ``os._exit``, so no parent state is flushed or run twice.  Worker i
+    first moves to the i-th usable CPU, as a forked child starts on its
+    parent's and may stay there for a short sweep, then takes every usable
+    CPU back, so the kernel may still move it; refused, it stays put."""
     code = 1
     try:
+        try:
+            cpus = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except (AttributeError, OSError):
+            pass
         with open(write_fd, "wb") as out:
             for p in primes:
                 frame = marshal.dumps([tuple(r) for r in check_prime(p, cfg)])
@@ -255,7 +265,7 @@ def _forked_sweep(primes: list[int], cfg: RunConfig, workers: int) -> Iterator[l
                 os.close(write_fd)
                 raise
             if pid == 0:  # the child never returns from here
-                _run_share(primes[i::workers], cfg, write_fd)
+                _run_share(primes[i::workers], cfg, write_fd, i)
             # Closed at once, so no later child holds this write end and the
             # pipe reads EOF when worker i exits.
             os.close(write_fd)

@@ -255,6 +255,45 @@ def test_worker_count_independence(monkeypatch):
     _no_child_left()
 
 
+@pytest.mark.parametrize("worker", [0, 1, 2])
+def test_worker_moves_to_its_own_cpu_then_frees_them_all(worker, monkeypatch):
+    # worker i asks for the i-th usable CPU alone, then for every usable CPU,
+    # before its first prime; run in process, with os._exit recorded
+    usable = {1, 4, 6}
+    calls = []
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(usable), raising=False)
+    monkeypatch.setattr(harness.os, "sched_setaffinity",
+                        lambda pid, cpus: calls.append((pid, set(cpus))), raising=False)
+    monkeypatch.setattr(harness, "check_prime", lambda p, cfg: calls.append(p) or [])
+    monkeypatch.setattr(harness.os, "_exit", lambda code: calls.append(f"exit {code}"))
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb"):
+        harness._run_share([7, 13], RunConfig(pmin=7, pmax=13), write_fd, worker)
+    assert calls == [(0, {sorted(usable)[worker]}), (0, usable), 7, 13, "exit 0"]
+
+
+@pytest.mark.parametrize("host", ["refused", "missing"])
+def test_unplaced_workers_sweep_all_the_same(host, monkeypatch):
+    # a host that refuses every placement, or has no call to make one: each
+    # worker stays where it was forked and the report is the serial one
+    _usable_cores(monkeypatch, 3)
+    if host == "refused":
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(harness.os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(harness.os, "sched_setaffinity", raising=False)
+    base = dict(pmin=7, pmax=60, checks=frozenset(["thm1", "psi"]), fmt="json")
+    serial = io.StringIO()
+    assert run_and_report(RunConfig(**base, jobs=1), stream=serial) == 0
+    for jobs in (2, 3):
+        forked = io.StringIO()
+        assert run_and_report(RunConfig(**base, jobs=jobs), stream=forked) == 0
+        assert forked.getvalue() == serial.getvalue(), jobs
+    _no_child_left()
+
+
 def test_tag_selection_changes_no_row():
     # each tag alone gives exactly its rows of the all-tag run, and so do two
     # tags together, in CHECKS order; kummer asks the engine for fewer digits
