@@ -22,11 +22,12 @@ which :func:`bnpd` alone computes from p*B_m on an engine for its own
 prime, and a per-prime dict of the divided values at the index families
 n(p-1)-d for even d.  Kummer's congruences are written here too:
 :func:`kummer_admissible` says which r-fold forward differences (step p-1)
-of the divided values vanish mod p^r, and :func:`kummer_differences` takes
-them.  The depth policy lives here alone: ``MIN_P`` maps each depth R (the
-expansion of (p-1)! mod p^(R+1)) to the smallest prime it holds for,
-:func:`depths` lists the depths a prime supports and :func:`set_spec` the
-set values a depth reads.
+of the divided values vanish mod p^r.  The sweep's ``kummer`` check takes
+them on the divided set, and :func:`kummer_differences` from any start, for
+the ``wilsonq kummer`` scan.  The depth policy lives here alone: ``MIN_P``
+maps each depth R (the expansion of (p-1)! mod p^(R+1)) to the smallest
+prime it holds for, :func:`depths` lists the depths a prime supports and
+:func:`set_spec` the set values a depth reads.
 
 One prime's power-sum tables and p*B_m values live in a
 :class:`BernoulliEngine`, an optional trailing argument of every function
@@ -210,7 +211,8 @@ def forward_difference(f: Callable[[int], int], h: int, n: int, start: int = 0) 
 
 def kummer_differences(p: int, engine: BernoulliEngine,
                        windows: Iterable[tuple[int, int]]) -> list[tuple[int, int, Residue]]:
-    """(r, n, value) for each window (n, top) and admissible r = 1..top, once
+    """The ``wilsonq kummer`` scan's evaluator, over arbitrary starts:
+    (r, n, value) for each window (n, top) and admissible r = 1..top, once
     per (r, n), by r and then in the windows' order: the r-fold difference
     with step p-1 of the divided values from index n, taken mod p^r, which
     Kummer's congruences claim is 0.  Each distinct index is evaluated once,
@@ -239,8 +241,7 @@ MIN_P = {5: 7, 6: 11}
 #: Rows w_v^0 .. w_v^(BLOCK_ROWS-1) an engine's block holds.  The divided set
 #: of the deepest depth R reads the columns p-1-d for d = 2, 4, .. at rows
 #: 0..R-1 and the column 0 at rows 1..R, which the v^2 fold of the column
-#: p-3 holds; so does the kummer check's top window (start p-1, order 5),
-#: which reads up to 6(p-1).
+#: p-3 holds.
 BLOCK_ROWS = max(MIN_P)
 
 

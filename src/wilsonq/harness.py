@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import formulas, oracles
 from .bernoulli import (MIN_P, BernoulliEngine, DividedSet, depths, divided_set,
-                        kummer_differences, set_spec)
-from .residues import Residue, check_window, is_prime, split_p
+                        forward_difference, kummer_admissible, set_spec)
+from .residues import Residue, check_window, is_prime, make_modulus, split_p
 
 #: What a check runner returns per case: (case, lhs, rhs), rhs 0 for a
 #: vanishing claim.
@@ -128,11 +128,16 @@ def _check_psi(run: PrimeRun) -> list[Row]:
 
 def _check_kummer(run: PrimeRun) -> list[Row]:
     """Kummer's congruences on each family of the divided set, n(p-1) - d for
-    n = 1, 2, .., up to the top order it holds: the premise of the relations
-    among the set's displays that the tests certify in place of rows."""
-    families = [(run.p - 1 - d, r - 1) for (n, d), r in set_spec(run.levels[-1]).items() if n == 1]
-    return [(f"r={r}-n={n}", value, 0)
-            for r, n, value in kummer_differences(run.p, run.engine, families)]
+    n = 1, 2, ..: the r-fold difference of the set's own values from n = 1,
+    mod p^r, for each admissible r below the family's length, by r and then
+    d.  They are the premise of the relations among the set's displays that
+    the tests certify in place of rows."""
+    p = run.p
+    lengths = {d: r for (n, d), r in set_spec(run.levels[-1]).items() if n == 1}
+    return [(f"r={r}-n={p - 1 - d}", Residue(forward_difference(
+                lambda n: run.bset[n, d].value, 1, r, start=1), make_modulus(p, r)), 0)
+            for r in range(1, max(lengths.values())) for d, length in lengths.items()
+            if r < length and kummer_admissible(p, r, p - 1 - d)]
 
 
 def _check_zero_exprs(run: PrimeRun) -> list[Row]:

@@ -1,6 +1,7 @@
 import ast
 import functools
 import inspect
+import re
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -648,6 +649,23 @@ def test_the_two_sides_meet_only_in_the_harness():
         "wilsonq.bernoulli": {"residues"},
         "wilsonq.formulas": {"bernoulli", "residues"},
     }
+
+
+def test_the_package_exports_the_readme_library_alone():
+    # the names the README's python blocks import from wilsonq are the
+    # package's __all__, and they are bound there; no other function is, so
+    # everything else is imported from its own module
+    import wilsonq
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    names = [alias.name for block in re.findall(r"```python\n(.*?)```", readme, re.S)
+             for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "wilsonq"
+             for alias in node.names]
+    assert sorted(wilsonq.__all__) == sorted(names) and names
+    assert all(callable(getattr(wilsonq, name)) for name in names)
+    assert {name for name, value in vars(wilsonq).items()
+            if not name.startswith("_") and not inspect.ismodule(value)} == set(names)
 
 
 def test_power_sum_display_covers_the_top_precision():

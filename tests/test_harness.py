@@ -15,7 +15,7 @@ import pytest
 from displays import kummer_relations
 from reference_routes import kummer_certificate
 from wilsonq import bernoulli, formulas, harness, oracles
-from wilsonq.bernoulli import MIN_P, BernoulliEngine, set_spec
+from wilsonq.bernoulli import MIN_P, BernoulliEngine, depths, set_spec
 from wilsonq.cli import main
 from wilsonq.residues import P_LIMIT, Residue, is_prime, make_modulus
 from wilsonq.harness import (
@@ -296,9 +296,8 @@ def test_unplaced_workers_sweep_all_the_same(host, monkeypatch):
 
 def test_tag_selection_changes_no_row():
     # each tag alone gives exactly its rows of the all-tag run, and so do two
-    # tags together, in CHECKS order; kummer asks the engine for fewer digits
-    # than the divided set that table3 and zero-exprs then build, so with
-    # these pairs the engine's precision rises in the middle of a prime
+    # tags together, in CHECKS order; kummer differences the divided set, so
+    # with these pairs the set it builds is the one table3 and zero-exprs read
     primes = enumerate_primes(2, 120)
 
     def rows(tags):
@@ -579,7 +578,8 @@ def test_every_divided_set_row_can_fail():
     # (lhs, rhs) is the other's mod the smaller modulus on every draw are
     # exactly the pairs named below
     rng = random.Random(2510)
-    drawn_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "psi", "zero-exprs", "table3"}
+    drawn_tags = {"thm1", "thm2", "thm3", "props", "lemmas", "psi", "kummer", "zero-exprs",
+                  "table3"}
     failed: dict[int, dict[tuple[str, str], bool]] = {}
     drawn: dict[tuple[str, str], list[tuple[int, int, int]]] = {}
     for p in (11, 13):
@@ -622,7 +622,7 @@ def test_every_divided_set_row_can_fail():
     assert len(pairs) == 14 and all(side in drawn for pair in pairs for side in pair)
     assert flagged == set(pairs)
     for p, ever in failed.items():
-        assert len(ever) == 35  # 34 rows on the divided set and psi's one
+        assert len(ever) == 44  # 43 rows on the divided set and psi's one
         assert [key for key, fails in ever.items() if not fails] == [], p
 
 
@@ -639,7 +639,8 @@ def test_divided_set_rows_start_where_the_set_does(monkeypatch):
             runner(PrimeRun(11))
         except LookupError:
             readers[tag] = min_p
-    assert set(readers) == {"thm1", "thm2", "thm3", "props", "lemmas", "zero-exprs", "table3"}
+    assert set(readers) == {"thm1", "thm2", "thm3", "props", "lemmas", "kummer", "zero-exprs",
+                            "table3"}
     assert all(min_p >= MIN_P[5] for min_p in readers.values()), readers
 
 
@@ -673,39 +674,24 @@ def test_one_factorial_per_prime(monkeypatch):
         assert calls == [(p, 7)], p
 
 
-def test_kummer_sums_each_index_once(monkeypatch):
-    # every index the windows read costs one power sum, and the column
-    # passes fill them: at p = 101 the kummer check alone makes one pass at
-    # the column p-5 of the b4 family, whose v^2 fold holds the b2 family's
-    # column p-3, one at the column 0 of the b family (its fold holds the
-    # column 2) and one above the block for 6(p-1), each on a column table
-    # of its own next to the v^(p-1) table of the block.  The b window of
-    # order 5 reads 5(p-1) and 6(p-1) at g = 6, so their recursions reach
-    # 496 and 596 too: 6 indices in each of the three families' columns.
-    calls, tables, passes = [], [], []
-    direct_sum, direct_pass = BernoulliEngine.power_sum, BernoulliEngine._column_pass
-    direct_table = bernoulli.power_table
+@pytest.mark.parametrize("p", [7, 11, 101, 1009])
+def test_kummer_rows_read_the_filled_set_alone(p, monkeypatch):
+    # on a prime whose divided set is built, the kummer check computes no
+    # divided value: it calls neither bnpd nor the engine, and its rows are
+    # the scan evaluator's differences on the set's families, case for case
+    families = [(p - 1 - d, r - 1) for (n, d), r in set_spec(depths(p)[-1]).items() if n == 1]
+    want = [(f"r={r}-n={n}", value, 0)
+            for r, n, value in bernoulli.kummer_differences(p, BernoulliEngine(p), families)]
+    run = PrimeRun(p)
+    run.__dict__["bset"] = bernoulli.divided_set(p)
 
-    def counted_sum(engine, j, g):
-        calls.append(j)
-        return direct_sum(engine, j, g)
+    def refused(*args, **kwargs):
+        raise AssertionError("the kummer check computed a divided value")
 
-    def counted_pass(engine, j):
-        passes.append(j)
-        direct_pass(engine, j)
-
-    def counted_table(p, e, mod):
-        tables.append(e)
-        return direct_table(p, e, mod)
-
-    monkeypatch.setattr(BernoulliEngine, "power_sum", counted_sum)
-    monkeypatch.setattr(BernoulliEngine, "_column_pass", counted_pass)
-    monkeypatch.setattr(bernoulli, "power_table", counted_table)
-    rows = check_prime(101, RunConfig(pmin=101, pmax=101, checks=frozenset(["kummer"])))
-    assert rows and all(r.passed for r in rows)
-    assert len(calls) == len(set(calls)) == 18
-    assert passes == [96, 100, 600]
-    assert tables == [100, 96, 0, 600]
+    monkeypatch.setattr(bernoulli, "bnpd", refused)
+    for name in ("__init__", "pb_value", "power_sum", "_column_pass"):
+        monkeypatch.setattr(BernoulliEngine, name, refused)
+    assert harness._check_kummer(run) == want
 
 
 #: Even starts off the divided set's families, which no display reads,
