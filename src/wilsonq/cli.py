@@ -42,20 +42,24 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     v.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default="text")
     v.add_argument("--out", default=None, help="report path (default: stdout)")
+    v.set_defaults(handler=_cmd_verify)
 
     b = sub.add_parser("bernoulli", help="print a divided Bernoulli value mod p^r")
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--m", type=int, required=True, help="index m >= 1 of the divided value")
     b.add_argument("--prec", type=int, required=True, help="precision exponent r")
+    b.set_defaults(handler=_cmd_bernoulli)
 
     w = sub.add_parser("wilson", help="print (p-1)!, the Wilson quotient and digits")
     w.add_argument("--p", type=int, required=True)
     w.add_argument("--prec", type=int, required=True, help="precision exponent r")
+    w.set_defaults(handler=_cmd_wilson)
 
     o = sub.add_parser("omega", help="print the factorial expansion coefficients")
     o.add_argument("--p", type=int, required=True)
     o.add_argument("--depth", type=int, choices=sorted(MIN_P), required=True,
                    help="; ".join(f"{d}: omega_0..omega_{d} (p>={p})" for d, p in MIN_P.items()))
+    o.set_defaults(handler=_cmd_omega)
 
     k = sub.add_parser("kummer", help="check Kummer's congruences from every even start")
     k.add_argument("--primes", type=int, nargs="+", required=True)
@@ -64,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "column table and one pass over the p-1 values (about 7 s for 100 "
                         "starts at p = 262139)")
     k.add_argument("--rmax", type=int, required=True, help="top difference order r >= 1")
+    k.set_defaults(handler=_cmd_kummer)
     return parser
 
 
@@ -124,15 +129,8 @@ def _cmd_kummer(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "verify": _cmd_verify,
-        "bernoulli": _cmd_bernoulli,
-        "wilson": _cmd_wilson,
-        "omega": _cmd_omega,
-        "kummer": _cmd_kummer,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

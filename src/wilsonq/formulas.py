@@ -368,19 +368,18 @@ PTILDE: dict[int, Callable[..., int]] = {
 }
 
 
-def wilson_from_power_sums(p: int, r: int, sums: tuple[Residue, ...]) -> Residue:
+def wilson_from_power_sums(sums: Sequence[Residue]) -> Residue:
     """W_p mod p^r as the sum of the ``PTILDE`` members evaluated at the
-    directly computed scaled power sums ``sums``, Q~_1.. mod p^R for some
-    R >= r, which the caller takes from the oracle; needs odd p > r."""
+    directly computed scaled power sums ``sums`` = (Q~_1, .., Q~_r), each mod
+    p^r or finer, which the caller takes from the oracle; p and r are read
+    from the sums, and need odd p > r."""
+    r = len(sums)
     if not 1 <= r <= len(PTILDE):
         raise ValueError(f"need 1 <= r <= {len(PTILDE)}, got {r}")
+    p = sums[0].p
     if p <= r or p == 2:
         raise ValueError(f"need odd p > r, got p={p}, r={r}")
-    if len(sums) < r:
-        raise ValueError(f"need {r} power sums, got {len(sums)}")
-    if sums[0].p != p:
-        raise ValueError(f"power sums taken at p={sums[0].p}, read at p={p}")
-    xs = [x.reduce_to(r).value for x in sums[:r]]
+    xs = [x.reduce_to(r).value for x in sums]
     t = _Acc(p, {}, r)
     return _residue(sum(PTILDE[nu](t, *xs[:nu]) for nu in range(1, r + 1)), p, r)
 

@@ -123,7 +123,7 @@ def _check_psi(run: PrimeRun) -> list[Row]:
     """W_p from the power sums at the top precision, which implies each lower
     one: every PTILDE[nu] monomial carries weight nu-1."""
     return [(f"wilson-r={run.top}", run.wilson.quotient,
-             formulas.wilson_from_power_sums(run.p, run.top, run.sums))]
+             formulas.wilson_from_power_sums(run.sums))]
 
 
 def _check_kummer(run: PrimeRun) -> list[Row]:

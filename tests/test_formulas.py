@@ -162,12 +162,13 @@ def test_wilson_from_power_sums_examples():
     from reference_routes import q_power_sum
 
     for p in (5, 7, 11):
-        assert wilson_from_power_sums(p, 1, qtilde_sums(p, 1)) == q_power_sum(1, p, 1)
-        assert wilson_from_power_sums(p, 1, qtilde_sums(p, 1)) == wilson_quotient(p, 1).quotient
-    assert wilson_from_power_sums(7, 5, qtilde_sums(7, 5)) == wilson_quotient(7, 5).quotient
-    assert wilson_from_power_sums(11, 6, qtilde_sums(11, 6)) == wilson_quotient(11, 6).quotient
+        assert wilson_from_power_sums(qtilde_sums(p, 1)) == q_power_sum(1, p, 1)
+        assert wilson_from_power_sums(qtilde_sums(p, 1)) == wilson_quotient(p, 1).quotient
+    assert wilson_from_power_sums(qtilde_sums(7, 5)) == wilson_quotient(7, 5).quotient
+    assert wilson_from_power_sums(qtilde_sums(11, 6)) == wilson_quotient(11, 6).quotient
+    # the oracle refuses r >= p, so five sums at p = 5 are made by hand
     with pytest.raises(ValueError, match=r"^need odd p > r, got p=5, r=5$"):
-        wilson_from_power_sums(5, 5, ())
+        wilson_from_power_sums((Residue(0, make_modulus(5, 5)),) * 5)
 
 
 def test_zero_expressions_vanish():
@@ -616,11 +617,10 @@ def test_no_two_lambdas_share_a_body():
 
 
 def test_state_for_another_prime_is_refused():
-    # a divided set or power sums taken at p = 11 must not be read at p = 13
-    bs11, sums11 = divided_set(11), qtilde_sums(11, 6)
+    # a divided set taken at p = 11 must not be read at p = 13
+    bs11 = divided_set(11)
     calls = (lambda: omega_vector(13, bs11, 5),
-             lambda: qtilde_rhs(3, 13, 5, bs11),
-             lambda: wilson_from_power_sums(13, 5, sums11))
+             lambda: qtilde_rhs(3, 13, 5, bs11))
     for call in calls:
         with pytest.raises(ValueError, match=r"p=11, read at p=13"):
             call()
@@ -671,10 +671,6 @@ def test_the_package_exports_the_readme_library_alone():
 def test_power_sum_display_covers_the_top_precision():
     # PrimeRun.top is at most max(MIN_P), and psi evaluates PTILDE at run.top
     assert len(PTILDE) == max(MIN_P)
-    for r in (0, len(PTILDE) + 1):
-        with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {r}$"):
-            wilson_from_power_sums(13, r, qtilde_sums(13, 6))
-    # fewer sums than r are refused
-    for sums in (qtilde_sums(13, 3)[:1], ()):
-        with pytest.raises(ValueError, match=rf"^need 2 power sums, got {len(sums)}$"):
-            wilson_from_power_sums(13, 2, sums)
+    for sums in ((), qtilde_sums(13, len(PTILDE) + 1)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= r <= 6, got {len(sums)}$"):
+            wilson_from_power_sums(sums)

@@ -295,9 +295,13 @@ def test_unplaced_workers_sweep_all_the_same(host, monkeypatch):
 
 
 def test_tag_selection_changes_no_row():
-    # each tag alone gives exactly its rows of the all-tag run, and so do two
-    # tags together, in CHECKS order; kummer differences the divided set, so
-    # with these pairs the set it builds is the one table3 and zero-exprs read
+    # each tag alone gives exactly its rows of the all-tag run, in CHECKS
+    # order, and so does each tag set below: the headline, the omega ladders
+    # with the lemma form and Table 3 (shared term groups), every power-sum
+    # form (shared blocks), and kummer beside table3 or zero-exprs (kummer
+    # differences the divided set, so the set it builds is the one they read).
+    # So a subset report is the all-check report filtered, and CI pins only
+    # all-check reports
     primes = enumerate_primes(2, 120)
 
     def rows(tags):
@@ -305,7 +309,9 @@ def test_tag_selection_changes_no_row():
         return [row._replace(elapsed=0.0) for p in primes for row in check_prime(p, cfg)]
 
     every = rows(CHECK_TAGS)
-    for tags in (*([tag] for tag in CHECK_TAGS), ["kummer", "table3"], ["kummer", "zero-exprs"]):
+    sets = (["thm1", "thm2", "thm3"], ["thm1", "thm2", "lemmas", "table3"],
+            ["thm3", "props", "lemmas"], ["kummer", "table3"], ["kummer", "zero-exprs"])
+    for tags in (*([tag] for tag in CHECK_TAGS), *sets):
         assert rows(tags) == [row for row in every if row.tag in tags], tags
 
 
@@ -552,9 +558,9 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
     calls = []
     direct = formulas.wilson_from_power_sums
 
-    def counted(p, r, sums):
-        calls.append((p, r))
-        return direct(p, r, sums)
+    def counted(sums):
+        calls.append((sums[0].p, len(sums)))
+        return direct(sums)
 
     monkeypatch.setattr(formulas, "wilson_from_power_sums", counted)
     cfg = RunConfig(pmin=3, pmax=101, checks=frozenset(["psi"]))
@@ -566,8 +572,8 @@ def test_psi_evaluates_the_power_sums_once(monkeypatch):
         assert run.top == top and len(run.sums) == top, p
         assert calls == [(p, top)], p
         [(case, _, rhs)] = rows
-        assert case == f"wilson-r={top}" and rhs == direct(p, top, run.sums), p
-        assert all(direct(p, r, run.sums) == rhs.reduce_to(r) for r in range(1, top)), p
+        assert case == f"wilson-r={top}" and rhs == direct(run.sums), p
+        assert all(direct(run.sums[:r]) == rhs.reduce_to(r) for r in range(1, top)), p
         assert all(r.passed for r in check_prime(p, cfg))
 
 

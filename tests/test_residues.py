@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wilsonq.residues import (P_LIMIT, Modulus, Residue, divide_exactly, is_prime,
-                              make_modulus, power_table, ratio_mod)
+from wilsonq.residues import (P_LIMIT, R_LIMIT, Modulus, Residue, divide_exactly,
+                              is_prime, make_modulus, power_table, ratio_mod)
 
 PRIMES = (3, 5, 7, 11, 13, 17, 101, 1999, 32003)
 
@@ -23,6 +23,8 @@ def test_make_modulus_rejects_bad_input():
         make_modulus(7, 0)
     with pytest.raises(ValueError):
         make_modulus(2, 3)  # odd primes only
+    with pytest.raises(ValueError, match=r"^precision exponent must be at most 12, got 13$"):
+        make_modulus(7, R_LIMIT + 1)
 
 
 def test_is_prime_small():
@@ -126,3 +128,6 @@ def test_digits_and_int_compare():
     # residues compare by (p, r, value), whichever Modulus object they hold
     assert Residue(720, Modulus(7, 4)) == a
     assert Residue(720, make_modulus(7, 3)) != a
+    # a residue is never read at a precision it does not hold
+    with pytest.raises(ValueError, match=r"^cannot raise precision from 4 to 5$"):
+        a.reduce_to(5)
